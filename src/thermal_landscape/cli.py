@@ -4,10 +4,14 @@ One scenario per invocation: ``thermal-landscape <scenario> config.json
 [--seed S] [--output PATH]``.  Config files are JSON with
 ``schema_version`` 1; all resolved values are echoed into the result so
 every artifact is self-describing.  Exit codes: 0 success, 2 config
-error, 3 numerical guard.
+error, 3 numerical guard (or a non-real expectation value) or exhausted
+descent budget; every failure writes one JSON error record naming a
+field to stderr.  Any other package error raised while the scenario
+itself runs is reported as a config error on ``scenario.<name>``.
 """
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -18,7 +22,13 @@ from . import landscape_unitary as unitary
 from . import operators as ops
 from .bath import BathSpec
 from .descent import DescentConfig, DescentTrace, thermal_gradient_descent
-from .errors import ConfigError, NumericalGuard
+from .errors import (
+    ConfigError,
+    MaxStepsExceeded,
+    NonRealExpectation,
+    NumericalGuard,
+    ThermalLandscapeError,
+)
 from .gradient import (
     certify_local_min,
     gradient_vector,
@@ -135,6 +145,18 @@ def _require(cfg, field, typ, path):
     if not isinstance(val, typ):
         raise ConfigError(f"{path}{field}", f"expected {typ.__name__}")
     return val
+
+
+@contextlib.contextmanager
+def _config_field(path):
+    """Report a package error raised while ``path`` is resolved as a
+    :class:`ConfigError` on that field; guards and budgets pass through."""
+    try:
+        yield
+    except (ConfigError, NumericalGuard, NonRealExpectation, MaxStepsExceeded):
+        raise
+    except ThermalLandscapeError as exc:
+        raise ConfigError(path, f"{type(exc).__name__}: {exc}") from exc
 
 
 def _resolve_bath(cfg):
@@ -381,14 +403,19 @@ def _scenario_descend(cfg, model, clock, echo, seed):
         "noise": dcfg.noise,
         "record_stride": dcfg.record_stride,
     }
-    trace = thermal_gradient_descent(model, rho, dcfg)
+    try:
+        trace, exhausted = thermal_gradient_descent(model, rho, dcfg), None
+    except MaxStepsExceeded as exc:
+        trace, exhausted = exc.trace, exc
     extra = {"energy": model.energy(trace.terminal_state)}
     if bool(cfg.get("report_ground_overlap", True)):
         p_g = model.sd.ground_projector
         extra["ground_overlap"] = float(
             np.trace(p_g @ trace.terminal_state).real
         )
-    return ("trace", trace, extra), None
+    if exhausted is not None:
+        extra["status"] = "max_steps"
+    return ("trace", trace, extra, exhausted), None
 
 
 def _scenario_ising(cfg, model, clock, echo, seed):
@@ -532,9 +559,16 @@ def run(scenario, config_path, seed_override=None, output_override=None):
     except ConfigError as exc:
         _emit_error(exc.field, str(exc))
         return 2, None
-    except NumericalGuard as exc:
+    except (NumericalGuard, NonRealExpectation) as exc:
         _emit_error("numerical_guard", f"{type(exc).__name__}: {exc}")
         return 3, None
+    except MaxStepsExceeded as exc:
+        # the partial trace is already written, with terminal.status max_steps
+        _emit_error("descent.max_steps", str(exc))
+        return 3, None
+    except ThermalLandscapeError as exc:
+        _emit_error(f"scenario.{scenario}", f"{type(exc).__name__}: {exc}")
+        return 2, None
 
 
 def _run_validated(scenario, cfg, seed_override, output_override):
@@ -567,21 +601,25 @@ def _run_validated(scenario, cfg, seed_override, output_override):
         model, clock = None, None
         echo["plateau"] = cfg.get("plateau", {})
     else:
-        ham, clock, ham_echo = _resolve_hamiltonian(cfg)
+        with _config_field("hamiltonian"):
+            ham, clock, ham_echo = _resolve_hamiltonian(cfg)
         echo["hamiltonian"] = ham_echo
         bath_echo, model_kwargs = _build_model(cfg, ham)
         echo["bath"] = bath_echo
-        jumps, jump_echo = _resolve_jumps(cfg, ham, clock)
-        echo["jumps"] = jump_echo
-        model = build_model(ham, jumps, **model_kwargs)
+        with _config_field("jumps"):
+            jumps, jump_echo = _resolve_jumps(cfg, ham, clock)
+            echo["jumps"] = jump_echo
+            model = build_model(ham, jumps, **model_kwargs)
         echo["include_lamb_shift"] = model.include_lamb_shift
         echo["include_coherent"] = model.include_coherent
 
     payload, csv_payload = _SCENARIO_FUNCS[scenario](cfg, model, clock, echo, seed)
 
     if isinstance(payload, tuple) and payload[0] == "trace":
-        _, trace, extra = payload
+        _, trace, extra, exhausted = payload
         result = emit_trace(trace, output, config_echo=echo, terminal_extra=extra)
+        if exhausted is not None:
+            raise exhausted
     else:
         result = {
             "schema_version": SCHEMA_VERSION,

@@ -120,8 +120,7 @@ def _state_space(model: LindbladModel, rho):
     return _FullSpace(model), rho.reshape(-1).copy()
 
 
-def thermal_gradient_descent(model: LindbladModel, rho0, cfg: DescentConfig,
-                             record_states=False) -> DescentTrace:
+def thermal_gradient_descent(model: LindbladModel, rho0, cfg: DescentConfig) -> DescentTrace:
     """Run coordinate-wise thermal gradient descent from ``rho0``.
 
     Gradients are exact by default (this is a classical simulator); with

@@ -36,7 +36,6 @@ class GradientReport:
     grad_plus: np.ndarray
     grad_minus: np.ndarray
     inf_norm_minus: float
-    operator_cache: dict | None = None
 
 
 @dataclass(frozen=True)
@@ -55,19 +54,15 @@ def gradient_operator(model: LindbladModel, label):
     return model._gradient_ops[label]
 
 
-def gradient_vector(model: LindbladModel, rho, labels=None,
-                    include_operators=False) -> GradientReport:
+def gradient_vector(model: LindbladModel, rho, labels=None) -> GradientReport:
     """Energy gradient g_a = Tr(L^dag_a[H] rho) over a jump subset."""
     if labels is None:
         labels = model.jump_labels
     rho = np.asarray(rho, dtype=complex)
     g = np.empty(len(labels))
-    cache = {} if include_operators else None
     for i, label in enumerate(labels):
         op = gradient_operator(model, label)
         g[i] = float(np.sum(op * rho.T).real)
-        if cache is not None:
-            cache[label] = op
     plus = np.maximum(g, 0.0)
     minus = np.maximum(-g, 0.0)
     return GradientReport(
@@ -76,7 +71,6 @@ def gradient_vector(model: LindbladModel, rho, labels=None,
         grad_plus=plus,
         grad_minus=minus,
         inf_norm_minus=float(np.max(minus)) if len(minus) else 0.0,
-        operator_cache=cache,
     )
 
 

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -29,16 +30,18 @@ class LocalHamiltonian:
 class SpectralData:
     """Grouped spectrum of a Hermitian operator.
 
-    ``energies[g]`` is the mean eigenvalue of group ``g`` and
-    ``projectors[g]`` the orthogonal projector onto its eigenspace.
-    ``eigenvectors`` holds the orthonormal eigenbasis, eigenvalues
-    ascending, and ``group_slices[g]`` the columns that span group ``g``.
+    ``eigenvectors`` holds the orthonormal eigenbasis V, eigenvalues
+    ascending, and ``group_slices[g]`` the columns of V that span energy
+    group ``g``, whose mean eigenvalue is ``energies[g]``.  Group
+    projectors are derived from V on demand (:meth:`group_projector`,
+    :attr:`ground_projector`) rather than stored.
     ``bohr_freqs`` is the deduplicated, sorted set of energy differences,
-    closed under negation by construction.
+    closed under negation by construction; :attr:`bohr_pairs` files every
+    eigenvector pair under the Bohr frequency of its groups, once per
+    spectrum, for :func:`bohr_decompose`.
     """
 
     energies: np.ndarray
-    projectors: tuple
     bohr_freqs: np.ndarray
     spectral_gap: float
     bohr_gap: float
@@ -46,22 +49,62 @@ class SpectralData:
     eigenvectors: np.ndarray = field(repr=False)
     group_slices: tuple = field(repr=False)
 
+    def group_projector(self, g):
+        """Orthogonal projector onto the eigenspace of group ``g``."""
+        block = self.eigenvectors[:, self.group_slices[g]]
+        return block @ block.conj().T
+
     @property
     def ground_projector(self):
-        return self.projectors[0]
+        return self.group_projector(0)
 
     @property
     def ground_energy(self):
         return float(self.energies[0])
 
     def bohr_index(self, nu):
-        """Index of the Bohr frequency nearest to ``nu``."""
-        return int(np.argmin(np.abs(self.bohr_freqs - nu)))
+        """Index of the Bohr frequency nearest to ``nu``, the lower one on a
+        tie; elementwise for an array.
+
+        ``bohr_freqs`` is sorted, so only the two neighbours of the insertion
+        point of ``nu`` can be nearest: this is ``argmin |bohr_freqs - nu|``
+        without the array of all distances.
+        """
+        freqs = self.bohr_freqs
+        nu = np.asarray(nu, dtype=float)
+        hi = np.minimum(np.searchsorted(freqs, nu), len(freqs) - 1)
+        lo = np.maximum(hi - 1, 0)
+        k = np.where(np.abs(freqs[hi] - nu) < np.abs(freqs[lo] - nu), hi, lo)
+        return int(k) if k.ndim == 0 else k
+
+    @cached_property
+    def bohr_pairs(self):
+        """Eigenvector index pairs grouped by Bohr frequency.
+
+        A list of ``(k, rows, cols)``, k ascending over the Bohr indices that
+        some pair of groups reaches: (rows[q], cols[q]) runs over the
+        eigenvector pairs whose groups i, j have ``bohr_index(E_i - E_j) == k``.
+        Every pair appears exactly once.
+        """
+        group_index = self.bohr_index(self.energies[:, None] - self.energies[None, :])
+        groups = np.repeat(np.arange(len(self.group_slices)),
+                           [sl.stop - sl.start for sl in self.group_slices])
+        flat = group_index[groups[:, None], groups[None, :]].ravel()
+        order = np.argsort(flat, kind="stable")
+        keys, starts = np.unique(flat[order], return_index=True)
+        return [(k, *np.divmod(entries, len(groups)))
+                for k, entries in zip(keys.tolist(), np.split(order, starts[1:]))]
 
 
 @dataclass
 class BohrBlocks:
-    """Decomposition A = sum_nu A_nu over Bohr frequencies of a Hamiltonian."""
+    """Decomposition A = sum_nu A_nu over Bohr frequencies of a Hamiltonian.
+
+    ``mats[p]`` is the dense block A_nu at ``freqs[p]`` =
+    ``bohr_freqs[freq_indices[p]]``, indices ascending; blocks with
+    ||A_nu||_2 <= drop_factor ||A||_2 are left out (see
+    :func:`bohr_decompose`).
+    """
 
     label: str
     freq_indices: np.ndarray  # indices into SpectralData.bohr_freqs
@@ -143,11 +186,6 @@ def spectral_data(ham, group_tol=None) -> SpectralData:
             raise GroupingUnstable(
                 f"group energies {a} and {b} are within 3*group_tol={3 * group_tol:.3e}"
             )
-    projectors = []
-    for s in slices:
-        block = v[:, s]
-        projectors.append(block @ block.conj().T)
-
     # Bohr frequencies: cluster the nonnegative differences, then mirror so
     # the set is exactly closed under negation.
     diffs = (energies[:, None] - energies[None, :]).ravel()
@@ -169,7 +207,6 @@ def spectral_data(ham, group_tol=None) -> SpectralData:
         bohr_gap = math.inf
     return SpectralData(
         energies=energies,
-        projectors=tuple(projectors),
         bohr_freqs=bohr,
         spectral_gap=spectral_gap,
         bohr_gap=bohr_gap,
@@ -179,30 +216,57 @@ def spectral_data(ham, group_tol=None) -> SpectralData:
     )
 
 
-def bohr_decompose(a_mat, sd: SpectralData, label: str = "", drop_factor=1e-12):
-    """Decompose ``a_mat`` into blocks A_nu = sum_{E2-E1=nu} P_{E2} A P_{E1}."""
+def _compact(idx, dim):
+    """Sorted distinct values of ``idx`` (all in range(dim)) and each
+    entry's position among them."""
+    present = np.zeros(dim, dtype=bool)
+    present[idx] = True
+    return np.flatnonzero(present), (np.cumsum(present) - 1)[idx]
+
+
+def bohr_decompose(a_mat, sd: SpectralData, label: str = "", drop_factor=1e-12,
+                   norm=None):
+    """Decompose ``a_mat`` into blocks A_nu = sum_{E2-E1=nu} P_{E2} A P_{E1}.
+
+    The blocks are built in the eigenbasis V of ``sd``: with A~ = V^dag A V
+    and the 0/1 mask M_nu that covers every eigenvector pair whose energy
+    groups differ by the Bohr frequency nu, A_nu = V (A~ o M_nu) V^dag.
+    That is one transform per jump plus one product per block, restricted
+    to the rows and columns where A~ o M_nu is nonzero, instead of g^2
+    projector sandwiches.
+
+    A block is kept when ||A_nu||_2 > drop_factor * ||A||_2.  The spectral
+    norm is unitarily invariant, so it is that of the masked A~, which
+    :func:`operators.spectral_norm_exceeds` decides from the Frobenius norm
+    unless that lands in the band where only an SVD can tell.  ``norm`` is
+    ||A||_2 when the caller has it already.
+    """
     a_mat = np.asarray(a_mat, dtype=complex)
-    dim = sd.projectors[0].shape[0]
+    v = sd.eigenvectors
+    dim = v.shape[0]
     if a_mat.shape != (dim, dim):
         raise DimensionMismatch(
             f"operator shape {a_mat.shape} does not match dimension {dim}"
         )
-    cutoff = drop_factor * max(ops.operator_norm(a_mat), 1e-300)
-    acc = {}
-    for i, pi in enumerate(sd.projectors):
-        left = pi @ a_mat
-        for j, pj in enumerate(sd.projectors):
-            nu = sd.energies[i] - sd.energies[j]
-            k = sd.bohr_index(nu)
-            block = left @ pj
-            if k in acc:
-                acc[k] = acc[k] + block
-            else:
-                acc[k] = block
-    keys = sorted(k for k, m in acc.items() if ops.operator_norm(m) > cutoff)
+    if norm is None:
+        norm = ops.operator_norm(a_mat)
+    cutoff = drop_factor * max(norm, 1e-300)
+    vdag = v.conj().T
+    a_eig = vdag @ a_mat @ v
+    kept, mats = [], []
+    for k, rows, cols in sd.bohr_pairs:
+        vals = a_eig[rows, cols]
+        hit = vals != 0  # exactly-zero entries add nothing to V B V^dag
+        r, r_at = _compact(rows[hit], dim)
+        c, c_at = _compact(cols[hit], dim)
+        block = np.zeros((len(r), len(c)), dtype=complex)
+        block[r_at, c_at] = vals[hit]
+        if ops.spectral_norm_exceeds(block, cutoff):
+            kept.append(k)
+            mats.append(v[:, r] @ block @ vdag[c])
     return BohrBlocks(
         label=label,
-        freq_indices=np.array(keys, dtype=int),
-        freqs=sd.bohr_freqs[keys],
-        mats=[acc[k] for k in keys],
+        freq_indices=np.array(kept, dtype=int),
+        freqs=sd.bohr_freqs[kept],
+        mats=mats,
     )

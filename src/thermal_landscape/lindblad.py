@@ -193,21 +193,32 @@ def _as_jump_list(jumps):
 
 
 def _check_jump_set(jumps, dim):
-    mats = [m for _, m in jumps]
+    """Validate shapes, ||A^dag A|| <= 1 and closure under the adjoint.
+
+    Returns each jump's (||A||_2, ||A^dag A||_2).  The adjoint of A is
+    matched to a jump B when ||A^dag - B||_2 <= 1e-10 ||A||_2, decided by
+    :func:`operators.spectral_norm_exceeds`, so a clear match or mismatch
+    costs no SVD.
+    """
     for label, m in jumps:
         if m.shape != (dim, dim):
             raise DimensionMismatch(
                 f"jump {label!r} has shape {m.shape}, expected {(dim, dim)}"
             )
+    norms = []
+    for label, m in jumps:
         aa = ops.operator_norm(m.conj().T @ m)
         if aa > 1.0 + 1e-9:
             raise JumpNotNormalized(f"jump {label!r} has ||A^dag A|| = {aa:.6f} > 1")
+        norm = ops.operator_norm(m)
         adj = m.conj().T
-        scale = max(ops.operator_norm(m), 1e-300)
-        if not any(ops.operator_norm(adj - other) <= 1e-10 * scale for other in mats):
+        tol = 1e-10 * max(norm, 1e-300)
+        if all(ops.spectral_norm_exceeds(adj - other, tol) for _, other in jumps):
             raise JumpSetNotClosed(
                 f"adjoint of jump {label!r} is missing from the jump set"
             )
+        norms.append((norm, aa))
+    return norms
 
 
 def build_model(
@@ -238,20 +249,14 @@ def build_model(
         raise ValueError("a BathSpec is required unless davies=True")
     corr_cache = _BATH_CORRELATION_CACHE
     jump_list = _as_jump_list(jumps)
-    _check_jump_set(jump_list, ham.dense.shape[0])
+    norms = _check_jump_set(jump_list, ham.dense.shape[0])
 
     sd = spectral_data(ham, group_tol)
-    jump_objs = []
-    for label, mat in jump_list:
-        blocks = bohr_decompose(mat, sd, label=label)
-        jump_objs.append(
-            Jump(
-                label=label,
-                matrix=mat,
-                blocks=blocks,
-                aa_norm=ops.operator_norm(mat.conj().T @ mat),
-            )
-        )
+    jump_objs = [
+        Jump(label=label, matrix=mat,
+             blocks=bohr_decompose(mat, sd, label=label, norm=norm), aa_norm=aa)
+        for (label, mat), (norm, aa) in zip(jump_list, norms)
+    ]
 
     if include_lamb_shift is None:
         include_lamb_shift = not davies

@@ -5,6 +5,7 @@ dtype complex128.  Density matrices are ordinary matrices validated by
 :func:`check_density_matrix` at API boundaries.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,7 @@ from .errors import (
 )
 
 MAX_QUBITS = 14  # dense-size guard: Hilbert dimension <= 16384
+NORM_BAND_SLACK = 1e-9  # relative widening of the Frobenius bracket's band
 
 PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -44,10 +46,6 @@ def commutator(a, b):
     return a @ b - b @ a
 
 
-def anticommutator(a, b):
-    return a @ b + b @ a
-
-
 def operator_norm(m):
     """Spectral norm (largest singular value)."""
     if m.size == 0:
@@ -55,8 +53,21 @@ def operator_norm(m):
     return float(np.linalg.norm(m, 2))
 
 
-def trace_norm(m):
-    return float(np.sum(np.linalg.svd(m, compute_uv=False)))
+def spectral_norm_exceeds(m, bound):
+    """Whether ``operator_norm(m) > bound``, with an SVD only where needed.
+
+    ||m||_2 <= ||m||_F <= sqrt(rank m) ||m||_2 with rank m <= min(m.shape),
+    so the Frobenius norm decides unless it lies between ``bound`` and
+    sqrt(min(m.shape)) * ``bound``; the band is widened by a relative
+    ``NORM_BAND_SLACK`` so that rounding in either norm cannot decide
+    differently from the SVD.
+    """
+    fro = float(np.linalg.norm(m))
+    if fro <= bound * (1.0 - NORM_BAND_SLACK):
+        return False
+    if fro > math.sqrt(min(m.shape)) * bound * (1.0 + NORM_BAND_SLACK):
+        return True
+    return operator_norm(m) > bound
 
 
 def pauli_matrix(term: PauliTerm, n: int):

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 from pathlib import Path
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from thermal_landscape import cli
+from thermal_landscape.errors import NonRealExpectation
 
 
 def write_config(tmp_path, obj, name="config.json"):
@@ -282,3 +284,95 @@ def test_main_entry_point(tmp_path):
     assert cli.main(["certify", path]) == 0
     assert cli.main(["certify", path, "--output", str(tmp_path / "o2.json")]) == 0
     assert (tmp_path / "o2.json").exists()
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def test_size_limit_exits_2_with_field_path(tmp_path, capsys):
+    cfg = {
+        "schema_version": 1,
+        "scenario": "ising",
+        "hamiltonian": {"ising": {"n": 20, "h": 1.0}},
+        "bath": {"beta": 5.0, "tau": 1.0, "davies": True},
+        "jumps": {"preset": "pauli_x_all"},
+        "output": str(tmp_path / "ising.json"),
+    }
+    code, result = cli.run("ising", write_config(tmp_path, cfg))
+    assert (code, result) == (2, None)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    record = json.loads(err.strip())
+    assert record["error"]["field"] == "hamiltonian"
+    assert "SizeLimit" in record["error"]["message"]
+
+
+def test_unnormalized_explicit_jump_exits_2_with_field_path(tmp_path, capsys):
+    cfg = certify_config(tmp_path)
+    cfg["jumps"] = {"explicit": [{"pauli": "X", "sites": [0], "coeff": 2.0}]}
+    code, _ = cli.run("certify", write_config(tmp_path, cfg))
+    assert code == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"]["field"] == "jumps"
+    assert "JumpNotNormalized" in record["error"]["message"]
+    assert not (tmp_path / "result.json").exists()
+
+
+def test_error_inside_scenario_exits_2_on_scenario_field(tmp_path, capsys):
+    cfg = {
+        "schema_version": 1,
+        "scenario": "plateau",
+        "plateau": {"n": 2, "num_samples": 2,
+                    "observable": {"pauli": "Z", "sites": [5]}},
+        "output": str(tmp_path / "plateau.json"),
+    }
+    code, result = cli.run("plateau", write_config(tmp_path, cfg))
+    assert (code, result) == (2, None)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    record = json.loads(err.strip())
+    assert record["error"]["field"] == "scenario.plateau"
+    assert "SiteOutOfRange" in record["error"]["message"]
+    assert not (tmp_path / "plateau.json").exists()
+
+
+def test_non_real_expectation_inside_scenario_exits_3(tmp_path, capsys, monkeypatch):
+    def defect(*args):
+        raise NonRealExpectation("imaginary part 1e-3 exceeds 1e-9 * ||obs||")
+
+    monkeypatch.setitem(cli._SCENARIO_FUNCS, "certify", defect)
+    code, result = cli.run("certify", write_config(tmp_path, certify_config(tmp_path)))
+    assert (code, result) == (3, None)
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"]["field"] == "numerical_guard"
+    assert "NonRealExpectation" in record["error"]["message"]
+
+
+def test_exhausted_descent_budget_exits_3_and_keeps_partial_trace(tmp_path, capsys):
+    cfg = json.loads((REPO / "scripts/configs/qubit_descend.json").read_text())
+    cfg["descent"]["max_steps"] = 3
+    cfg["output"] = str(tmp_path / "trace.json")
+    code, result = cli.run("descend", write_config(tmp_path, cfg))
+    assert (code, result) == (3, None)
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"]["field"] == "descent.max_steps"
+    obj = json.loads((tmp_path / "trace.json").read_text())
+    assert [st["i"] for st in obj["steps"]] == [1, 2, 3]
+    assert obj["terminal"]["status"] == "max_steps"
+    assert "certificate" not in obj["terminal"]
+    assert obj["terminal"]["energy"] == obj["steps"][-1]["e_after"]
+    assert obj["config_echo"]["descent"]["max_steps"] == 3
+
+
+def test_clock_cooling_config_resolves_from_any_directory(tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location(
+        "clock_cooling", REPO / "scripts" / "clock_cooling.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.chdir(tmp_path)
+    cfg = script.load_config()
+    circuit = Path(cfg["hamiltonian"]["circuit_file"])
+    assert circuit.is_absolute()
+    assert circuit == REPO / "scripts" / "configs" / "circuit_x_t3.json"
+    ham, clock, _ = cli._resolve_hamiltonian(cfg)
+    assert clock.circuit.n == 1 and ham.dense.shape == (16, 16)

@@ -1,3 +1,6 @@
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -73,16 +76,17 @@ def test_spectral_data_clock_diagonal_oracle():
     assert np.allclose(sorted(energies), sd.energies, atol=1e-12)
 
 
-def test_spectral_data_invariants():
+def test_spectral_data_invariants(group_projectors):
     rng = np.random.default_rng(11)
     a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
     ham = tl.assemble([(a + a.conj().T, (0, 1, 2))], 3)
     sd = spectral_data(ham)
-    total = sum(sd.projectors)
+    projectors = group_projectors(sd)
+    total = sum(projectors)
     assert np.linalg.norm(total - np.eye(8), 2) < 1e-9
-    for i, pi in enumerate(sd.projectors):
+    for i, pi in enumerate(projectors):
         assert np.linalg.norm(pi @ pi - pi, 2) < 1e-9
-        for pj in sd.projectors[i + 1:]:
+        for pj in projectors[i + 1:]:
             assert np.linalg.norm(pi @ pj, 2) < 1e-9
     # Bohr set closed under negation
     assert np.allclose(sd.bohr_freqs, -sd.bohr_freqs[::-1])
@@ -120,20 +124,17 @@ def test_bohr_decompose_commuting_case():
     assert np.allclose(blocks.mats[0], tl.PAULI["Z"])
 
 
-def test_bohr_decompose_ising_x2_projector_sandwich():
+def test_bohr_decompose_ising_x2_projector_sandwich(sandwich_bohr_blocks):
     ham = tl.build_ising_chain(3, 0.0, periodic=True)
     sd = spectral_data(ham)
     x2 = tl.kron_embed(tl.PAULI["X"], [1], 3)
     blocks = tl.bohr_decompose(x2, sd)
     assert set(np.round(blocks.freqs, 10)) == {-4.0, 0.0, 4.0}
     # independent oracle: explicit P_E X P_E' products
-    for nu, mat in blocks.items():
-        expected = np.zeros_like(mat)
-        for i, pi in enumerate(sd.projectors):
-            for j, pj in enumerate(sd.projectors):
-                if abs((sd.energies[i] - sd.energies[j]) - nu) < 1e-9:
-                    expected += pi @ x2 @ pj
-        assert np.linalg.norm(mat - expected, 2) < 1e-10
+    keys, expected = sandwich_bohr_blocks(x2, sd)
+    assert blocks.freq_indices.tolist() == keys
+    for mat, want in zip(blocks.mats, expected):
+        assert np.linalg.norm(mat - want, 2) < 1e-10
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -164,3 +165,82 @@ def test_bohr_block_invariants(seed):
     for nu, mat in blocks.items():
         counterpart = dag_map[round(-nu, 9)]
         assert np.linalg.norm(mat.conj().T - counterpart, 2) < 1e-10 * max(norm, 1)
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def generic_two_local(n, seed):
+    rng = np.random.default_rng(seed)
+    terms = []
+    for j in range(n - 1):
+        a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        terms.append((a + a.conj().T, (j, j + 1)))
+    return tl.assemble(terms, n)
+
+
+def oracle_systems():
+    """(Hamiltonian, jumps) of the systems the oracle test covers."""
+    for n, seed in ((3, 0), (4, 1)):
+        ham = generic_two_local(n, seed)
+        jumps = [tl.kron_embed(tl.PAULI[p], [j], n) for j in range(n) for p in "XY"]
+        rng = np.random.default_rng(seed + 10)
+        jumps.append(rng.standard_normal((2**n, 2**n))
+                     + 1j * rng.standard_normal((2**n, 2**n)))
+        yield pytest.param(ham, jumps, id=f"generic_n{n}")
+    cs = tl.load_circuit(str(REPO / "scripts" / "configs" / "circuit_x_t3.json"))
+    clock = tl.build_clock_hamiltonian(cs, j_in=1e-3, j_prop=1e-2)
+    yield pytest.param(clock.local, [m for _, m in tl.clock_jump_preset(cs)],
+                       id="clock_circuit_x_t3")
+    for h in (0.0, 1.0):
+        ham = tl.build_ising_chain(4, h)
+        yield pytest.param(ham, [tl.kron_embed(tl.PAULI["X"], [j], 4) for j in range(4)],
+                           id=f"ising_n4_h{h}")
+
+
+@pytest.mark.parametrize("ham, jumps", list(oracle_systems()))
+def test_bohr_decompose_matches_projector_sandwiches(ham, jumps, sandwich_bohr_blocks):
+    sd = spectral_data(ham)
+    for a_mat in jumps:
+        keys, mats = sandwich_bohr_blocks(a_mat, sd)
+        blocks = tl.bohr_decompose(a_mat, sd)
+        assert blocks.freq_indices.tolist() == keys
+        assert np.array_equal(blocks.freqs, sd.bohr_freqs[keys])
+        norm = np.linalg.norm(a_mat, 2)
+        for got, want in zip(blocks.mats, mats):
+            assert np.max(np.abs(got - want)) <= 1e-12 * norm
+
+
+@pytest.mark.parametrize("a, b", [(0.9, 0.9), (0.99, 0.5), (1.05, 0.3), (1.2, 0.6),
+                                  (0.5, 0.5), (2.0, 2.0)])
+def test_drop_rule_in_frobenius_band_matches_svd_rule(a, b, sandwich_bohr_blocks):
+    # H = diag(0, 1, 3, 4): the nu = 1 block of A holds A[1, 0] and A[3, 2]
+    # only, so ||A_1||_2 = max(a, b) c and ||A_1||_F = hypot(a, b) c with
+    # c = 1e-12 = the cutoff, because ||A||_2 = 1 from A[0, 3]
+    ham = tl.assemble([(np.diag([0.0, 1.0, 3.0, 4.0]).astype(complex), (0, 1))], 2)
+    sd = spectral_data(ham)
+    c = 1e-12
+    a_mat = np.zeros((4, 4), dtype=complex)
+    a_mat[0, 3] = 1.0
+    a_mat[1, 0] = a * c
+    a_mat[3, 2] = b * c
+    fro = math.hypot(a, b) * c
+    in_band = c < fro <= math.sqrt(2) * c
+    assert in_band == ((a, b) not in [(0.5, 0.5), (2.0, 2.0)])
+    keys, _ = sandwich_bohr_blocks(a_mat, sd)
+    blocks = tl.bohr_decompose(a_mat, sd)
+    assert blocks.freq_indices.tolist() == keys
+    assert (sd.bohr_index(1.0) in keys) == (max(a, b) > 1.0)
+
+
+def test_bohr_index_is_nearest_frequency_elementwise():
+    sd = spectral_data(tl.build_ising_chain(4, 1.0))
+    freqs = sd.bohr_freqs
+    rng = np.random.default_rng(3)
+    span = freqs[-1] - freqs[0]
+    nu = np.concatenate([freqs, 0.5 * (freqs[1:] + freqs[:-1]),
+                         rng.uniform(freqs[0] - span, freqs[-1] + span, 200)])
+    want = [int(np.argmin(np.abs(freqs - x))) for x in nu]
+    assert sd.bohr_index(nu).tolist() == want
+    assert [sd.bohr_index(x) for x in nu] == want
+    assert sd.bohr_index(nu.reshape(-1, 1)).ravel().tolist() == want

@@ -71,6 +71,63 @@ def test_jump_set_validation():
         model.jump("nope")
 
 
+def plain_jump_set_closed(jumps):
+    """Reference closure rule: every adjoint lies within 1e-10 ||A||_2 of a
+    jump, in the spectral norm taken by SVD."""
+    return all(
+        any(np.linalg.norm(m.conj().T - other, 2) <= 1e-10 * np.linalg.norm(m, 2)
+            for _, other in jumps)
+        for _, m in jumps
+    )
+
+
+@pytest.mark.parametrize("s", [0.5, 0.9, 1.1, 1.5])
+def test_jump_set_check_in_frobenius_band_matches_svd_rule(s):
+    # B = A^dag + E with E = s 1e-10 diag(1, 1, 0, 0): ||E||_2 = s 1e-10 and
+    # ||E||_F = sqrt(2) s 1e-10, inside the band (tol, 2 tol] of d = 4 for
+    # s = 0.9 and 1.1, below it for 0.5 and above it for 1.5
+    lower = np.kron(np.array([[0.0, 0.0], [1.0, 0.0]]), np.eye(2)).astype(complex)
+    e = s * 1e-10 * np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)
+    jumps = [("A", lower), ("B", lower.conj().T + e)]
+    closed = plain_jump_set_closed(jumps)
+    assert closed == (s <= 1.0)
+    ham = tl.build_ising_chain(2, 0.5, periodic=False)
+    bath = BathSpec(beta=1.0, tau=1.0)
+    if closed:
+        tl.build_model(ham, jumps, bath=bath, davies=True)
+    else:
+        with pytest.raises(JumpSetNotClosed):
+            tl.build_model(ham, jumps, bath=bath, davies=True)
+
+
+def general_three_qubit_system():
+    rng = np.random.default_rng(8)
+    ham = tl.assemble([(tl.PAULI["X"], (0,)), (np.kron(tl.PAULI["Z"], tl.PAULI["Y"]), (0, 1)),
+                       (0.7 * tl.PAULI["Z"], (2,))], 3)
+    m = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    m = 0.8 * m / np.linalg.norm(m, 2)
+    return ham, [("X1", tl.kron_embed(tl.PAULI["X"], [1], 3)), ("M", m), ("Mdag", m.conj().T)]
+
+
+@pytest.mark.parametrize("ham, jumps", [
+    pytest.param(*general_three_qubit_system(), id="general_n3"),
+    pytest.param(tl.build_ising_chain(3, 0.0), [("X1", tl.kron_embed(tl.PAULI["X"], [1], 3))],
+                 id="ising_n3_h0_x1"),
+])
+def test_build_model_jump_data_matches_projector_sandwiches(ham, jumps, sandwich_bohr_blocks):
+    # the model reuses the norms of the jump-set check; its blocks must match
+    # the projector sandwiches, and aa_norm the formula ||A^dag A||_2
+    model = tl.build_model(ham, jumps, bath=BathSpec(beta=2.0, tau=1.0), davies=True)
+    for (label, mat), jump in zip(jumps, model.jumps):
+        assert jump.label == label
+        assert jump.aa_norm == np.linalg.norm(mat.conj().T @ mat, 2)
+        keys, want = sandwich_bohr_blocks(mat, model.sd)
+        assert jump.blocks.freq_indices.tolist() == keys
+        norm = np.linalg.norm(mat, 2)
+        for got, block in zip(jump.blocks.mats, want):
+            assert np.max(np.abs(got - block)) <= 1e-12 * norm
+
+
 def test_davies_adjoint_qubit_closed_form():
     model = qubit_davies_model(beta=10.0)
     spec = BathSpec(beta=10.0, tau=1.0)
