@@ -7,8 +7,11 @@ Lamb-shift kernel K(nu2, nu1).
 Quadrature strategy: composite Gauss-Legendre panels whose width is tied
 to the fastest oscillation of the integrand, with the error estimated by
 halving the panel width.  The frequency integrals share one node grid
-across all Bohr-frequency pairs, so a full kernel table costs a single
-matrix product.
+across all Bohr-frequency pairs, so a full overlap table costs a single
+matrix product.  The Lamb kernel's time integral shares one node grid
+too, and its centre-coordinate factor separates over the two Bohr
+frequencies of a pair, so a full Lamb table costs O(nodes * m) phases and
+sums for m frequencies (see :func:`_lamb_once`), with no loop over pairs.
 """
 
 import math
@@ -334,27 +337,94 @@ def overlap_kernel(nu_prime, nu, spec: BathSpec, secular_mu=None, abs_tol=1e-10)
 # ---------------------------------------------------------------------------
 
 
-def _center_factor(sigma, width):
-    """integral of e^{i sigma v} over |v| <= width/2 (= width at sigma = 0)."""
-    return width * np.sinc(sigma * width / (2.0 * math.pi))
+LAMB_BLOCK = 2**17  # entries of one node-by-frequency temporary in _lamb_once
+LAMB_SERIES_TERMS = 14  # terms of the small-sigma series in _lamb_once
 
 
 def _lamb_once(freqs, spec, corr, edges):
+    """One panel-quadrature pass of the Lamb kernel on every Bohr pair.
+
+    With nodes u_n, weights b_n = -sgn(u_n) c_beta(u_n) (quadrature weight
+    included) and centre widths w_n = tau - |u_n|, the pass sums
+
+        S[k, l] = sum_n b_n e^{i (nu_k - nu_l) u_n / 2} f(sigma_kl, w_n),
+
+    where sigma_kl = nu_k + nu_l and f(sigma, w) = 2 sin(sigma w / 2) / sigma
+    (= w at sigma = 0) is the centre-coordinate integral.  Both forms below
+    build S from node sums of b_n times the phase of a single frequency, so
+    a pass costs O(nodes * m) exponentials and sums instead of the
+    O(nodes * m^2) of a loop over pairs.  The node axis is taken in blocks
+    of about ``LAMB_BLOCK`` / m nodes, so temporaries stay O(block * m)
+    however many nodes the quadrature needs.
+
+    Separable form.  f = (e^{i sigma w/2} - e^{-i sigma w/2}) / (i sigma),
+    and e^{i (nu_k - nu_l) u/2} e^{+-i sigma w/2} =
+    e^{i nu_k (u +- w)/2} e^{-i nu_l (u -+ w)/2}.  Since w = tau - |u|, one
+    of u +- w is +-tau at every node and the other is +-2a with
+    a_n = tau/2 - |u_n|.  With E[n, k] = e^{i nu_k a_n}, c_k = e^{i nu_k tau/2}
+    and the sums P-, P+ = sum_{u < 0}, sum_{u >= 0} of b_n E[n, :], and Q-,
+    Q+ the same over conj(E),
+
+        S = (P- c^T + c P+^T - conj(c) Q-^T - Q+ conj(c)^T) / (i sigma).
+
+    Each sum is accurate to about eps sum_n |b_n|, so this is accurate to
+    about eps sum_n |b_n| / |sigma|.  It is used where |sigma| tau > 1,
+    which bounds that error by eps tau sum_n |b_n|, the size of the
+    rounding error of the direct sum on its widest nodes.
+
+    Small |sigma|.  On the other pairs (sigma = 0 among them) the division
+    cancels, and S comes from a series instead.  With nu_l = sigma - nu_k,
+    e^{i (nu_k - nu_l) u/2} f(sigma, w) = e^{i nu_k u} phi(sigma) with
+    phi(sigma) = integral_lo^hi e^{i sigma v} dv, (lo, hi) = (-a, tau/2)
+    for u < 0 and (-tau/2, a) for u >= 0; e^{i nu_k u} is conj(c_k) E[n, k]
+    for u < 0 and c_k conj(E[n, k]) for u >= 0.  Expanding,
+
+        phi(sigma) = sum_j (i sigma)^j (hi^{j+1} - lo^{j+1}) / (j + 1)!,
+
+    so S[k, l] = sum_j (i sigma_kl)^j R_j[k], where R_j is one more
+    weighted sum over E per term (R_0 weights by w).  Here |lo|, |hi| <=
+    tau/2 and |sigma| tau <= 1, so the terms fall by at least 1/2 each;
+    stopping after ``LAMB_SERIES_TERMS`` = 14 terms leaves at most
+    2 (1/2)^14 / 15! (tau/2) sum_n |b_n| < 5e-17 tau sum_n |b_n|, below the
+    rounding bound above.  Phase arguments are of size |nu| tau in every
+    form and carry the same rounding.
+    """
     tau = spec.tau
     nodes, wts = _panel_nodes(edges)
     base = -np.sign(nodes) * corr(nodes) * wts  # sgn(t1 - t2) = -sgn(u)
-    widths = tau - np.abs(nodes)
-    half_phase = np.exp(0.5j * np.outer(nodes, freqs))  # e^{i nu u / 2}
     m = len(freqs)
-    out = np.empty((m, m), dtype=complex)
-    for k in range(m):
-        # e^{i (nu_k - nu_l) u / 2} = half_phase[:, k] * conj(half_phase[:, l])
-        row_base = base * half_phase[:, k]
-        for l in range(m):
-            integrand = row_base * half_phase[:, l].conj() * _center_factor(
-                freqs[k] + freqs[l], widths
-            )
-            out[k, l] = np.sum(integrand)
+    sigma = freqs[:, None] + freqs[None, :]
+    near_k, near_l = np.nonzero(np.abs(sigma) * tau <= 1.0)
+    powers = np.arange(1, LAMB_SERIES_TERMS + 1)[:, None]
+    factorials = np.array([math.factorial(j) for j in powers.ravel()])[:, None]
+    # rows: P- (or Q-), P+ (or Q+), then the series sums over E (or conj(E))
+    sums_e = np.zeros((2 + LAMB_SERIES_TERMS, m), dtype=complex)
+    sums_c = np.zeros_like(sums_e)
+    block = max(1, LAMB_BLOCK // max(m, 1))
+    for start in range(0, len(nodes), block):
+        u = nodes[start : start + block]
+        b = base[start : start + block]
+        a = 0.5 * tau - np.abs(u)
+        e = np.exp(1j * np.outer(a, freqs))
+        neg = u < 0
+        b_neg, b_pos = np.where(neg, b, 0.0), np.where(neg, 0.0, b)
+        hi = np.where(neg, 0.5 * tau, a)
+        lo = np.where(neg, -a, -0.5 * tau)
+        terms = (LAMB_SERIES_TERMS, len(u))
+        moments = (np.cumprod(np.broadcast_to(hi, terms), axis=0)
+                   - np.cumprod(np.broadcast_to(lo, terms), axis=0)) / factorials
+        sums_e += np.vstack([b_neg, b_pos, moments * b_neg]) @ e
+        sums_c += np.vstack([b_neg, b_pos, moments * b_pos]) @ e.conj()
+    c = np.exp(0.5j * tau * freqs)
+    (p_neg, p_pos), (q_neg, q_pos) = sums_e[:2], sums_c[:2]
+    split = (np.outer(p_neg, c) + np.outer(c, p_pos)
+             - np.outer(c.conj(), q_neg) - np.outer(q_pos, c.conj()))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = split / (1j * sigma)
+    series = c.conj() * sums_e[2:] + c * sums_c[2:]  # R_j[k], j = 0, 1, ...
+    sigma_near = sigma[near_k, near_l]
+    out[near_k, near_l] = np.sum(
+        (1j * sigma_near) ** (powers - 1) * series[:, near_k], axis=0)
     return (1j / (2.0 * SQRT_2PI * tau)) * out
 
 

@@ -13,6 +13,7 @@ itself runs is reported as a config error on ``scenario.<name>``.
 import argparse
 import contextlib
 import json
+import math
 import sys
 
 import numpy as np
@@ -144,6 +145,16 @@ def _require(cfg, field, typ, path):
         return val
     if not isinstance(val, typ):
         raise ConfigError(f"{path}{field}", f"expected {typ.__name__}")
+    return val
+
+
+def _positive(cfg, field, typ, path, default):
+    """``cfg[field]`` as a positive, finite ``typ``; ``default`` if absent."""
+    if field not in cfg:
+        return default
+    val = _require(cfg, field, typ, path)
+    if not 0 < val < math.inf:
+        raise ConfigError(f"{path}{field}", "must be positive and finite")
     return val
 
 
@@ -382,16 +393,20 @@ def _scenario_ngc(cfg, model, clock, echo, seed):
 def _scenario_descend(cfg, model, clock, echo, seed):
     rho, state_echo = _resolve_state(cfg, model, clock)
     raw = cfg.get("descent", {})
-    epsilon = float(raw.get("epsilon", cfg.get("epsilon", 1e-3)))
-    norm_bound = float(raw.get("B", model.ham.norm_bound))
-    max_steps = raw.get("max_steps")
+    if not isinstance(raw, dict):
+        raise ConfigError("descent", "expected an object")
+    epsilon = _positive(raw, "epsilon", float, "descent.",
+                        _positive(cfg, "epsilon", float, "", 1e-3))
+    norm_bound = _positive(raw, "B", float, "descent.", model.ham.norm_bound)
+    if not norm_bound > 0:
+        raise ConfigError("descent.B", "missing, and the Hamiltonian's norm bound is 0")
     dcfg = DescentConfig(
         epsilon=epsilon,
         norm_bound=norm_bound,
-        max_steps=None if max_steps is None else int(max_steps),
+        max_steps=_positive(raw, "max_steps", int, "descent.", None),
         noise=bool(raw.get("noise", False)),
         seed=seed,
-        record_stride=int(raw.get("record_stride", 1)),
+        record_stride=_positive(raw, "record_stride", int, "descent.", 1),
     )
     echo["state"] = state_echo
     echo["descent"] = {

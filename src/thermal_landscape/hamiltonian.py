@@ -38,7 +38,9 @@ class SpectralData:
     ``bohr_freqs`` is the deduplicated, sorted set of energy differences,
     closed under negation by construction; :attr:`bohr_pairs` files every
     eigenvector pair under the Bohr frequency of its groups, once per
-    spectrum, for :func:`bohr_decompose`.
+    spectrum, for :func:`bohr_decompose`, and :attr:`bohr_map` holds the
+    same filing as a d x d index array, for the eigenbasis gathers of the
+    lindblad module.
     """
 
     energies: np.ndarray
@@ -94,6 +96,16 @@ class SpectralData:
         keys, starts = np.unique(flat[order], return_index=True)
         return [(k, *np.divmod(entries, len(groups)))
                 for k, entries in zip(keys.tolist(), np.split(order, starts[1:]))]
+
+    @cached_property
+    def bohr_map(self):
+        """The d x d Bohr-index map F of :attr:`bohr_pairs`: F[i, j] = k for
+        the eigenvector pair (i, j) filed under Bohr index k."""
+        dim = self.eigenvectors.shape[0]
+        out = np.empty((dim, dim), dtype=np.intp)
+        for k, rows, cols in self.bohr_pairs:
+            out[rows, cols] = k
+        return out
 
 
 @dataclass

@@ -5,11 +5,19 @@ the discrete Bohr frequencies of the Hamiltonian, leaving scalar kernel
 weights C(nu', nu); the operator structure is exact and only the kernel
 values carry quadrature error.  The Davies (tau -> infinity) limit keeps
 the diagonal weights gamma(nu) only.
+
+The decay operator G, the Lamb shift H_LS and the dense superoperator are
+gathered in the eigenbasis V of H: from A~ = V^dag A V, masked to the
+jump's kept Bohr blocks, the Bohr-index map F of the spectrum and the
+kernel table indexed by F, one expression per operator covers every pair
+of Bohr blocks at once.  A Davies model takes diag(gamma(nu)) as its
+table, so both share that code.
 """
 
 import logging
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -132,57 +140,128 @@ class LindbladModel:
         # H is validated at build time; a plain trace suffices here
         return float(np.sum(self.ham.dense * np.asarray(rho).T).real)
 
+    @cached_property
+    def _davies_weights(self):
+        """gamma at every Bohr frequency, for a Davies model."""
+        return self.davies_gamma(self.sd.bohr_freqs)
+
+    @cached_property
+    def _overlap_cutoff(self):
+        """``PAIR_DROP`` max |C|: overlap weights up to it are dropped."""
+        return PAIR_DROP * max(float(np.max(np.abs(self.kernels.C))), 1e-300)
+
+    def _pair_weight(self, left, right):
+        """C'[left, right] for arrays of Bohr indices: the weight of the pair
+        (A_nu', A_nu) with nu' at ``left`` and nu at ``right``, zero where
+        the dissipator drops the pair.
+
+        At finite tau it is the overlap kernel C(nu', nu) where
+        |C| > ``PAIR_DROP`` max |C|; in the Davies limit it is gamma(nu) on
+        the diagonal nu' = nu where |gamma| > ``PAIR_DROP``.  Entries are
+        looked up as needed, so no m x m table is formed for it.
+        """
+        if self.davies:
+            w = self._davies_weights[left]
+            keep = (left == right) & (np.abs(w) > PAIR_DROP)
+        else:
+            w = self.kernels.C[left, right]
+            keep = np.abs(w) > self._overlap_cutoff
+        return np.where(keep, w, 0.0)
+
+    def _lamb_weight(self, left, right):
+        """K'[left, right]: the Lamb kernel where |K| > ``PAIR_DROP``."""
+        k = self.kernels.K[left, right]
+        return np.where(np.abs(k) > PAIR_DROP, k, 0.0)
+
+    def _jump_eig(self, jump):
+        """V^dag A V of ``jump`` restricted to its kept Bohr blocks: the sum
+        of the blocks A_nu, in the eigenbasis V."""
+        v = self.sd.eigenvectors
+        a_eig = v.conj().T @ jump.matrix @ v
+        return np.where(np.isin(self.sd.bohr_map, jump.blocks.freq_indices), a_eig, 0.0)
+
+    def _from_eig(self, mat):
+        """V mat V^dag."""
+        v = self.sd.eigenvectors
+        return v @ mat @ v.conj().T
+
+    def _decay_eig(self, a_eig):
+        """G in the eigenbasis: G~[a, b] = sum_i conj(A~[i, a]) A~[i, b]
+        C'[F[i, a], F[i, b]], which is sum C(nu', nu) A_nu'^dag A_nu."""
+        f = self.sd.bohr_map
+        return _gathered_product(a_eig.conj().T, f.T, a_eig, f, self._pair_weight)
+
     def _dissipator(self, label) -> _Dissipator:
         if label not in self._dissipators:
             jump = self.jump(label)
-            blocks = jump.blocks
-            coeffs, rights, lefts_dag = [], [], []
-            if self.davies:
-                weights = self.davies_gamma(blocks.freqs)
-                for w, mat in zip(weights, blocks.mats):
-                    if abs(w) <= PAIR_DROP:
-                        continue
-                    coeffs.append(w)
-                    rights.append(mat)
-                    lefts_dag.append(mat.conj().T)
-            else:
-                c_mat = self.kernels.C
-                cutoff = PAIR_DROP * max(float(np.max(np.abs(c_mat))), 1e-300)
-                for p, kp in enumerate(blocks.freq_indices):
-                    left_d = blocks.mats[p].conj().T
-                    for q, kq in enumerate(blocks.freq_indices):
-                        c = c_mat[kp, kq]
-                        if abs(c) <= cutoff:
-                            continue
-                        coeffs.append(c)
-                        rights.append(blocks.mats[q])
-                        lefts_dag.append(left_d)
-            decay = np.zeros((self.dim, self.dim), dtype=complex)
-            for c, a_r, b_d in zip(coeffs, rights, lefts_dag):
-                decay += c * (b_d @ a_r)
+            indices = jump.blocks.freq_indices
+            weights = self._pair_weight(indices[:, None], indices[None, :])
+            lefts, rights = np.nonzero(weights)
+            mats = jump.blocks.mats
+            daggers = [mat.conj().T for mat in mats]
             self._dissipators[label] = _Dissipator(
-                coeffs=np.array(coeffs, dtype=complex),
-                rights=rights,
-                lefts_dag=lefts_dag,
-                decay=decay,
+                coeffs=weights[lefts, rights].astype(complex),
+                rights=[mats[q] for q in rights.tolist()],
+                lefts_dag=[daggers[p] for p in lefts.tolist()],
+                decay=self._from_eig(self._decay_eig(self._jump_eig(jump))),
             )
         return self._dissipators[label]
 
     def _superop(self, label):
-        """Dense superoperator of L_a (row-major vec) for small dimensions."""
+        """Dense superoperator of L_a (row-major vec) for small dimensions.
+
+        It is gathered in the eigenbasis V.  With A~ the masked V^dag A V of
+        :meth:`_jump_eig`, F the Bohr-index map and M~ = -G~/2 - i H~_LS,
+
+            S~[(i, j), (k, l)] = C'[F[j, l], F[i, k]] A~[i, k] conj(A~[j, l])
+                                 + M~[i, k] delta_jl + delta_ik conj(M~[j, l]),
+
+        which is sum C(nu', nu) A_nu (.) A_nu'^dag + M (.) + (.) M^dag there.
+        The result is (V (x) conj(V)) S~ (V (x) conj(V))^dag, formed by
+        :func:`_rotate_superop` in O(d^5).
+        """
         if label not in self._superops:
             d = self.dim
-            eye = np.eye(d, dtype=complex)
-            dis = self._dissipator(label)
-            mat = np.zeros((d * d, d * d), dtype=complex)
-            for c, a_r, b_d in zip(dis.coeffs, dis.rights, dis.lefts_dag):
-                mat += c * np.kron(a_r, b_d.T)
-            mat -= 0.5 * (np.kron(dis.decay, eye) + np.kron(eye, dis.decay.T))
+            v = self.sd.eigenvectors
+            f = self.sd.bohr_map
+            a_eig = self._jump_eig(self.jump(label))
+            jump_part = (self._pair_weight(f[None, :, None, :], f[:, None, :, None])
+                         * a_eig[:, None, :, None] * a_eig.conj()[None, :, None, :])
+            m_eig = -0.5 * self._decay_eig(a_eig)
             if self.include_lamb_shift:
-                h_ls = lamb_shift_operator(self, label)
-                mat += -1j * (np.kron(h_ls, eye) - np.kron(eye, h_ls.T))
-            self._superops[label] = mat
+                m_eig -= 1j * (v.conj().T @ lamb_shift_operator(self, label) @ v)
+            eye = np.eye(d)
+            mat = (jump_part.reshape(d * d, d * d) + np.kron(m_eig, eye)
+                   + np.kron(eye, m_eig.conj()))
+            self._superops[label] = _rotate_superop(mat, v)
         return self._superops[label]
+
+
+def _gathered_product(left, f_left, right, f_right, weight):
+    """sum_i left[a, i] right[i, b] weight(f_left[a, i], f_right[i, b]).
+
+    ``weight`` maps two broadcastable arrays of Bohr indices to the kernel
+    entries.  One row a at a time, over the i with left[a, i] != 0, so no
+    d^3 temporary is formed.
+    """
+    out = np.zeros(right.shape, dtype=complex)
+    for a, row in enumerate(left):
+        nz = np.flatnonzero(row)
+        out[a] = row[nz] @ (right[nz] * weight(f_left[a, nz][:, None], f_right[nz]))
+    return out
+
+
+def _rotate_superop(mat, v):
+    """(V (x) conj(V)) mat (V (x) conj(V))^dag for a d^2 x d^2 ``mat``.
+
+    Column c of ``mat``, read as a d x d matrix X_c over (i, j), becomes
+    V X_c V^dag; then row r, read as Y_r over (k, l), becomes
+    conj(V) Y_r V^T.  Each is a batch of d^2 products of d x d matrices.
+    """
+    d = v.shape[0]
+    cols = mat.reshape(d, d, d * d).transpose(2, 0, 1)
+    rows = (v @ cols @ v.conj().T).reshape(d * d, d * d).T
+    return (v.conj() @ rows.reshape(d * d, d, d) @ v.T).reshape(d * d, d * d)
 
 
 def _as_jump_list(jumps):
@@ -347,20 +426,25 @@ def davies_adjoint(model: LindbladModel, label, obs):
 
 
 def lamb_shift_operator(model: LindbladModel, label):
-    """H_LS,a = sum K(nu2, nu1) A_nu2 A_nu1, Hermitized after a defect check."""
+    """H_LS,a = sum K(nu2, nu1) A_nu2 A_nu1, Hermitized after a defect check.
+
+    It is gathered in the eigenbasis: with A~ the masked V^dag A V of
+    :meth:`LindbladModel._jump_eig`, F the Bohr-index map and K' the Lamb
+    kernel without its entries of modulus <= ``PAIR_DROP``,
+
+        H~[a, b] = sum_i A~[a, i] A~[i, b] K'[F[a, i], F[i, b]],
+
+    and H_LS,a = V H~ V^dag.  The spectral norm is unitarily invariant, so
+    the Hermiticity defect is checked on H~, against the same bound
+    1e-6 ||A^dag A||.
+    """
     if not model.include_lamb_shift:
         raise ValueError("model was built with include_lamb_shift=False")
     if label not in model._lamb_ops:
         jump = model.jump(label)
-        k_mat = model.kernels.K
-        blocks = jump.blocks
-        raw = np.zeros((model.dim, model.dim), dtype=complex)
-        for p, kp in enumerate(blocks.freq_indices):
-            for q, kq in enumerate(blocks.freq_indices):
-                k = k_mat[kp, kq]
-                if abs(k) <= PAIR_DROP:
-                    continue
-                raw += k * (blocks.mats[p] @ blocks.mats[q])
+        a_eig = model._jump_eig(jump)
+        f = model.sd.bohr_map
+        raw = _gathered_product(a_eig, f, a_eig, f, model._lamb_weight)
         defect = ops.hermiticity_defect(raw)
         bound = 1e-6 * max(jump.aa_norm, 1e-300)
         if defect > bound:
@@ -368,7 +452,8 @@ def lamb_shift_operator(model: LindbladModel, label):
                 f"Lamb shift of jump {label!r} has Hermiticity defect "
                 f"{defect:.3e} > {bound:.3e}"
             )
-        model._lamb_ops[label] = 0.5 * (raw + raw.conj().T)
+        h_ls = model._from_eig(raw)
+        model._lamb_ops[label] = 0.5 * (h_ls + h_ls.conj().T)
     return model._lamb_ops[label]
 
 

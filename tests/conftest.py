@@ -1,7 +1,17 @@
 """Reference formulas shared by the Hamiltonian and Lindbladian tests."""
 
+import itertools
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import thermal_landscape as tl
+from thermal_landscape import bath
+from thermal_landscape.bath import BathSpec
+from thermal_landscape.lindblad import PAIR_DROP
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def _group_projectors(sd):
@@ -35,3 +45,155 @@ def group_projectors():
 def sandwich_bohr_blocks():
     """``sandwich_bohr_blocks(a_mat, sd)``: the projector-sandwich oracle."""
     return _sandwich_bohr_blocks
+
+
+def _loop_lamb_once(freqs, spec, corr, edges):
+    """One Lamb-kernel quadrature pass as a double loop over the Bohr pairs:
+    S[k, l] = sum_n b_n e^{i (nu_k - nu_l) u_n / 2} f(nu_k + nu_l, w_n),
+    with f(sigma, w) = w sinc(sigma w / 2 pi) the integral of e^{i sigma v}
+    over |v| <= w / 2."""
+    nodes, wts = bath._panel_nodes(edges)
+    base = -np.sign(nodes) * corr(nodes) * wts
+    widths = spec.tau - np.abs(nodes)
+    half_phase = np.exp(0.5j * np.outer(nodes, freqs))
+    m = len(freqs)
+    out = np.empty((m, m), dtype=complex)
+    for k in range(m):
+        row_base = base * half_phase[:, k]
+        for l in range(m):
+            sigma = freqs[k] + freqs[l]
+            out[k, l] = np.sum(row_base * half_phase[:, l].conj()
+                               * widths * np.sinc(sigma * widths / (2.0 * np.pi)))
+    return (1j / (2.0 * bath.SQRT_2PI * spec.tau)) * out
+
+
+def _pair_lists(model, label):
+    """The dissipator's pairs (coeffs, rights A_nu, lefts_dag A_nu'^dag),
+    as loops over the jump's Bohr blocks.  The Davies limit keeps (A_nu,
+    A_nu) with |gamma(nu)| > PAIR_DROP; finite tau keeps (A_nu', A_nu) with
+    |C(nu', nu)| > PAIR_DROP max |C|."""
+    blocks = model.jump(label).blocks
+    coeffs, rights, lefts_dag = [], [], []
+    if model.davies:
+        for w, mat in zip(model.davies_gamma(blocks.freqs), blocks.mats):
+            if abs(w) > PAIR_DROP:
+                coeffs.append(w)
+                rights.append(mat)
+                lefts_dag.append(mat.conj().T)
+    else:
+        c_mat = model.kernels.C
+        cutoff = PAIR_DROP * max(float(np.max(np.abs(c_mat))), 1e-300)
+        for p, kp in enumerate(blocks.freq_indices):
+            for q, kq in enumerate(blocks.freq_indices):
+                if abs(c_mat[kp, kq]) > cutoff:
+                    coeffs.append(c_mat[kp, kq])
+                    rights.append(blocks.mats[q])
+                    lefts_dag.append(blocks.mats[p].conj().T)
+    return np.array(coeffs, dtype=complex), rights, lefts_dag
+
+
+def _pair_decay(model, label):
+    """G = sum_p c_p A_nu'^dag A_nu over the pairs of :func:`_pair_lists`."""
+    out = np.zeros((model.dim, model.dim), dtype=complex)
+    for c, a_r, b_d in zip(*_pair_lists(model, label)):
+        out += c * (b_d @ a_r)
+    return out
+
+
+def _pair_sum_lamb_shift(model, label):
+    """H_LS = sum K(nu2, nu1) A_nu2 A_nu1 over the block pairs with
+    |K| > PAIR_DROP, Hermitized."""
+    blocks = model.jump(label).blocks
+    raw = np.zeros((model.dim, model.dim), dtype=complex)
+    for p, kp in enumerate(blocks.freq_indices):
+        for q, kq in enumerate(blocks.freq_indices):
+            k = model.kernels.K[kp, kq]
+            if abs(k) > PAIR_DROP:
+                raw += k * (blocks.mats[p] @ blocks.mats[q])
+    return 0.5 * (raw + raw.conj().T)
+
+
+def _kron_superop(model, label):
+    """The row-major superoperator of L_a as one Kronecker product per kept
+    pair plus the decay and Lamb-shift terms."""
+    d = model.dim
+    eye = np.eye(d, dtype=complex)
+    decay = _pair_decay(model, label)
+    mat = np.zeros((d * d, d * d), dtype=complex)
+    for c, a_r, b_d in zip(*_pair_lists(model, label)):
+        mat += c * np.kron(a_r, b_d.T)
+    mat -= 0.5 * (np.kron(decay, eye) + np.kron(eye, decay.T))
+    if model.include_lamb_shift:
+        h_ls = _pair_sum_lamb_shift(model, label)
+        mat += -1j * (np.kron(h_ls, eye) - np.kron(eye, h_ls.T))
+    return mat
+
+
+@pytest.fixture
+def loop_lamb_once():
+    """``loop_lamb_once(freqs, spec, corr, edges)``: the pair-loop oracle of
+    one Lamb quadrature pass."""
+    return _loop_lamb_once
+
+
+@pytest.fixture
+def pair_sums():
+    """The pair-sum oracles ``(pair_lists, decay, lamb_shift, superop)``,
+    each called as ``f(model, label)``."""
+    return _pair_lists, _pair_decay, _pair_sum_lamb_shift, _kron_superop
+
+
+def _generic_pauli_chain(n, seed):
+    """All one- and two-local Paulis on a chain of ``n`` qubits with
+    Gaussian coefficients, scaled to ||H|| = 1: generic, non-degenerate."""
+    rng = np.random.default_rng(seed)
+    local = [(tl.PAULI[p], (j,)) for j in range(n) for p in "XYZ"]
+    local += [(np.kron(tl.PAULI[p], tl.PAULI[q]), (j, j + 1))
+              for j in range(n - 1) for p, q in itertools.product("XYZ", repeat=2)]
+    coeffs = rng.normal(size=len(local))
+    dense = sum(c * tl.kron_embed(op, sites, n) for c, (op, sites) in zip(coeffs, local))
+    coeffs = coeffs / np.linalg.norm(dense, 2)
+    return tl.assemble([(c * op, sites) for c, (op, sites) in zip(coeffs, local)], n)
+
+
+def _oracle_system(name):
+    """(Hamiltonian, jumps, BathSpec) of the finite-tau oracle systems:
+
+    - ``generic_n3``: the generic 3-qubit Pauli chain, jumps X_j and Z_j,
+      beta 2, tau 25;
+    - ``ising_n3_h0``: the degenerate Ising ring n = 3 at h = 0, jumps X_j;
+    - ``clock_x_t3``: the clock Hamiltonian of ``circuit_x_t3`` (J_in 0.6,
+      J_prop 0.3) with its preset jumps, beta 1, tau 10 (its 173 Bohr
+      frequencies make the pair-loop oracle the slow side);
+    - ``random8_b16_t800``: a random 8-level Hamiltonian with two Hermitian
+      jumps at beta 16, tau 800, where the Lamb quadrature needs a few
+      hundred thousand nodes.
+    """
+    if name == "generic_n3":
+        jumps = [(f"{p}{j}", tl.kron_embed(tl.PAULI[p], [j], 3)) for j in range(3) for p in "XZ"]
+        return _generic_pauli_chain(3, 0), jumps, BathSpec(beta=2.0, tau=25.0)
+    if name == "ising_n3_h0":
+        jumps = [(f"X{j}", tl.kron_embed(tl.PAULI["X"], [j], 3)) for j in range(3)]
+        return tl.build_ising_chain(3, 0.0), jumps, BathSpec(beta=2.0, tau=25.0)
+    if name == "clock_x_t3":
+        cs = tl.load_circuit(str(REPO / "scripts" / "configs" / "circuit_x_t3.json"))
+        clock = tl.build_clock_hamiltonian(cs, j_in=0.6, j_prop=0.3)
+        return clock.local, tl.clock_jump_preset(cs), BathSpec(beta=1.0, tau=10.0)
+    if name == "random8_b16_t800":
+        rng = np.random.default_rng(22)
+        a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        ham = tl.assemble([((a + a.conj().T) / 4.0, (0, 1, 2))], 3)
+        jumps = []
+        for k in range(2):
+            m = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+            m = m + m.conj().T
+            jumps.append((f"J{k}", m / np.linalg.norm(m, 2)))
+        return ham, jumps, BathSpec(beta=16.0, tau=800.0)
+    raise KeyError(name)
+
+
+@pytest.fixture
+def oracle_system():
+    """``oracle_system(name)``: (Hamiltonian, jumps, BathSpec) of a named
+    finite-tau oracle system."""
+    return _oracle_system

@@ -1,8 +1,9 @@
+import functools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -224,3 +225,71 @@ def test_bath_spec_validation():
         BathSpec(beta=math.inf, tau=1.0)
     with pytest.raises(ValueError):
         BathSpec(beta=1.0, tau=1.0, weight="ohmic")
+
+
+@pytest.mark.parametrize("name", ["generic_n3", "ising_n3_h0", "clock_x_t3"])
+def test_lamb_kernel_matches_pair_loop(name, oracle_system, loop_lamb_once, monkeypatch):
+    # the whole refinement, with every pass of the separable quadrature
+    # replaced by the pair loop; the kernel table and its QuadReport agree
+    ham, _, spec = oracle_system(name)
+    freqs = tl.spectral_data(ham).bohr_freqs
+    corr = B.BathCorrelation(spec)
+    got = tl.build_kernel_table(freqs, spec, include_lamb=True, corr=corr)
+    monkeypatch.setattr(B, "_lamb_once", loop_lamb_once)
+    want = tl.build_kernel_table(freqs, spec, include_lamb=True, corr=corr)
+    assert np.max(np.abs(got.K - want.K)) <= 1e-12 * np.max(np.abs(want.K))
+    assert abs(got.quad_report.max_estimated_error
+               - want.quad_report.max_estimated_error) <= 1e-12
+
+
+def test_lamb_pass_matches_pair_loop_across_node_blocks(oracle_system, loop_lamb_once):
+    # beta 16, tau 800: one pass over every fourth Bohr frequency (a set
+    # still closed under negation) spans dozens of node blocks
+    ham, _, spec = oracle_system("random8_b16_t800")
+    freqs = tl.spectral_data(ham).bohr_freqs
+    mid = len(freqs) // 2
+    sub = freqs[mid - 28 : mid + 29 : 4]
+    np.testing.assert_array_equal(sub, -sub[::-1])
+    corr = B.BathCorrelation(spec)
+    u_max = min(spec.tau, corr.t_max)
+    edges = B._make_edges(-u_max, u_max, 0.35 / spec.beta, forced=(0.0,))
+    assert 15 * (len(edges) - 1) > 10 * (B.LAMB_BLOCK // len(sub))
+    got = B._lamb_once(sub, spec, corr, edges)
+    want = loop_lamb_once(sub, spec, corr, edges)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+NEAR_TAU = 10.0
+
+
+@functools.cache
+def _near_bath():
+    spec = BathSpec(beta=1.0, tau=NEAR_TAU)
+    return spec, B.BathCorrelation(spec), B._make_edges(-NEAR_TAU, NEAR_TAU, 0.1, forced=(0.0,))
+
+
+@st.composite
+def near_cancelling_bohr_sets(draw):
+    """Bohr sets closed under negation that hold nu and -(nu + delta) with
+    |delta| tau anywhere from 1e-6 to 10, so sigma = nu_k + nu_l nearly
+    cancels on those pairs."""
+    base = draw(st.lists(st.floats(0.05, 3.0), min_size=1, max_size=4))
+    freqs = [0.0, *base]
+    for _ in range(draw(st.integers(1, 3))):
+        nu = draw(st.sampled_from(base))
+        delta = 10.0 ** draw(st.floats(-6.0, 1.0)) / NEAR_TAU
+        freqs.append(nu + draw(st.sampled_from([-1.0, 1.0])) * delta)
+    freqs = np.array(freqs)
+    return np.unique(np.concatenate([freqs, -freqs]))
+
+
+# the fixture only hands out the oracle function, so sharing it across
+# examples is safe
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(freqs=near_cancelling_bohr_sets())
+def test_lamb_pass_small_sigma_matches_pair_loop(freqs, loop_lamb_once):
+    spec, corr, edges = _near_bath()
+    got = B._lamb_once(freqs, spec, corr, edges)
+    want = loop_lamb_once(freqs, spec, corr, edges)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))

@@ -376,3 +376,20 @@ def test_clock_cooling_config_resolves_from_any_directory(tmp_path, monkeypatch)
     assert circuit == REPO / "scripts" / "configs" / "circuit_x_t3.json"
     ham, clock, _ = cli._resolve_hamiltonian(cfg)
     assert clock.circuit.n == 1 and ham.dense.shape == (16, 16)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("max_steps", 0),
+    ("record_stride", 0),
+    ("epsilon", "small"),
+])
+def test_bad_descent_field_exits_2_with_field_path(tmp_path, capsys, field, value):
+    cfg = json.loads((REPO / "scripts/configs/qubit_descend.json").read_text())
+    cfg["descent"][field] = value
+    cfg["output"] = str(tmp_path / "trace.json")
+    code, result = cli.run("descend", write_config(tmp_path, cfg))
+    assert (code, result) == (2, None)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert json.loads(err.strip())["error"]["field"] == f"descent.{field}"
+    assert not (tmp_path / "trace.json").exists()

@@ -244,3 +244,18 @@ def test_bohr_index_is_nearest_frequency_elementwise():
     assert sd.bohr_index(nu).tolist() == want
     assert [sd.bohr_index(x) for x in nu] == want
     assert sd.bohr_index(nu.reshape(-1, 1)).ravel().tolist() == want
+
+
+@pytest.mark.parametrize("ham", [
+    pytest.param(tl.build_ising_chain(4, 0.0), id="ising_n4_h0"),
+    pytest.param(generic_two_local(3, 0), id="generic_n3"),
+])
+def test_bohr_map_files_each_pair_under_its_groups_frequency(ham):
+    # F[i, j] is the Bohr index nearest to E_i - E_j, the group energies of
+    # eigenvectors i and j
+    sd = spectral_data(ham)
+    groups = np.repeat(np.arange(len(sd.energies)),
+                       [sl.stop - sl.start for sl in sd.group_slices])
+    diff = sd.energies[groups][:, None] - sd.energies[groups][None, :]
+    want = [[int(np.argmin(np.abs(sd.bohr_freqs - x))) for x in row] for row in diff]
+    assert sd.bohr_map.tolist() == want

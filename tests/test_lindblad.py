@@ -372,3 +372,35 @@ def test_davies_recovery_superoperator_trend():
         )
         dists.append(worst)
     assert dists[0] > dists[1] > dists[2]
+
+
+@pytest.mark.parametrize("name, davies", [
+    ("generic_n3", False),
+    ("ising_n3_h0", False),
+    ("clock_x_t3", False),
+    ("random8_b16_t800", False),
+    ("generic_n3", True),
+])
+def test_eigenbasis_gathers_match_pair_sums(name, davies, oracle_system, pair_sums):
+    # the dissipator keeps the pairs of the loops over Bohr blocks; G, H_LS
+    # and the dense superoperator, gathered in the eigenbasis, match the
+    # sums over those pairs and the Kronecker-product sum
+    ham, jumps, spec = oracle_system(name)
+    model = tl.build_model(ham, jumps, bath=spec, davies=davies)
+    assert model.include_lamb_shift is not davies
+    pair_lists, decay, lamb_shift, superop = pair_sums
+
+    def assert_close(got, want):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    for label in model.jump_labels:
+        dis = model._dissipator(label)
+        coeffs, rights, lefts_dag = pair_lists(model, label)
+        np.testing.assert_array_equal(dis.coeffs, coeffs)
+        assert all(a is b for a, b in zip(dis.rights, rights))
+        for got, want in zip(dis.lefts_dag, lefts_dag, strict=True):
+            np.testing.assert_array_equal(got, want)
+        assert_close(dis.decay, decay(model, label))
+        if not davies:
+            assert_close(tl.lamb_shift_operator(model, label), lamb_shift(model, label))
+        assert_close(model._superop(label), superop(model, label))
