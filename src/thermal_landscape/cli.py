@@ -78,7 +78,10 @@ def _jsonify(obj):
 
 def write_json(path, obj):
     """Byte-stable JSON: sorted keys, shortest round-trip float format."""
-    text = json.dumps(_jsonify(obj), sort_keys=True, indent=2)
+    _write_text(path, json.dumps(_jsonify(obj), sort_keys=True, indent=2))
+
+
+def _write_text(path, text):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
         fh.write("\n")
@@ -101,8 +104,20 @@ def _certificate_dict(cert):
     }
 
 
+def _native_steps(steps):
+    """Whether every step record holds only the exact types int, str, float."""
+    return all(type(st.index) is int and type(st.jump) is str
+               and type(st.g) is type(st.s) is type(st.e_before) is type(st.e_after) is float
+               for st in steps)
+
+
 def emit_trace(trace: DescentTrace, path, config_echo=None, terminal_extra=None):
-    """Serialize a descent trace to the scenario JSON record format."""
+    """Serialize a descent trace to the scenario JSON record format.
+
+    Descent records its steps as Python ints, floats and strings, on which
+    :func:`_jsonify` is the identity, so such steps are written as they
+    are; the bytes are those of :func:`write_json` on the returned object.
+    """
     terminal = {}
     if trace.terminal_certificate is not None:
         terminal["certificate"] = _certificate_dict(trace.terminal_certificate)
@@ -126,7 +141,10 @@ def emit_trace(trace: DescentTrace, path, config_echo=None, terminal_extra=None)
         ],
         "terminal": terminal,
     }
-    write_json(path, obj)
+    steps = obj["steps"] if _native_steps(trace.steps) else _jsonify(obj["steps"])
+    native = dict(obj, config_echo=_jsonify(obj["config_echo"]), steps=steps,
+                  terminal=_jsonify(terminal))
+    _write_text(path, json.dumps(native, sort_keys=True, indent=2))
     return obj
 
 
@@ -146,6 +164,11 @@ def _require(cfg, field, typ, path):
     if not isinstance(val, typ):
         raise ConfigError(f"{path}{field}", f"expected {typ.__name__}")
     return val
+
+
+def _optional(cfg, field, typ, path, default):
+    """``cfg[field]`` checked by :func:`_require`; ``default`` if absent."""
+    return _require(cfg, field, typ, path) if field in cfg else default
 
 
 def _positive(cfg, field, typ, path, default):
@@ -198,12 +221,14 @@ def _resolve_bath(cfg):
 
 def _pauli_term_matrix(entry, path):
     letters = _require(entry, "pauli", str, path)
-    coeff = float(entry.get("coeff", 1.0))
+    coeff = _optional(entry, "coeff", float, path, 1.0)
     mat = ops.pauli_matrix(ops.PauliTerm(coeff, letters), len(letters))
     sites = _require(entry, "sites", list, path)
     if len(sites) != len(letters):
         raise ConfigError(f"{path}sites", "length must match the Pauli string")
-    return mat, tuple(int(s) for s in sites)
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in sites):
+        raise ConfigError(f"{path}sites", "expected a list of integers")
+    return mat, tuple(sites)
 
 
 def _resolve_hamiltonian(cfg):
@@ -219,9 +244,9 @@ def _resolve_hamiltonian(cfg):
     if "ising" in raw:
         ising = raw["ising"]
         n = _require(ising, "n", int, "hamiltonian.ising.")
-        h = float(ising.get("h", 0.0))
+        h = _optional(ising, "h", float, "hamiltonian.ising.", 0.0)
         periodic = bool(ising.get("periodic", True))
-        j_scale = float(ising.get("j_scale", 1.0))
+        j_scale = _optional(ising, "j_scale", float, "hamiltonian.ising.", 1.0)
         ham = build_ising_chain(n, h, periodic=periodic, j_scale=j_scale)
         echo = {"ising": {"n": n, "h": h, "periodic": periodic, "j_scale": j_scale}}
         return ham, None, echo
@@ -237,8 +262,8 @@ def _resolve_hamiltonian(cfg):
         ham = assemble(terms, n)
         return ham, None, {"n": n, "terms": entries}
     path = raw["circuit_file"]
-    j_in = float(raw.get("j_in", 1e-3))
-    j_prop = float(raw.get("j_prop", 1e-2))
+    j_in = _optional(raw, "j_in", float, "hamiltonian.", 1e-3)
+    j_prop = _optional(raw, "j_prop", float, "hamiltonian.", 1e-2)
     try:
         cs = circ.load_circuit(path)
     except (OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
@@ -364,7 +389,7 @@ def _scenario_grad(cfg, model, clock, echo, seed):
 
 def _scenario_certify(cfg, model, clock, echo, seed):
     rho, state_echo = _resolve_state(cfg, model, clock)
-    epsilon = cfg.get("epsilon", 1e-3)
+    epsilon = _positive(cfg, "epsilon", float, "", 1e-3)
     echo["state"] = state_echo
     echo["epsilon"] = epsilon
     cert = certify_local_min(model, rho, epsilon)
@@ -374,10 +399,11 @@ def _scenario_certify(cfg, model, clock, echo, seed):
 def _scenario_ngc(cfg, model, clock, echo, seed):
     raw = cfg.get("ngc", {})
     if "r" in raw:
-        r = float(raw["r"])
-        shift = float(raw.get("epsilon", 0.0))
+        r = _require(raw, "r", float, "ngc.")
+        shift = _optional(raw, "epsilon", float, "ngc.", 0.0)
     elif "epsilon" in raw and "delta" in raw:
-        r, shift = ngc_params(float(raw["epsilon"]), float(raw["delta"]))
+        r, shift = ngc_params(_require(raw, "epsilon", float, "ngc."),
+                              _require(raw, "delta", float, "ngc."))
     else:
         raise ConfigError("ngc", "expected r (+epsilon) or epsilon+delta")
     alpha = raw.get("alpha_hat")
@@ -434,7 +460,7 @@ def _scenario_descend(cfg, model, clock, echo, seed):
 
 
 def _scenario_ising(cfg, model, clock, echo, seed):
-    epsilon = cfg.get("epsilon", 1e-3)
+    epsilon = _positive(cfg, "epsilon", float, "", 1e-3)
     echo["epsilon"] = epsilon
     n = model.ham.n
     certified = []
@@ -484,7 +510,7 @@ def _scenario_clockham(cfg, model, clock, echo, seed):
 def _scenario_plateau(cfg, model_unused, clock, echo, seed):
     raw = cfg.get("plateau", {})
     n = _require(raw, "n", int, "plateau.")
-    num_samples = int(raw.get("num_samples", 100))
+    num_samples = _positive(raw, "num_samples", int, "plateau.", 100)
     ham_entries = raw.get("hamiltonian_terms")
     if ham_entries:
         terms = [

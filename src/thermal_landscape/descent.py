@@ -15,7 +15,16 @@ import numpy as np
 from . import operators as ops
 from .errors import MaxStepsExceeded, TriggerNotMet
 from .gradient import CertificateResult, certify_local_min, gradient_operator
-from .lindblad import LindbladModel, evolve, weight_vector, zero_frequency_sector
+from .lindblad import (
+    SUPEROP_MAX_DIM,
+    LindbladModel,
+    _check_unit_time,
+    _evolve_vec,
+    _jump_step_data,
+    evolve,
+    weight_vector,
+    zero_frequency_sector,
+)
 
 
 @dataclass(frozen=True)
@@ -89,12 +98,14 @@ def cool_step(model: LindbladModel, rho, a_star, g, cfg: DescentConfig):
 
 
 class _FullSpace:
-    """States as row-major vec(rho), evolved by :func:`evolve`; the fallback
-    for states and models without a zero-frequency sector."""
+    """States as row-major vec(rho); the fallback for states and models
+    without a zero-frequency sector.  Up to ``SUPEROP_MAX_DIM`` each jump's
+    generator and norm bound are resolved once, on its first step, and the
+    step is the kernel of :func:`evolve`; above it, :func:`evolve` itself."""
 
     def __init__(self, model: LindbladModel):
         self._model = model
-        self._units = [weight_vector(model, label=j.label) for j in model.jumps]
+        self._steps = {}  # jump index -> (generator, norm bound)
 
     @staticmethod
     def row(op):
@@ -102,8 +113,18 @@ class _FullSpace:
         return np.asarray(op, dtype=complex).T.reshape(-1)
 
     def evolve(self, x, index, s):
-        d = self._model.dim
-        return evolve(self._model, self._units[index], x.reshape(d, d), s).reshape(-1)
+        model = self._model
+        d = model.dim
+        if d > SUPEROP_MAX_DIM:
+            unit = weight_vector(model, label=model.jumps[index].label)
+            return evolve(model, unit, x.reshape(d, d), s).reshape(-1)
+        _check_unit_time(s)
+        if s == 0.0:
+            return x.copy()
+        step = self._steps.get(index)
+        if step is None:
+            step = self._steps[index] = _jump_step_data(model, index)
+        return _evolve_vec(*step, x, s, d)
 
     def density(self, x):
         d = self._model.dim

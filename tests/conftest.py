@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import thermal_landscape as tl
-from thermal_landscape import bath
+from thermal_landscape import bath, lindblad
 from thermal_landscape.bath import BathSpec
 from thermal_landscape.lindblad import PAIR_DROP
 
@@ -197,3 +197,71 @@ def oracle_system():
     """``oracle_system(name)``: (Hamiltonian, jumps, BathSpec) of a named
     finite-tau oracle system."""
     return _oracle_system
+
+
+def _parent_post_step(out):
+    """The post-step of ``evolve`` as it was before the vec(rho) kernel:
+    Frobenius Hermiticity defect and ``np.trace`` defect against 1e-7,
+    Hermitize, renormalize, then the -1e-6 floor by ``np.linalg.cholesky``
+    of out + 1e-6 I with an ``eigvalsh`` fallback."""
+    herm_defect = float(np.linalg.norm(out - out.conj().T))
+    defect = max(herm_defect, abs(complex(np.trace(out)) - 1.0))
+    if defect > 1e-7:
+        raise tl.errors.EvolutionDefect(f"defect {defect:.3e} > 1e-7")
+    out = 0.5 * (out + out.conj().T)
+    out = out / float(np.trace(out).real)
+    try:
+        np.linalg.cholesky(out + 1e-6 * np.eye(out.shape[0]))
+    except np.linalg.LinAlgError:
+        lo = float(np.linalg.eigvalsh(out)[0])
+        if lo < -1e-6:
+            raise tl.errors.PositivityDefect(f"minimum eigenvalue {lo:.3e}") from None
+    return out
+
+
+def _parent_evolve(model, label, rho, s):
+    """``evolve`` along jump ``label`` with unit weight on the dense
+    superoperator path, for a model without the coherent part: the
+    substepped Taylor series written out, then :func:`_parent_post_step`."""
+    d = model.dim
+    gen = model._superop(label)
+    bound = 3.0 * model.jump(label).aa_norm
+    nsub = max(1, int(np.ceil(s * bound)))
+    h, tol = s / nsub, lindblad.TAYLOR_TOL / nsub
+    state = np.asarray(rho, dtype=complex).reshape(-1)
+    for _ in range(nsub):
+        term, acc = state, state.copy()
+        for k in range(1, lindblad.MAX_TAYLOR_TERMS + 1):
+            term = (h / k) * (gen @ term)
+            acc = acc + term
+            if np.sqrt(d) * np.linalg.norm(term) * h * bound / (k + 1) < 0.1 * tol:
+                break
+        state = acc
+    return _parent_post_step(state.reshape(d, d))
+
+
+def _parent_vec_descent(model, rho, cfg):
+    """Descent on vec(rho) with :func:`_parent_evolve` as its step and each
+    gradient read by ``gradient_vector``: the jump sequence and the
+    (e_before, e_after) of every step, and the terminal state."""
+    steps = []
+    for _ in range(cfg.max_steps):
+        chosen = None
+        for label in model.jump_labels:
+            g = float(tl.gradient_vector(model, rho, labels=[label]).g[0])
+            if g < cfg.trigger:
+                chosen = (label, g)
+                break
+        if chosen is None:
+            break
+        label, g = chosen
+        e_before = model.energy(rho)
+        rho = _parent_evolve(model, label, rho, abs(g) / (9.0 * cfg.norm_bound**2))
+        steps.append((label, e_before, model.energy(rho)))
+    return steps, rho
+
+
+@pytest.fixture
+def parent_vec_path():
+    """The pre-kernel vec(rho) oracles ``(post_step, evolve, descent)``."""
+    return _parent_post_step, _parent_evolve, _parent_vec_descent

@@ -393,3 +393,79 @@ def test_bad_descent_field_exits_2_with_field_path(tmp_path, capsys, field, valu
     assert "Traceback" not in err
     assert json.loads(err.strip())["error"]["field"] == f"descent.{field}"
     assert not (tmp_path / "trace.json").exists()
+
+
+def _ising_config(tmp_path, h):
+    return {
+        "schema_version": 1,
+        "scenario": "ising",
+        "hamiltonian": {"ising": {"n": 2, "h": h}},
+        "bath": {"beta": 5.0, "tau": 1.0, "davies": True},
+        "jumps": {"preset": "pauli_x_all"},
+        "output": str(tmp_path / "ising.json"),
+    }
+
+
+def _assert_config_error(code, result, capsys, field):
+    assert (code, result) == (2, None)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert json.loads(err.strip())["error"]["field"] == field
+
+
+def test_ising_string_field_exits_2_with_field_path(tmp_path, capsys):
+    code, result = cli.run("ising", write_config(tmp_path, _ising_config(tmp_path, "abc")))
+    _assert_config_error(code, result, capsys, "hamiltonian.ising.h")
+    assert not (tmp_path / "ising.json").exists()
+
+
+def test_ising_null_field_exits_2_with_field_path(tmp_path, capsys):
+    code, result = cli.run("ising", write_config(tmp_path, _ising_config(tmp_path, None)))
+    _assert_config_error(code, result, capsys, "hamiltonian.ising.h")
+    assert not (tmp_path / "ising.json").exists()
+
+
+def test_certify_non_numeric_epsilon_exits_2_with_field_path(tmp_path, capsys):
+    cfg = certify_config(tmp_path)
+    cfg["epsilon"] = "x"
+    code, result = cli.run("certify", write_config(tmp_path, cfg))
+    _assert_config_error(code, result, capsys, "epsilon")
+    assert not (tmp_path / "result.json").exists()
+
+
+def _old_trace_bytes(trace, config_echo, terminal_extra):
+    """The trace record as written before steps skipped ``_jsonify``: the
+    whole object through ``_jsonify``, then ``json.dumps(indent=2)``."""
+    terminal = {"energy": trace.steps[-1].e_after}
+    terminal.update(terminal_extra)
+    obj = {
+        "schema_version": cli.SCHEMA_VERSION,
+        "config_echo": config_echo,
+        "steps": [{"i": st.index, "a": st.jump, "g": st.g, "s": st.s,
+                   "e_before": st.e_before, "e_after": st.e_after} for st in trace.steps],
+        "terminal": terminal,
+    }
+    return (json.dumps(cli._jsonify(obj), sort_keys=True, indent=2) + "\n").encode()
+
+
+@pytest.mark.parametrize("numpy_step", [False, True])
+def test_emit_trace_bytes_match_the_full_jsonify_writer(tmp_path, numpy_step):
+    from thermal_landscape.descent import DescentTrace, StepRecord
+
+    steps = [
+        StepRecord(1, 'X0, "quoted"', -0.125, 1e-3, 0.5, 0.4999),
+        StepRecord(2, "Ψ→ü, 'x'", -1.0 / 3.0, 2.5e-17, 0.4999, 0.1 + 0.2),
+        StepRecord(7, "J\\n\t", -7e-300, 1e300, -0.0, float("1e-5")),
+    ]
+    if numpy_step:  # a record that is not JSON-native takes the _jsonify path
+        steps.append(StepRecord(np.int64(8), "X0", np.float64(-0.5), np.float32(0.25),
+                                np.float64(0.1), 0.05))
+    trace = DescentTrace(steps=steps, terminal_state=np.eye(2) / 2,
+                         terminal_certificate=None, terminated_early=False)
+    echo = {"epsilon": np.float64(1e-3), "n": np.int64(4), "flag": np.bool_(True),
+            "alpha": np.array([0.5, 0.25]), "pair": (1, 2.0), "z": complex(1.0, -2.0),
+            "label": 'a, "b" ß'}
+    extra = {"energy": np.float64(0.25), "ground_overlap": np.float32(0.5)}
+    path = tmp_path / "trace.json"
+    cli.emit_trace(trace, str(path), config_echo=echo, terminal_extra=extra)
+    assert path.read_bytes() == _old_trace_bytes(trace, echo, extra)
