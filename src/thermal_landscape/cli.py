@@ -35,6 +35,7 @@ from .gradient import (
     gradient_vector,
     negative_gradient_condition,
     ngc_params,
+    ngc_weights,
 )
 from .hamiltonian import assemble, build_ising_chain
 from .lindblad import build_model
@@ -337,33 +338,17 @@ def _ground_state_projector_density(model):
 
 
 def _build_model(cfg, ham):
+    """(resolved bath echo, keyword arguments of ``build_model``)."""
     bath_cfg = _resolve_bath(cfg)
-    include_lamb = cfg.get("include_lamb_shift")
-    include_coherent = bool(cfg.get("include_coherent", False))
-    jumps_needed = True
-    clock = None
-    if bath_cfg["davies"] or bath_cfg["beta_infinite"]:
-        bath = BathSpec(
-            beta=bath_cfg["beta"], tau=bath_cfg["tau"], lambda0=bath_cfg["lambda0"]
-        )
-        return bath_cfg, dict(
-            bath=bath,
-            davies=True,
-            beta_infinite=bath_cfg["beta_infinite"],
-            beta_cap=bath_cfg["beta_cap"],
-            include_lamb_shift=False,
-            include_coherent=include_coherent,
-        )
-    bath = BathSpec(
-        beta=bath_cfg["beta"], tau=bath_cfg["tau"], lambda0=bath_cfg["lambda0"]
-    )
+    bath = BathSpec(beta=bath_cfg["beta"], tau=bath_cfg["tau"], lambda0=bath_cfg["lambda0"])
+    # build_model drops the Lamb shift of a Davies model itself
     return bath_cfg, dict(
         bath=bath,
-        davies=False,
-        beta_infinite=False,
+        davies=bath_cfg["davies"] or bath_cfg["beta_infinite"],
+        beta_infinite=bath_cfg["beta_infinite"],
         beta_cap=bath_cfg["beta_cap"],
-        include_lamb_shift=include_lamb,
-        include_coherent=include_coherent,
+        include_lamb_shift=cfg.get("include_lamb_shift"),
+        include_coherent=bool(cfg.get("include_coherent", False)),
     )
 
 
@@ -398,6 +383,8 @@ def _scenario_certify(cfg, model, clock, echo, seed):
 
 def _scenario_ngc(cfg, model, clock, echo, seed):
     raw = cfg.get("ngc", {})
+    if not isinstance(raw, dict):
+        raise ConfigError("ngc", "expected an object")
     if "r" in raw:
         r = _require(raw, "r", float, "ngc.")
         shift = _optional(raw, "epsilon", float, "ngc.", 0.0)
@@ -406,9 +393,16 @@ def _scenario_ngc(cfg, model, clock, echo, seed):
                               _require(raw, "delta", float, "ngc."))
     else:
         raise ConfigError("ngc", "expected r (+epsilon) or epsilon+delta")
-    alpha = raw.get("alpha_hat")
-    m = len(model.jumps)
-    alpha = np.full(m, 1.0 / m) if alpha is None else np.asarray(alpha, dtype=float)
+    if raw.get("alpha_hat") is None:
+        alpha = np.full(len(model.jumps), 1.0 / len(model.jumps))
+    else:
+        alpha = _require(raw, "alpha_hat", list, "ngc.")
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in alpha):
+            raise ConfigError("ngc.alpha_hat", "expected a list of numbers")
+        try:
+            alpha = ngc_weights(model, alpha)
+        except ValueError as exc:
+            raise ConfigError("ngc.alpha_hat", str(exc)) from exc
     echo["ngc"] = {"r": r, "epsilon": shift, "alpha_hat": alpha}
     holds, slack = negative_gradient_condition(
         model, alpha, model.sd.ground_projector, r, shift

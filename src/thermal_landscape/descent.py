@@ -14,7 +14,7 @@ import numpy as np
 
 from . import operators as ops
 from .errors import MaxStepsExceeded, TriggerNotMet
-from .gradient import CertificateResult, certify_local_min, gradient_operator
+from .gradient import CertificateResult, certify_local_min, gradient_operator, gradient_scan
 from .lindblad import (
     SUPEROP_MAX_DIM,
     LindbladModel,
@@ -101,16 +101,13 @@ class _FullSpace:
     """States as row-major vec(rho); the fallback for states and models
     without a zero-frequency sector.  Up to ``SUPEROP_MAX_DIM`` each jump's
     generator and norm bound are resolved once, on its first step, and the
-    step is the kernel of :func:`evolve`; above it, :func:`evolve` itself."""
+    step is the kernel of :func:`evolve`; above it, :func:`evolve` itself.
+    Gradients and energy are read through the model's gradient scan."""
 
     def __init__(self, model: LindbladModel):
         self._model = model
         self._steps = {}  # jump index -> (generator, norm bound)
-
-    @staticmethod
-    def row(op):
-        # Tr(op rho) = sum_ij op_ij rho_ji
-        return np.asarray(op, dtype=complex).T.reshape(-1)
+        self.read = gradient_scan(model).read
 
     def evolve(self, x, index, s):
         model = self._model
@@ -132,13 +129,19 @@ class _FullSpace:
 
 
 def _state_space(model: LindbladModel, rho):
-    """The cheapest exact representation of ``rho`` under ``model``."""
+    """The cheapest exact representation of ``rho`` under ``model``: the
+    space, the coordinates x, and the map from x to the gradients along
+    every jump followed by the energy."""
     sector = zero_frequency_sector(model)
     if sector is not None:
         x = sector.coords(rho)
         if x is not None:
-            return sector, x
-    return _FullSpace(model), rho.reshape(-1).copy()
+            scan = np.array([sector.row(gradient_operator(model, label))
+                             for label in model.jump_labels]
+                            + [sector.row(model.ham.dense)])
+            return sector, x, scan.dot
+    space = _FullSpace(model)
+    return space, rho.reshape(-1).copy(), space.read
 
 
 def thermal_gradient_descent(model: LindbladModel, rho0, cfg: DescentConfig) -> DescentTrace:
@@ -159,15 +162,11 @@ def thermal_gradient_descent(model: LindbladModel, rho0, cfg: DescentConfig) -> 
     """
     rho = ops.check_density_matrix(rho0)
     rng = np.random.default_rng(cfg.seed) if cfg.noise else None
-    space, x = _state_space(model, rho)
+    space, x, read = _state_space(model, rho)
     labels = model.jump_labels
     m = len(labels)
-    # rows 0..m-1 give the gradients g_a = Tr(L^dag_a[H] rho), row m the energy
-    scan = np.array(
-        [space.row(gradient_operator(model, label)) for label in labels]
-        + [space.row(model.ham.dense)]
-    )
-    values = scan.dot(x).real.tolist()
+    # entries 0..m-1 are the gradients g_a = Tr(L^dag_a[H] rho), entry m the energy
+    values = read(x).tolist()
     trigger, stride = cfg.trigger, cfg.record_stride
     steps = []
     last = None
@@ -193,7 +192,7 @@ def thermal_gradient_descent(model: LindbladModel, rho0, cfg: DescentConfig) -> 
         e_before = values[m]
         s = _step_size(g, cfg)
         x = space.evolve(x, chosen, s)
-        values = scan.dot(x).real.tolist()
+        values = read(x).tolist()
         last = (t, labels[chosen], g, s, e_before, values[m])
         if t % stride == 0 or t == 1:
             steps.append(StepRecord(*last))

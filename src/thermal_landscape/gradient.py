@@ -12,9 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import operators as ops
-from .errors import NotCommutingHamiltonian
+from .errors import DimensionMismatch, NotCommutingHamiltonian
 from .hamiltonian import LocalHamiltonian, assemble
-from .lindblad import LindbladModel, lindblad_adjoint
+from .lindblad import LindbladModel
 
 BOUNDARY_TOL = 1e-12
 
@@ -47,22 +47,77 @@ class CertificateResult:
 
 
 def gradient_operator(model: LindbladModel, label):
-    """Hermitian gradient operator L^dag_a[H] (cached on the model)."""
+    """Hermitian gradient operator L^dag_a[H] (cached on the model).
+
+    It is gathered in the eigenbasis (:meth:`LindbladModel._gradient_eig`),
+    rotated once by V and Hermitized last, so it is exactly Hermitian; it
+    equals :func:`lindblad.lindblad_adjoint` of H, the adjoint of a general
+    observable.
+    """
     if label not in model._gradient_ops:
-        op = lindblad_adjoint(model, label, model.ham.dense)
+        op = model._from_eig(model._gradient_eig(label))
+        op += op.conj().T
+        op *= 0.5
         model._gradient_ops[label] = op
     return model._gradient_ops[label]
 
 
+class GradientScan:
+    """Re Tr(X rho) for the gradient operators X = L^dag_a[H] of a model, in
+    jump order, then for X = H, as one real matvec.
+
+    Re Tr(X rho) = sum_ij Re(X_ij rho_ji) is the dot product of conj(X^T)
+    and rho, both row-major and viewed as float64, for any complex rho.
+    ``rows`` keeps ``support``, the union of the rows' nonzero columns: d of
+    the 2 d^2 for the diagonal operators of the Ising chain under X jumps,
+    where a basis-state certificate then costs O(d).  Obtain one with
+    :func:`gradient_scan`.
+    """
+
+    def __init__(self, model: LindbladModel):
+        self.dim = d = model.dim
+        labels = model.jump_labels
+
+        def layout(r):  # built one operator at a time, never stacked
+            op = gradient_operator(model, labels[r]) if r < len(labels) else model.ham.dense
+            return np.ascontiguousarray(op.T.conj()).reshape(-1).view(np.float64)
+
+        nonzero = np.zeros(2 * d * d, dtype=bool)
+        for r in range(len(labels) + 1):
+            nonzero |= layout(r) != 0.0
+        self.support = np.flatnonzero(nonzero)
+        self.rows = np.empty((len(labels) + 1, len(self.support)))
+        for r in range(len(labels) + 1):
+            self.rows[r] = layout(r)[self.support]
+
+    def read(self, x):
+        """The gradients along every jump, then the energy, of the state
+        whose row-major vec(rho) is the contiguous complex ``x``."""
+        return self.rows.dot(x.view(np.float64)[self.support])
+
+    def __call__(self, rho):
+        """:meth:`read` of the d x d state ``rho``."""
+        rho = np.ascontiguousarray(rho, dtype=complex)
+        if rho.shape != (self.dim, self.dim):
+            raise DimensionMismatch(f"state shape {rho.shape} does not match dimension {self.dim}")
+        return self.read(rho.reshape(-1))
+
+
+def gradient_scan(model: LindbladModel) -> GradientScan:
+    """The model's :class:`GradientScan`, built on first use and cached."""
+    if model._scan is None:
+        model._scan = GradientScan(model)
+    return model._scan
+
+
 def gradient_vector(model: LindbladModel, rho, labels=None) -> GradientReport:
     """Energy gradient g_a = Tr(L^dag_a[H] rho) over a jump subset."""
+    values = gradient_scan(model)(rho)
     if labels is None:
         labels = model.jump_labels
-    rho = np.asarray(rho, dtype=complex)
-    g = np.empty(len(labels))
-    for i, label in enumerate(labels):
-        op = gradient_operator(model, label)
-        g[i] = float(np.sum(op * rho.T).real)
+        g = values[:-1]
+    else:
+        g = values[[model.jump_index(label) for label in labels]]
     plus = np.maximum(g, 0.0)
     minus = np.maximum(-g, 0.0)
     return GradientReport(
@@ -107,6 +162,20 @@ def ngc_params(epsilon, delta):
     return 2.0 * epsilon / delta, epsilon
 
 
+def ngc_weights(model: LindbladModel, alpha_hat):
+    """``alpha_hat`` as a float array, checked as the negative gradient
+    condition needs it: one entry per jump, each nonnegative (which rules
+    out NaN), summing to 1 within 1e-9.  Raises ValueError otherwise."""
+    alpha_hat = np.asarray(alpha_hat, dtype=float)
+    if alpha_hat.shape != (len(model.jumps),):
+        raise ValueError(f"alpha_hat must have one entry per jump ({len(model.jumps)})")
+    if not np.all(alpha_hat >= 0):
+        raise ValueError("alpha_hat must be nonnegative")
+    if abs(float(np.sum(alpha_hat)) - 1.0) > 1e-9:
+        raise ValueError("alpha_hat must have unit 1-norm")
+    return alpha_hat
+
+
 def negative_gradient_condition(model: LindbladModel, alpha_hat, ground_projector,
                                 r, epsilon):
     """Check -sum_a alpha_a L^dag_a[H] >= r (I - P_G) - epsilon I.
@@ -115,13 +184,7 @@ def negative_gradient_condition(model: LindbladModel, alpha_hat, ground_projecto
     M = -sum alpha_a L^dag_a[H] - r (I - P_G) + epsilon I and the
     condition holds iff slack >= -1e-9.
     """
-    alpha_hat = np.asarray(alpha_hat, dtype=float)
-    if alpha_hat.shape != (len(model.jumps),):
-        raise ValueError(f"alpha_hat must have one entry per jump")
-    if np.any(alpha_hat < 0):
-        raise ValueError("alpha_hat must be nonnegative")
-    if abs(float(np.sum(alpha_hat)) - 1.0) > 1e-9:
-        raise ValueError("alpha_hat must have unit 1-norm")
+    alpha_hat = ngc_weights(model, alpha_hat)
     if r < 0 or epsilon < 0:
         raise ValueError("r and epsilon must be nonnegative")
     p_g = np.asarray(ground_projector, dtype=complex)

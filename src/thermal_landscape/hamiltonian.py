@@ -30,11 +30,11 @@ class LocalHamiltonian:
 class SpectralData:
     """Grouped spectrum of a Hermitian operator.
 
-    ``eigenvectors`` holds the orthonormal eigenbasis V, eigenvalues
-    ascending, and ``group_slices[g]`` the columns of V that span energy
-    group ``g``, whose mean eigenvalue is ``energies[g]``.  Group
-    projectors are derived from V on demand (:meth:`group_projector`,
-    :attr:`ground_projector`) rather than stored.
+    ``eigenvectors`` holds the orthonormal eigenbasis V, ``eigenvalues``
+    the matching eigenvalues in ascending order, and ``group_slices[g]``
+    the columns of V that span energy group ``g``, whose mean eigenvalue is
+    ``energies[g]``.  Group projectors are derived from V on demand
+    (:meth:`group_projector`, :attr:`ground_projector`) rather than stored.
     ``bohr_freqs`` is the deduplicated, sorted set of energy differences,
     closed under negation by construction; :attr:`bohr_pairs` files every
     eigenvector pair under the Bohr frequency of its groups, once per
@@ -48,6 +48,7 @@ class SpectralData:
     spectral_gap: float
     bohr_gap: float
     group_tol: float
+    eigenvalues: np.ndarray = field(repr=False)
     eigenvectors: np.ndarray = field(repr=False)
     group_slices: tuple = field(repr=False)
 
@@ -223,6 +224,7 @@ def spectral_data(ham, group_tol=None) -> SpectralData:
         spectral_gap=spectral_gap,
         bohr_gap=bohr_gap,
         group_tol=float(group_tol),
+        eigenvalues=w,
         eigenvectors=v,
         group_slices=tuple(slices),
     )

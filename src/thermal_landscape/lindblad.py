@@ -109,6 +109,7 @@ class LindbladModel:
     _gradient_ops: dict = field(default_factory=dict, repr=False)
     _superops: dict = field(default_factory=dict, repr=False)
     _sector: object = field(default=None, repr=False)
+    _scan: object = field(default=None, repr=False)
 
     @property
     def dim(self):
@@ -140,8 +141,11 @@ class LindbladModel:
         return np.atleast_1d(bath_mod.gamma(freqs, spec))
 
     def energy(self, rho):
-        # H is validated at build time; a plain trace suffices here
-        return float(np.sum(self.ham.dense * np.asarray(rho).T).real)
+        """Re Tr(H rho), read through the model's gradient scan (which the
+        first call builds, every gradient operator with it)."""
+        from .gradient import gradient_scan  # the gradient module imports this one
+
+        return float(gradient_scan(self)(rho)[-1])
 
     @cached_property
     def _davies_weights(self):
@@ -194,6 +198,33 @@ class LindbladModel:
         f = self.sd.bohr_map
         return _gathered_product(a_eig.conj().T, f.T, a_eig, f, self._pair_weight)
 
+    def _lamb_eig(self, label):
+        """V^dag H_LS,a V: the Lamb shift of jump ``label`` in the eigenbasis."""
+        v = self.sd.eigenvectors
+        return v.conj().T @ lamb_shift_operator(self, label) @ v
+
+    def _gradient_eig(self, label):
+        """L^dag_a[H] in the eigenbasis, before Hermitization.
+
+        With lambda the eigenvalues of H (not the group energies), A~ the
+        masked V^dag A V of :meth:`_jump_eig`, F the Bohr-index map and C'
+        the pair weights of :meth:`_pair_weight`,
+
+            X~[a, b] = sum_i conj(A~[i, a]) A~[i, b] C'[F[i, a], F[i, b]]
+                           (lambda_i - (lambda_a + lambda_b) / 2)
+                       + i H~_LS[a, b] (lambda_b - lambda_a),
+
+        which is sum C(nu', nu) A_nu'^dag H A_nu - {G, H}/2 + i [H_LS, H]
+        there, G~ being the same sum without the lambda factor.
+        """
+        lam = self.sd.eigenvalues
+        f = self.sd.bohr_map
+        a_eig = self._jump_eig(self.jump(label))
+        out = _gathered_product(a_eig.conj().T, f.T, a_eig, f, self._pair_weight, lam)
+        if self.include_lamb_shift:
+            out += 1j * (lam - lam[:, None]) * self._lamb_eig(label)
+        return out
+
     def _dissipator(self, label) -> _Dissipator:
         if label not in self._dissipators:
             jump = self.jump(label)
@@ -232,7 +263,7 @@ class LindbladModel:
                          * a_eig[:, None, :, None] * a_eig.conj()[None, :, None, :])
             m_eig = -0.5 * self._decay_eig(a_eig)
             if self.include_lamb_shift:
-                m_eig -= 1j * (v.conj().T @ lamb_shift_operator(self, label) @ v)
+                m_eig -= 1j * self._lamb_eig(label)
             eye = np.eye(d)
             mat = (jump_part.reshape(d * d, d * d) + np.kron(m_eig, eye)
                    + np.kron(eye, m_eig.conj()))
@@ -240,8 +271,9 @@ class LindbladModel:
         return self._superops[label]
 
 
-def _gathered_product(left, f_left, right, f_right, weight):
-    """sum_i left[a, i] right[i, b] weight(f_left[a, i], f_right[i, b]).
+def _gathered_product(left, f_left, right, f_right, weight, lam=None):
+    """sum_i left[a, i] right[i, b] weight(f_left[a, i], f_right[i, b]),
+    each term times lam[i] - (lam[a] + lam[b]) / 2 when ``lam`` is given.
 
     ``weight`` maps two broadcastable arrays of Bohr indices to the kernel
     entries.  One row a at a time, over the i with left[a, i] != 0, so no
@@ -250,7 +282,10 @@ def _gathered_product(left, f_left, right, f_right, weight):
     out = np.zeros(right.shape, dtype=complex)
     for a, row in enumerate(left):
         nz = np.flatnonzero(row)
-        out[a] = row[nz] @ (right[nz] * weight(f_left[a, nz][:, None], f_right[nz]))
+        w = weight(f_left[a, nz][:, None], f_right[nz])
+        if lam is not None:
+            w = w * (lam[nz, None] - 0.5 * (lam[a] + lam))
+        out[a] = row[nz] @ (right[nz] * w)
     return out
 
 
@@ -657,8 +692,6 @@ def _check_defect(herm_defect, trace_defect):
         raise EvolutionDefect(
             f"evolved state has Hermiticity/trace defect {defect:.3e} > 1e-7"
         )
-    logger.debug("evolve defect %.3e (herm %.3e, trace %.3e)",
-                 defect, herm_defect, trace_defect)
 
 
 @lru_cache(maxsize=None)

@@ -433,6 +433,32 @@ def test_certify_non_numeric_epsilon_exits_2_with_field_path(tmp_path, capsys):
     assert not (tmp_path / "result.json").exists()
 
 
+@pytest.mark.parametrize("alpha_hat", [
+    "abc", [1.0, 2.0, 3.0], [0.5], [-1.0], [float("nan")], [True],
+], ids=["string", "wrong_length", "not_unit_sum", "negative", "nan", "bool"])
+def test_ngc_bad_alpha_hat_exits_2_with_field_path(tmp_path, capsys, alpha_hat):
+    cfg = certify_config(tmp_path, out="ngc.json")  # the qubit has one jump
+    cfg.update(scenario="ngc", ngc={"r": 0.13, "epsilon": 1e-5, "alpha_hat": alpha_hat})
+    code, result = cli.run("ngc", write_config(tmp_path, cfg))
+    _assert_config_error(code, result, capsys, "ngc.alpha_hat")
+    assert not (tmp_path / "ngc.json").exists()
+
+
+def test_ngc_section_not_an_object_exits_2(tmp_path, capsys):
+    cfg = certify_config(tmp_path, out="ngc.json")
+    cfg.update(scenario="ngc", ngc=3)
+    code, result = cli.run("ngc", write_config(tmp_path, cfg))
+    _assert_config_error(code, result, capsys, "ngc")
+
+
+def test_ngc_integer_alpha_hat_is_accepted(tmp_path):
+    cfg = certify_config(tmp_path, out="ngc.json")
+    cfg.update(scenario="ngc", ngc={"r": 0.13, "epsilon": 1e-5, "alpha_hat": [1]})
+    code, result = cli.run("ngc", write_config(tmp_path, cfg))
+    assert code == 0
+    assert result["result"]["holds"] is True
+
+
 def _old_trace_bytes(trace, config_echo, terminal_extra):
     """The trace record as written before steps skipped ``_jsonify``: the
     whole object through ``_jsonify``, then ``json.dumps(indent=2)``."""
