@@ -77,6 +77,7 @@ from .operators import (
     MAX_QUBITS,
     PAULI,
     PauliTerm,
+    basis_density,
     basis_state,
     check_density_matrix,
     expectation,

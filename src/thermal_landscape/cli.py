@@ -15,6 +15,7 @@ import contextlib
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -112,12 +113,35 @@ def _native_steps(steps):
                for st in steps)
 
 
+# one step record as json.dumps(sort_keys=True, indent=2) writes it inside the
+# top-level "steps" list: keys sorted, the label by the ASCII string encoder,
+# numbers by int.__repr__ and float.__repr__
+_STEP_JSON = ('    {\n      "a": %s,\n      "e_after": %r,\n      "e_before": %r,'
+              '\n      "g": %r,\n      "i": %r,\n      "s": %r\n    }')
+
+
+def _steps_json(steps):
+    """The steps' records joined as ``json.dumps`` writes them in the trace,
+    or None when a record needs the general encoder (a type other than
+    int, str, float, or a NaN or infinite float)."""
+    if not _native_steps(steps) or not all(
+            math.isfinite(x) for st in steps for x in (st.g, st.s, st.e_before, st.e_after)):
+        return None
+    return ",\n".join(
+        _STEP_JSON % (encode_basestring_ascii(st.jump), st.e_after, st.e_before,
+                      st.g, st.index, st.s)
+        for st in steps)
+
+
 def emit_trace(trace: DescentTrace, path, config_echo=None, terminal_extra=None):
     """Serialize a descent trace to the scenario JSON record format.
 
-    Descent records its steps as Python ints, floats and strings, on which
-    :func:`_jsonify` is the identity, so such steps are written as they
-    are; the bytes are those of :func:`write_json` on the returned object.
+    The bytes are those of :func:`write_json` on the returned object.
+    ``json.dumps`` with an indent runs on the pure-Python encoder, so steps
+    whose records are JSON-native and finite are formatted from one
+    template and spliced in at the top-level ``"steps": []``, the only
+    line of the dump with a two-space indent and that text; other steps go
+    through :func:`_jsonify` and ``json.dumps``.
     """
     terminal = {}
     if trace.terminal_certificate is not None:
@@ -142,10 +166,13 @@ def emit_trace(trace: DescentTrace, path, config_echo=None, terminal_extra=None)
         ],
         "terminal": terminal,
     }
-    steps = obj["steps"] if _native_steps(trace.steps) else _jsonify(obj["steps"])
-    native = dict(obj, config_echo=_jsonify(obj["config_echo"]), steps=steps,
-                  terminal=_jsonify(terminal))
-    _write_text(path, json.dumps(native, sort_keys=True, indent=2))
+    body = _steps_json(trace.steps)
+    rest = dict(obj, config_echo=_jsonify(obj["config_echo"]), terminal=_jsonify(terminal),
+                steps=[] if body is not None else _jsonify(obj["steps"]))
+    text = json.dumps(rest, sort_keys=True, indent=2)
+    if body:
+        text = text.replace('\n  "steps": []', '\n  "steps": [\n' + body + '\n  ]', 1)
+    _write_text(path, text)
     return obj
 
 
@@ -321,7 +348,7 @@ def _resolve_state(cfg, model, clock):
         bits = _require(raw, "bits", str, "state.")
         if len(bits) != n or any(c not in "01" for c in bits):
             raise ConfigError("state.bits", f"expected a {n}-bit string")
-        return ops.projector(ops.basis_state(bits)), {"kind": kind, "bits": bits}
+        return ops.basis_density(bits), {"kind": kind, "bits": bits}
     if kind == "ground":
         return _ground_state_projector_density(model), {"kind": kind}
     if kind == "history":
@@ -462,7 +489,7 @@ def _scenario_ising(cfg, model, clock, echo, seed):
     reports = {}
     for idx in range(2**n):
         bits = format(idx, f"0{n}b")
-        rho = ops.projector(ops.basis_state(bits))
+        rho = ops.basis_density(bits)
         cert = certify_local_min(model, rho, epsilon)
         energy = model.energy(rho)
         rows.append((bits, energy, cert.inf_norm_minus, cert.kind))

@@ -49,9 +49,6 @@ SECTOR_MAX_ENTRIES = 2**20  # largest sum_g d_g^2 * d^2 for which a sector is bu
 REAL_FORM_TOL = 1e-12  # anti-Hermitian image of a real sector generator, relative
 _SQRT_HALF = math.sqrt(0.5)
 
-# bath-correlation caches are expensive; share them across models per BathSpec
-_BATH_CORRELATION_CACHE: dict = {}
-
 _coherent_sentinel = object()
 
 
@@ -365,7 +362,6 @@ def build_model(
         davies = True
     if not davies and bath is None:
         raise ValueError("a BathSpec is required unless davies=True")
-    corr_cache = _BATH_CORRELATION_CACHE
     jump_list = _as_jump_list(jumps)
     norms = _check_jump_set(jump_list, ham.dense.shape[0])
 
@@ -389,12 +385,7 @@ def build_model(
         if not beta_infinite and bath is None:
             raise ValueError("finite-beta Davies mode needs a BathSpec for beta")
     else:
-        if include_lamb_shift:
-            if bath not in corr_cache:
-                corr_cache[bath] = BathCorrelation(bath)
-            corr = corr_cache[bath]
-        else:
-            corr = None
+        corr = BathCorrelation(bath) if include_lamb_shift else None
         kernels = build_kernel_table(
             sd.bohr_freqs,
             bath,

@@ -195,6 +195,18 @@ def basis_state(bits: str):
     return vec
 
 
+def basis_density(bits: str):
+    """Density matrix |bits><bits| of a computational basis state, without
+    the d x d outer product of ``projector(basis_state(bits))``."""
+    n = len(bits)
+    if n > MAX_QUBITS:
+        raise SizeLimit(f"n={n} exceeds the dense-size guard of {MAX_QUBITS} qubits")
+    idx = int(bits, 2)
+    rho = np.zeros((2**n, 2**n), dtype=complex)
+    rho[idx, idx] = 1.0
+    return rho
+
+
 def projector(vec):
     vec = np.asarray(vec, dtype=complex)
     return np.outer(vec, vec.conj())

@@ -67,6 +67,49 @@ def _loop_lamb_once(freqs, spec, corr, edges):
     return (1j / (2.0 * bath.SQRT_2PI * spec.tau)) * out
 
 
+def _outer_c_beta_direct(t_values, spec, abs_tol):
+    """c_beta at each time with a phase e^{i omega t} per time and node:
+    ``exp(1j * outer(t, nodes)) @ (gamma * weights)`` on the panels of
+    ``linspace`` edges, refined by ``_refine_edges`` until halving the
+    panels moves a subsample of the times by at most abs_tol / 2, and
+    c(-t) = conj(c(t))."""
+    t_values = np.atleast_1d(np.asarray(t_values, dtype=float))
+    t_abs = np.unique(np.abs(t_values))
+    rate = float(t_abs[-1]) if t_abs.size else 1.0
+    w_rad = bath._gamma_support_radius(spec, abs_tol * 1e-3)
+    h = min(bath._freq_panel_width(spec, rate), (2 * w_rad) / 8)
+
+    def one_pass(edges, ts):
+        nodes, wts = bath._panel_nodes(edges)
+        g = bath.gamma(nodes, spec) * wts
+        out = np.empty(len(ts), dtype=complex)
+        chunk = max(1, int(4e6 // max(len(nodes), 1)))
+        for i in range(0, len(ts), chunk):
+            out[i : i + chunk] = np.exp(1j * np.outer(ts[i : i + chunk], nodes)) @ g
+        return out / bath.SQRT_2PI
+
+    probe = t_abs[:: max(1, len(t_abs) // 48)]
+    edges = bath._make_edges(-w_rad, w_rad, h)
+    for _ in range(3):
+        fine = bath._refine_edges(edges)
+        err = float(np.max(np.abs(one_pass(edges, probe) - one_pass(fine, probe))))
+        if err <= 0.5 * abs_tol:
+            break
+        edges = fine
+    else:
+        raise tl.errors.QuadratureFailure(f"error estimate {err:.3e}")
+    lookup = dict(zip(t_abs.tolist(), one_pass(edges, t_abs)))
+    return np.array([lookup[abs(t)] if t >= 0 else np.conj(lookup[abs(t)])
+                     for t in t_values.tolist()], dtype=complex)
+
+
+@pytest.fixture
+def outer_c_beta():
+    """``outer_c_beta(t_values, spec, abs_tol)``: the phase-per-node oracle
+    of the c_beta quadrature."""
+    return _outer_c_beta_direct
+
+
 def _pair_lists(model, label):
     """The dissipator's pairs (coeffs, rights A_nu, lefts_dag A_nu'^dag),
     as loops over the jump's Bohr blocks.  The Davies limit keeps (A_nu,

@@ -119,6 +119,37 @@ def test_bath_correlation_one_norm(beta):
     assert total <= 1.0 + 1e-4
 
 
+def _c_beta_times(t_max, rng):
+    """About 200 times: 0, +-t_max, both signs, a repeated |t| and times
+    beyond the grid."""
+    inside = rng.uniform(-t_max, t_max, 190)
+    edge = [0.0, -0.0, t_max, -t_max, 1e-3, -1e-3, inside[0], -inside[0]]
+    beyond = [1.01 * t_max, -1.1 * t_max]
+    return np.concatenate([edge, inside, beyond])
+
+
+@pytest.mark.parametrize("beta, tau", [(2.0, 25.0), (16.0, 800.0), (100.0, 1e4)])
+def test_c_beta_factored_pass_matches_the_phase_per_node_oracle(beta, tau, outer_c_beta):
+    spec = BathSpec(beta=beta, tau=tau)
+    t_max = min(tau, 12.0 * beta + 10.0 / spec.lambda0 + 5.0)  # BathCorrelation's grid
+    t = _c_beta_times(t_max, np.random.default_rng(int(beta)))
+    got = B._c_beta_direct(t, spec, 1e-10)
+    want = outer_c_beta(t, spec, 1e-10)
+    assert np.max(np.abs(got - want)) <= 1e-13
+    assert got[0] == got[1] and abs(got[0].imag) < 1e-13
+    assert got[7] == np.conj(got[6]) and got[3] == np.conj(got[2])
+
+
+@pytest.mark.parametrize("beta, tau", [(2.0, 25.0), (16.0, 800.0)])
+def test_c_beta_spline_error_bounded_by_measured_interp_error(beta, tau):
+    spec = BathSpec(beta=beta, tau=tau)
+    corr = B.BathCorrelation(spec)
+    assert 0.0 < corr.interp_error < 1e-6
+    t = np.random.default_rng(5).uniform(-corr.t_max, corr.t_max, 2000)
+    actual = float(np.max(np.abs(corr(t) - B._c_beta_direct(t, spec, corr.abs_tol))))
+    assert actual <= 2.0 * corr.interp_error
+
+
 def test_overlap_kernel_flat_weight_parseval_oracle():
     # gamma = 1 surrogate: C(nu', nu) = 2 sin((nu'-nu) tau/2) / ((nu'-nu) tau)
     tau = 2.0

@@ -462,7 +462,7 @@ def test_ngc_integer_alpha_hat_is_accepted(tmp_path):
 def _old_trace_bytes(trace, config_echo, terminal_extra):
     """The trace record as written before steps skipped ``_jsonify``: the
     whole object through ``_jsonify``, then ``json.dumps(indent=2)``."""
-    terminal = {"energy": trace.steps[-1].e_after}
+    terminal = {"energy": trace.steps[-1].e_after} if trace.steps else {}
     terminal.update(terminal_extra)
     obj = {
         "schema_version": cli.SCHEMA_VERSION,
@@ -495,3 +495,30 @@ def test_emit_trace_bytes_match_the_full_jsonify_writer(tmp_path, numpy_step):
     path = tmp_path / "trace.json"
     cli.emit_trace(trace, str(path), config_echo=echo, terminal_extra=extra)
     assert path.read_bytes() == _old_trace_bytes(trace, echo, extra)
+
+
+_EDGE_STEPS = {
+    "no_steps": [],
+    "one_step": [(3, "Z1", -0.25, 1e-4, 0.75, 0.5)],
+    "nan_g": [(1, "X0", -0.5, 1e-3, 0.5, 0.25), (2, "X0", float("nan"), 0.0, 0.25, 0.25)],
+    "inf_energy": [(1, "X0", -0.5, 1e-3, float("inf"), -float("inf"))],
+    "echo_steps": [(1, '"steps": []', -0.5, 1e-3, 0.5, 0.25), (2, "X1", -0.1, 2e-3, 0.25, 0.2)],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_EDGE_STEPS))
+def test_emit_trace_template_edge_cases(tmp_path, case):
+    """The template writer matches ``json.dumps`` with no steps, one step,
+    non-finite numbers (which take the general path) and a config echo
+    that holds a ``"steps": []`` of its own at several depths."""
+    from thermal_landscape.descent import DescentTrace, StepRecord
+
+    steps = [StepRecord(*rec) for rec in _EDGE_STEPS[case]]
+    trace = DescentTrace(steps=steps, terminal_state=np.eye(2) / 2,
+                         terminal_certificate=None, terminated_early=False)
+    echo = {"steps": [], "descent": {"steps": [], "note": '\n  "steps": []'}, "x": 1.5}
+    extra = {"status": "ok"}
+    path = tmp_path / "trace.json"
+    cli.emit_trace(trace, str(path), config_echo=echo, terminal_extra=extra)
+    assert path.read_bytes() == _old_trace_bytes(trace, echo, extra)
+    assert len(json.loads(path.read_text())["steps"]) == len(steps)

@@ -123,6 +123,21 @@ def test_expectation_basics():
     assert tl.expectation(z, np.eye(2) / 2) == pytest.approx(0.0)
 
 
+@pytest.mark.parametrize("bits", ["0", "1", "0110", "11111"])
+def test_basis_density_is_the_basis_projector_bit_for_bit(bits):
+    want = tl.projector(tl.basis_state(bits))
+    got = tl.basis_density(bits)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+    for part in ("real", "imag"):  # the same signed zeros, so artifacts keep their bytes
+        assert np.array_equal(np.signbit(getattr(got, part)), np.signbit(getattr(want, part)))
+
+
+def test_basis_density_size_guard():
+    with pytest.raises(SizeLimit):
+        tl.basis_density("0" * (tl.MAX_QUBITS + 1))
+
+
 def _classical_ising_energy(bits, h=0.0, periodic=True):
     spins = [1 - 2 * int(b) for b in bits]
     n = len(spins)
