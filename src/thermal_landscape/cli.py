@@ -182,10 +182,16 @@ def emit_trace(trace: DescentTrace, path, config_echo=None, terminal_extra=None)
 
 
 def _require(cfg, field, typ, path):
+    """``cfg[field]`` as a ``typ``; a float must be finite.  ``path`` is the
+    dotted prefix of the object ``cfg``, which must be a JSON object."""
+    if not isinstance(cfg, dict):
+        raise ConfigError(path.rstrip("."), "expected an object")
     if field not in cfg:
         raise ConfigError(f"{path}{field}", "missing required field")
     val = cfg[field]
     if typ is float and isinstance(val, (int, float)) and not isinstance(val, bool):
+        if not math.isfinite(val):
+            raise ConfigError(f"{path}{field}", "must be finite")
         return float(val)
     if typ is int and isinstance(val, int) and not isinstance(val, bool):
         return val
@@ -226,24 +232,21 @@ def _resolve_bath(cfg):
     if not isinstance(raw, dict):
         raise ConfigError("bath", "expected an object")
     out = {
-        "beta": raw.get("beta", 1.0),
-        "tau": raw.get("tau", 100.0),
-        "lambda0": raw.get("lambda0", 1.0),
+        "beta": _optional(raw, "beta", float, "bath.", 1.0),
+        "tau": _optional(raw, "tau", float, "bath.", 100.0),
+        "lambda0": _optional(raw, "lambda0", float, "bath.", 1.0),
         "davies": bool(raw.get("davies", False)),
         "beta_infinite": bool(raw.get("beta_infinite", False)),
-        "beta_cap": raw.get("beta_cap", 1e6),
+        "beta_cap": _optional(raw, "beta_cap", float, "bath.", 1e6),
     }
-    for key in ("beta", "tau", "lambda0", "beta_cap"):
-        val = out[key]
-        if not isinstance(val, (int, float)) or isinstance(val, bool):
-            raise ConfigError(f"bath.{key}", "expected a number")
-        out[key] = float(val)
     if out["beta"] < 0:
         raise ConfigError("bath.beta", "must be nonnegative")
     if out["tau"] <= 0:
         raise ConfigError("bath.tau", "must be positive")
     if out["lambda0"] <= 0:
         raise ConfigError("bath.lambda0", "must be positive")
+    if not math.isfinite(out["lambda0"] * out["lambda0"]):  # gamma divides by lambda0^2
+        raise ConfigError("bath.lambda0", "its square must be finite")
     return out
 
 
@@ -283,6 +286,8 @@ def _resolve_hamiltonian(cfg):
         if not isinstance(entries, list) or not entries:
             raise ConfigError("hamiltonian.terms", "expected a nonempty list")
         n = _require(raw, "n", int, "hamiltonian.")
+        if n < 1:
+            raise ConfigError("hamiltonian.n", "must be positive")
         terms = [
             _pauli_term_matrix(e, f"hamiltonian.terms[{i}].")
             for i, e in enumerate(entries)
@@ -437,6 +442,17 @@ def _scenario_ngc(cfg, model, clock, echo, seed):
     return {"holds": bool(holds), "min_eigenvalue_slack": slack}, None
 
 
+def _check_step_budget(epsilon, norm_bound, epsilon_path):
+    """Reject an (epsilon, B) whose default step budget 42 B^3 / epsilon^2
+    (:class:`DescentConfig`) is not a finite positive number."""
+    cube, square = norm_bound * norm_bound * norm_bound, epsilon * epsilon
+    if not math.isfinite(cube):
+        raise ConfigError("descent.B", "B^3 of the step budget 42 B^3 / epsilon^2 overflows")
+    if not (0 < square < math.inf and math.isfinite(42.0 * cube / square)):
+        raise ConfigError(f"{epsilon_path}epsilon",
+                          "the step budget 42 B^3 / epsilon^2 is not a finite number")
+
+
 def _scenario_descend(cfg, model, clock, echo, seed):
     rho, state_echo = _resolve_state(cfg, model, clock)
     raw = cfg.get("descent", {})
@@ -447,6 +463,8 @@ def _scenario_descend(cfg, model, clock, echo, seed):
     norm_bound = _positive(raw, "B", float, "descent.", model.ham.norm_bound)
     if not norm_bound > 0:
         raise ConfigError("descent.B", "missing, and the Hamiltonian's norm bound is 0")
+    if raw.get("max_steps") is None:
+        _check_step_budget(epsilon, norm_bound, "descent." if "epsilon" in raw else "")
     dcfg = DescentConfig(
         epsilon=epsilon,
         norm_bound=norm_bound,
@@ -652,6 +670,8 @@ def _run_validated(scenario, cfg, seed_override, output_override):
     output = output_override or cfg.get("output")
     if output is None:
         raise ConfigError("output", "missing output path")
+    if not isinstance(output, str):
+        raise ConfigError("output", "expected a path")
     csv_output = cfg.get("csv_output")
 
     echo = {

@@ -1,8 +1,11 @@
 """Local Hamiltonians, grouped spectra, Bohr frequencies and Bohr blocks."""
 
+import bisect
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
+from weakref import WeakValueDictionary
 
 import numpy as np
 
@@ -113,25 +116,58 @@ class SpectralData:
 class BohrBlocks:
     """Decomposition A = sum_nu A_nu over Bohr frequencies of a Hamiltonian.
 
-    ``mats[p]`` is the dense block A_nu at ``freqs[p]`` =
-    ``bohr_freqs[freq_indices[p]]``, indices ascending; blocks with
-    ||A_nu||_2 <= drop_factor ||A||_2 are left out (see
-    :func:`bohr_decompose`).
+    ``eig`` is A~ = V^dag A V in the eigenbasis V of ``sd``, with the entries
+    of the dropped blocks set to zero (read-only): with M_nu the 0/1 mask of
+    the eigenvector pairs filed under nu, A_nu = V (A~ o M_nu) V^dag.  The
+    kept blocks are at ``freqs[p]`` = ``bohr_freqs[freq_indices[p]]``,
+    indices ascending; blocks with ||A_nu||_2 <= drop_factor ||A||_2 are
+    left out (see :func:`bohr_decompose`).  ``mats[p]`` is the dense A_nu,
+    formed when it is read; it is kept only while a reader holds it, so
+    readers that hold it share one array.
     """
 
     label: str
     freq_indices: np.ndarray  # indices into SpectralData.bohr_freqs
     freqs: np.ndarray
-    mats: list = field(repr=False)
+    eig: np.ndarray = field(repr=False)
+    sd: SpectralData = field(repr=False)
+    _formed: WeakValueDictionary = field(default_factory=WeakValueDictionary,
+                                         repr=False, compare=False)
+
+    @property
+    def mats(self):
+        return _DenseBlocks(self)
 
     def items(self):
         return zip(self.freqs, self.mats)
 
     def total(self):
-        out = np.zeros_like(self.mats[0])
-        for m in self.mats:
-            out = out + m
-        return out
+        v = self.sd.eigenvectors
+        return v @ self.eig @ v.conj().T
+
+
+class _DenseBlocks(Sequence):
+    """The dense blocks V (A~ o M_nu) V^dag of a :class:`BohrBlocks`, each
+    formed when it is read unless a reader still holds it."""
+
+    def __init__(self, blocks):
+        self._blocks = blocks
+
+    def __len__(self):
+        return len(self._blocks.freq_indices)
+
+    def __getitem__(self, p):
+        blocks = self._blocks
+        k = int(blocks.freq_indices[p])
+        mat = blocks._formed.get(k)
+        if mat is None:
+            pairs = blocks.sd.bohr_pairs
+            # keys ascend; (k,) sorts just before the entry (k, rows, cols)
+            _, rows, cols = pairs[bisect.bisect_left(pairs, (k,))]
+            v = blocks.sd.eigenvectors
+            block, r, c = _compact_block(blocks.eig, rows, cols, v.shape[0])
+            mat = blocks._formed[k] = v[:, r] @ block @ np.ascontiguousarray(v[:, c].conj().T)
+        return mat
 
 
 def assemble(terms, n: int) -> LocalHamiltonian:
@@ -238,16 +274,27 @@ def _compact(idx, dim):
     return np.flatnonzero(present), (np.cumsum(present) - 1)[idx]
 
 
+def _compact_block(a_eig, rows, cols, dim):
+    """The entries of ``a_eig`` at (rows, cols), on the rows r and columns c
+    where one is nonzero: (block, r, c) with a_eig o M = embed(block)."""
+    vals = a_eig[rows, cols]
+    hit = vals != 0  # exactly-zero entries add nothing to V B V^dag
+    r, r_at = _compact(rows[hit], dim)
+    c, c_at = _compact(cols[hit], dim)
+    block = np.zeros((len(r), len(c)), dtype=complex)
+    block[r_at, c_at] = vals[hit]
+    return block, r, c
+
+
 def bohr_decompose(a_mat, sd: SpectralData, label: str = "", drop_factor=1e-12,
                    norm=None):
     """Decompose ``a_mat`` into blocks A_nu = sum_{E2-E1=nu} P_{E2} A P_{E1}.
 
-    The blocks are built in the eigenbasis V of ``sd``: with A~ = V^dag A V
+    The blocks are kept in the eigenbasis V of ``sd``: with A~ = V^dag A V
     and the 0/1 mask M_nu that covers every eigenvector pair whose energy
     groups differ by the Bohr frequency nu, A_nu = V (A~ o M_nu) V^dag.
-    That is one transform per jump plus one product per block, restricted
-    to the rows and columns where A~ o M_nu is nonzero, instead of g^2
-    projector sandwiches.
+    That is one transform per jump instead of g^2 projector sandwiches; the
+    result stores A~ with the dropped blocks zeroed and forms no A_nu.
 
     A block is kept when ||A_nu||_2 > drop_factor * ||A||_2.  The spectral
     norm is unitarily invariant, so it is that of the masked A~, which
@@ -265,22 +312,18 @@ def bohr_decompose(a_mat, sd: SpectralData, label: str = "", drop_factor=1e-12,
     if norm is None:
         norm = ops.operator_norm(a_mat)
     cutoff = drop_factor * max(norm, 1e-300)
-    vdag = v.conj().T
-    a_eig = vdag @ a_mat @ v
-    kept, mats = [], []
+    a_eig = v.conj().T @ a_mat @ v
+    kept = []
     for k, rows, cols in sd.bohr_pairs:
-        vals = a_eig[rows, cols]
-        hit = vals != 0  # exactly-zero entries add nothing to V B V^dag
-        r, r_at = _compact(rows[hit], dim)
-        c, c_at = _compact(cols[hit], dim)
-        block = np.zeros((len(r), len(c)), dtype=complex)
-        block[r_at, c_at] = vals[hit]
-        if ops.spectral_norm_exceeds(block, cutoff):
+        if ops.spectral_norm_exceeds(_compact_block(a_eig, rows, cols, dim)[0], cutoff):
             kept.append(k)
-            mats.append(v[:, r] @ block @ vdag[c])
+        else:
+            a_eig[rows, cols] = 0.0
+    a_eig.flags.writeable = False
     return BohrBlocks(
         label=label,
         freq_indices=np.array(kept, dtype=int),
         freqs=sd.bohr_freqs[kept],
-        mats=mats,
+        eig=a_eig,
+        sd=sd,
     )

@@ -8,7 +8,7 @@ the diagonal weights gamma(nu) only.
 
 The decay operator G, the Lamb shift H_LS and the dense superoperator are
 gathered in the eigenbasis V of H: from A~ = V^dag A V, masked to the
-jump's kept Bohr blocks, the Bohr-index map F of the spectrum and the
+jump's kept Bohr blocks as set-up stores it, the Bohr-index map F of the spectrum and the
 kernel table indexed by F, one expression per operator covers every pair
 of Bohr blocks at once.  A Davies model takes diag(gamma(nu)) as its
 table, so both share that code.
@@ -47,6 +47,7 @@ MAX_TAYLOR_TERMS = 60
 SECTOR_TOL = 1e-12  # off-sector Frobenius mass still counted as in the sector
 SECTOR_MAX_ENTRIES = 2**20  # largest sum_g d_g^2 * d^2 for which a sector is built
 REAL_FORM_TOL = 1e-12  # anti-Hermitian image of a real sector generator, relative
+GATHER_BLOCK = 2**20  # terms, and entries of the result, one chunk of _gathered_product reaches
 _SQRT_HALF = math.sqrt(0.5)
 
 _coherent_sentinel = object()
@@ -179,10 +180,8 @@ class LindbladModel:
 
     def _jump_eig(self, jump):
         """V^dag A V of ``jump`` restricted to its kept Bohr blocks: the sum
-        of the blocks A_nu, in the eigenbasis V."""
-        v = self.sd.eigenvectors
-        a_eig = v.conj().T @ jump.matrix @ v
-        return np.where(np.isin(self.sd.bohr_map, jump.blocks.freq_indices), a_eig, 0.0)
+        of the blocks A_nu, in the eigenbasis V, as set-up stored it."""
+        return jump.blocks.eig
 
     def _from_eig(self, mat):
         """V mat V^dag."""
@@ -228,7 +227,7 @@ class LindbladModel:
             indices = jump.blocks.freq_indices
             weights = self._pair_weight(indices[:, None], indices[None, :])
             lefts, rights = np.nonzero(weights)
-            mats = jump.blocks.mats
+            mats = list(jump.blocks.mats)  # each block formed once
             daggers = [mat.conj().T for mat in mats]
             self._dissipators[label] = _Dissipator(
                 coeffs=weights[lefts, rights].astype(complex),
@@ -272,18 +271,43 @@ def _gathered_product(left, f_left, right, f_right, weight, lam=None):
     """sum_i left[a, i] right[i, b] weight(f_left[a, i], f_right[i, b]),
     each term times lam[i] - (lam[a] + lam[b]) / 2 when ``lam`` is given.
 
-    ``weight`` maps two broadcastable arrays of Bohr indices to the kernel
-    entries.  One row a at a time, over the i with left[a, i] != 0, so no
-    d^3 temporary is formed.
+    ``weight`` maps two arrays of Bohr indices to the kernel entries.  Each
+    nonzero (a, i) of ``left`` is paired with each nonzero (i, b) of
+    ``right``, in chunks taken in row order of ``left``; a chunk's terms are
+    summed into its rows of the result by ``np.bincount``, the real and
+    imaginary parts apart.  A chunk has at most ``GATHER_BLOCK`` terms and
+    spans at most ``GATHER_BLOCK`` entries of the result.
     """
-    out = np.zeros(right.shape, dtype=complex)
-    for a, row in enumerate(left):
-        nz = np.flatnonzero(row)
-        w = weight(f_left[a, nz][:, None], f_right[nz])
+    d = right.shape[1]
+    out = np.zeros(left.shape[0] * d, dtype=complex)
+    la, li = np.nonzero(left)
+    ri, rb = np.nonzero(right)
+    lval, rval = left[la, li], right[ri, rb]
+    count = np.bincount(ri, minlength=right.shape[0])
+    first = np.cumsum(count) - count  # row i of right is rb[first[i]:][:count[i]]
+    per = count[li]  # terms of each nonzero of left
+    ends = np.cumsum(per)
+    starts = ends - per
+    span = max(1, GATHER_BLOCK // d)  # rows of the result one chunk may reach
+    start = 0
+    while start < len(la):
+        stop = min(np.searchsorted(ends, starts[start] + GATHER_BLOCK, side="right"),
+                   np.searchsorted(la, la[start] + span))
+        stop = max(int(stop), start + 1)
+        owner = np.repeat(np.arange(start, stop), per[start:stop])
+        # term t of the chunk is term t + starts[start] - starts[owner] of its owner
+        pos = first[li[owner]] + np.arange(len(owner)) + (starts[start] - starts[owner])
+        a, i, b = la[owner], li[owner], rb[pos]
+        w = weight(f_left[a, i], f_right[i, b])
         if lam is not None:
-            w = w * (lam[nz, None] - 0.5 * (lam[a] + lam))
-        out[a] = row[nz] @ (right[nz] * w)
-    return out
+            w = w * (lam[i] - 0.5 * (lam[a] + lam[b]))
+        term = lval[owner] * (rval[pos] * w)
+        lo, hi = la[start] * d, (la[stop - 1] + 1) * d
+        at = a * d + b - lo
+        out.real[lo:hi] += np.bincount(at, term.real, hi - lo)
+        out.imag[lo:hi] += np.bincount(at, term.imag, hi - lo)
+        start = stop
+    return out.reshape(left.shape[0], d)
 
 
 def _rotate_superop(mat, v):
@@ -309,11 +333,12 @@ def _as_jump_list(jumps):
 def _check_jump_set(jumps, dim):
     """Validate shapes, ||A^dag A|| <= 1 and closure under the adjoint.
 
-    Returns each jump's (||A||_2, ||A^dag A||_2).  One SVD per jump gives
-    ||A^dag A||_2, and ||A||_2 is its square root.  The adjoint of A is
-    matched to a jump B when ||A^dag - B||_2 <= 1e-10 ||A||_2, decided by
-    :func:`operators.spectral_norm_exceeds`, so a clear match or mismatch
-    costs no SVD.
+    Returns each jump's (||A||_2, ||A^dag A||_2).  ||A^dag A||_2 is max |diag|
+    when A^dag A has no nonzero off-diagonal entry, as for Pauli and clock
+    jumps, and one SVD otherwise; ||A||_2 is its square root.  The adjoint
+    of A is matched to a jump B when ||A^dag - B||_2 <= 1e-10 ||A||_2,
+    decided by :func:`operators.spectral_norm_exceeds`, so a clear match or
+    mismatch costs no SVD.
     """
     for label, m in jumps:
         if m.shape != (dim, dim):
@@ -322,11 +347,16 @@ def _check_jump_set(jumps, dim):
             )
     norms = []
     for label, m in jumps:
-        aa = ops.operator_norm(m.conj().T @ m)
-        if aa > 1.0 + 1e-9:
+        adj = m.conj().T
+        aa_mat = adj @ m
+        diag = np.abs(np.diagonal(aa_mat))
+        if np.count_nonzero(aa_mat) == np.count_nonzero(diag):
+            aa = float(np.max(diag, initial=0.0))
+        else:
+            aa = ops.operator_norm(aa_mat)
+        if not aa <= 1.0 + 1e-9:
             raise JumpNotNormalized(f"jump {label!r} has ||A^dag A|| = {aa:.6f} > 1")
         norm = math.sqrt(aa)
-        adj = m.conj().T
         tol = 1e-10 * max(norm, 1e-300)
         if all(ops.spectral_norm_exceeds(adj - other, tol) for _, other in jumps):
             raise JumpSetNotClosed(

@@ -172,6 +172,27 @@ def _kron_superop(model, label):
     return mat
 
 
+def _row_loop_gathered_product(left, f_left, right, f_right, weight, lam=None):
+    """sum_i left[a, i] right[i, b] weight(f_left[a, i], f_right[i, b]),
+    each term times lam[i] - (lam[a] + lam[b]) / 2 when ``lam`` is given:
+    one row a at a time, over the i with left[a, i] != 0."""
+    out = np.zeros(right.shape, dtype=complex)
+    for a, row in enumerate(left):
+        nz = np.flatnonzero(row)
+        w = weight(f_left[a, nz][:, None], f_right[nz])
+        if lam is not None:
+            w = w * (lam[nz, None] - 0.5 * (lam[a] + lam))
+        out[a] = row[nz] @ (right[nz] * w)
+    return out
+
+
+@pytest.fixture
+def row_loop_gather():
+    """``row_loop_gather(left, f_left, right, f_right, weight, lam=None)``:
+    the row-loop oracle of ``lindblad._gathered_product``."""
+    return _row_loop_gathered_product
+
+
 @pytest.fixture
 def loop_lamb_once():
     """``loop_lamb_once(freqs, spec, corr, edges)``: the pair-loop oracle of
