@@ -235,8 +235,8 @@ def _resolve_bath(cfg):
         "beta": _optional(raw, "beta", float, "bath.", 1.0),
         "tau": _optional(raw, "tau", float, "bath.", 100.0),
         "lambda0": _optional(raw, "lambda0", float, "bath.", 1.0),
-        "davies": bool(raw.get("davies", False)),
-        "beta_infinite": bool(raw.get("beta_infinite", False)),
+        "davies": _optional(raw, "davies", bool, "bath.", False),
+        "beta_infinite": _optional(raw, "beta_infinite", bool, "bath.", False),
         "beta_cap": _optional(raw, "beta_cap", float, "bath.", 1e6),
     }
     if out["beta"] < 0:
@@ -276,7 +276,7 @@ def _resolve_hamiltonian(cfg):
         ising = raw["ising"]
         n = _require(ising, "n", int, "hamiltonian.ising.")
         h = _optional(ising, "h", float, "hamiltonian.ising.", 0.0)
-        periodic = bool(ising.get("periodic", True))
+        periodic = _optional(ising, "periodic", bool, "hamiltonian.ising.", True)
         j_scale = _optional(ising, "j_scale", float, "hamiltonian.ising.", 1.0)
         ham = build_ising_chain(n, h, periodic=periodic, j_scale=j_scale)
         echo = {"ising": {"n": n, "h": h, "periodic": periodic, "j_scale": j_scale}}
@@ -379,8 +379,9 @@ def _build_model(cfg, ham):
         davies=bath_cfg["davies"] or bath_cfg["beta_infinite"],
         beta_infinite=bath_cfg["beta_infinite"],
         beta_cap=bath_cfg["beta_cap"],
-        include_lamb_shift=cfg.get("include_lamb_shift"),
-        include_coherent=bool(cfg.get("include_coherent", False)),
+        include_lamb_shift=(None if cfg.get("include_lamb_shift") is None  # null: the default
+                            else _require(cfg, "include_lamb_shift", bool, "")),
+        include_coherent=_optional(cfg, "include_coherent", bool, "", False),
     )
 
 
@@ -469,10 +470,11 @@ def _scenario_descend(cfg, model, clock, echo, seed):
         epsilon=epsilon,
         norm_bound=norm_bound,
         max_steps=_positive(raw, "max_steps", int, "descent.", None),
-        noise=bool(raw.get("noise", False)),
+        noise=_optional(raw, "noise", bool, "descent.", False),
         seed=seed,
         record_stride=_positive(raw, "record_stride", int, "descent.", 1),
     )
+    ground_overlap = _optional(cfg, "report_ground_overlap", bool, "", True)
     echo["state"] = state_echo
     echo["descent"] = {
         "epsilon": dcfg.epsilon,
@@ -488,7 +490,7 @@ def _scenario_descend(cfg, model, clock, echo, seed):
     except MaxStepsExceeded as exc:
         trace, exhausted = exc.trace, exc
     extra = {"energy": model.energy(trace.terminal_state)}
-    if bool(cfg.get("report_ground_overlap", True)):
+    if ground_overlap:
         p_g = model.sd.ground_projector
         extra["ground_overlap"] = float(
             np.trace(p_g @ trace.terminal_state).real

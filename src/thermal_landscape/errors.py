@@ -53,6 +53,10 @@ class LambHermiticityDefect(NumericalGuard):
     pass
 
 
+class NonFiniteValue(NumericalGuard):
+    """A matrix or gradient that must be finite holds an infinity or a NaN."""
+
+
 class NegativeTime(ThermalLandscapeError):
     pass
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import operators as ops
-from .errors import DimensionMismatch, NotCommutingHamiltonian
+from .errors import DimensionMismatch, NonFiniteValue, NotCommutingHamiltonian
 from .hamiltonian import LocalHamiltonian, assemble
 from .lindblad import LindbladModel
 
@@ -133,11 +133,14 @@ def certify_local_min(model: LindbladModel, rho, epsilon) -> CertificateResult:
     """Apply the sufficient (strict <) and necessary (<=) conditions.
 
     Equality of ||grad_minus||_inf and epsilon within 1e-12 is genuinely
-    undecided by the two conditions and reported as inconclusive.
+    undecided by the two conditions and reported as inconclusive.  A
+    gradient that is NaN or infinite raises :class:`NonFiniteValue`.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     report = gradient_vector(model, rho)
+    if not np.all(np.isfinite(report.g)):
+        raise NonFiniteValue(f"gradient {report.g.tolist()} is not finite")
     value = report.inf_norm_minus
     if abs(value - epsilon) <= BOUNDARY_TOL:
         kind, witness = INCONCLUSIVE, None

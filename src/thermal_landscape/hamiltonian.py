@@ -1,6 +1,5 @@
 """Local Hamiltonians, grouped spectra, Bohr frequencies and Bohr blocks."""
 
-import bisect
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -39,11 +38,11 @@ class SpectralData:
     ``energies[g]``.  Group projectors are derived from V on demand
     (:meth:`group_projector`, :attr:`ground_projector`) rather than stored.
     ``bohr_freqs`` is the deduplicated, sorted set of energy differences,
-    closed under negation by construction; :attr:`bohr_pairs` files every
-    eigenvector pair under the Bohr frequency of its groups, once per
-    spectrum, for :func:`bohr_decompose`, and :attr:`bohr_map` holds the
-    same filing as a d x d index array, for the eigenbasis gathers of the
-    lindblad module.
+    closed under negation by construction; :attr:`bohr_map` files every
+    eigenvector pair under the Bohr frequency of its groups as a d x d index
+    array, once per spectrum, for :func:`bohr_decompose` and the eigenbasis
+    gathers of the lindblad module.  Matrices enter and leave the eigenbasis
+    through :meth:`to_eig` and :meth:`from_eig`.
     """
 
     energies: np.ndarray
@@ -84,31 +83,56 @@ class SpectralData:
         return int(k) if k.ndim == 0 else k
 
     @cached_property
-    def bohr_pairs(self):
-        """Eigenvector index pairs grouped by Bohr frequency.
-
-        A list of ``(k, rows, cols)``, k ascending over the Bohr indices that
-        some pair of groups reaches: (rows[q], cols[q]) runs over the
-        eigenvector pairs whose groups i, j have ``bohr_index(E_i - E_j) == k``.
-        Every pair appears exactly once.
-        """
+    def bohr_map(self):
+        """The d x d Bohr-index map F: F[i, j] = k for the eigenvector pair
+        (i, j) whose groups g, h have ``bohr_index(E_g - E_h) == k``."""
         group_index = self.bohr_index(self.energies[:, None] - self.energies[None, :])
         groups = np.repeat(np.arange(len(self.group_slices)),
                            [sl.stop - sl.start for sl in self.group_slices])
-        flat = group_index[groups[:, None], groups[None, :]].ravel()
-        order = np.argsort(flat, kind="stable")
-        keys, starts = np.unique(flat[order], return_index=True)
-        return [(k, *np.divmod(entries, len(groups)))
-                for k, entries in zip(keys.tolist(), np.split(order, starts[1:]))]
+        return group_index[groups[:, None], groups[None, :]]
 
     @cached_property
-    def bohr_map(self):
-        """The d x d Bohr-index map F of :attr:`bohr_pairs`: F[i, j] = k for
-        the eigenvector pair (i, j) filed under Bohr index k."""
-        dim = self.eigenvectors.shape[0]
-        out = np.empty((dim, dim), dtype=np.intp)
-        for k, rows, cols in self.bohr_pairs:
-            out[rows, cols] = k
+    def permutation(self):
+        """p with V[p[j], j] = 1 when V is a permutation matrix, else None.
+
+        V is unitary, so it is one exactly when it has d nonzero entries,
+        each exactly 1.0, as :func:`operators.herm_eig` returns for a
+        diagonal H.  Found once per spectrum in O(d^2)."""
+        v = self.eigenvectors
+        if np.count_nonzero(v) != v.shape[0]:
+            return None
+        rows, cols = np.nonzero(v)
+        if not np.all(v[rows, cols] == 1.0):
+            return None
+        p = np.empty(v.shape[0], dtype=np.intp)
+        p[cols] = rows
+        return p
+
+    def to_eig(self, x):
+        """V^dag x V over the last two axes of ``x``.
+
+        For a permutation V this is the gather x[..., p, p]; adding 0.0 turns
+        a -0.0 into the +0.0 that the product of the dense path yields, so
+        both paths give the same bytes for finite ``x``.
+        """
+        p = self.permutation
+        if p is None:
+            v = self.eigenvectors
+            return v.conj().T @ x @ v
+        out = x[..., p[:, None], p]
+        out += 0.0
+        return out
+
+    def from_eig(self, x, conj=False):
+        """V x V^dag over the last two axes of ``x``; conj(V) x V^T with
+        ``conj``.  For a permutation V, the scatter matching :meth:`to_eig`."""
+        p = self.permutation
+        if p is None:
+            v = self.eigenvectors
+            return v.conj() @ x @ v.T if conj else v @ x @ v.conj().T
+        out = np.empty_like(x)
+        out[..., p[:, None], p] = x
+        out += 0.0
         return out
 
 
@@ -142,8 +166,7 @@ class BohrBlocks:
         return zip(self.freqs, self.mats)
 
     def total(self):
-        v = self.sd.eigenvectors
-        return v @ self.eig @ v.conj().T
+        return self.sd.from_eig(self.eig)
 
 
 class _DenseBlocks(Sequence):
@@ -161,9 +184,7 @@ class _DenseBlocks(Sequence):
         k = int(blocks.freq_indices[p])
         mat = blocks._formed.get(k)
         if mat is None:
-            pairs = blocks.sd.bohr_pairs
-            # keys ascend; (k,) sorts just before the entry (k, rows, cols)
-            _, rows, cols = pairs[bisect.bisect_left(pairs, (k,))]
+            rows, cols = np.nonzero(blocks.sd.bohr_map == k)
             v = blocks.sd.eigenvectors
             block, r, c = _compact_block(blocks.eig, rows, cols, v.shape[0])
             mat = blocks._formed[k] = v[:, r] @ block @ np.ascontiguousarray(v[:, c].conj().T)
@@ -297,14 +318,16 @@ def bohr_decompose(a_mat, sd: SpectralData, label: str = "", drop_factor=1e-12,
     result stores A~ with the dropped blocks zeroed and forms no A_nu.
 
     A block is kept when ||A_nu||_2 > drop_factor * ||A||_2.  The spectral
-    norm is unitarily invariant, so it is that of the masked A~, which
-    :func:`operators.spectral_norm_exceeds` decides from the Frobenius norm
-    unless that lands in the band where only an SVD can tell.  ``norm`` is
-    ||A||_2 when the caller has it already.
+    norm is unitarily invariant, so it is that of the masked A~, and it lies
+    between ||A_nu||_F / sqrt(d) and ||A_nu||_F.  Every block's Frobenius
+    norm is one ``np.bincount`` of |A~|^2 over the Bohr map F; it decides
+    each block outside the band that :func:`operators.spectral_norm_exceeds`
+    widens by ``NORM_BAND_SLACK``, and only a block inside it is decided by
+    that function on its compact entries.  ``norm`` is ||A||_2 when the
+    caller has it already.
     """
     a_mat = np.asarray(a_mat, dtype=complex)
-    v = sd.eigenvectors
-    dim = v.shape[0]
+    dim = sd.eigenvectors.shape[0]
     if a_mat.shape != (dim, dim):
         raise DimensionMismatch(
             f"operator shape {a_mat.shape} does not match dimension {dim}"
@@ -312,17 +335,20 @@ def bohr_decompose(a_mat, sd: SpectralData, label: str = "", drop_factor=1e-12,
     if norm is None:
         norm = ops.operator_norm(a_mat)
     cutoff = drop_factor * max(norm, 1e-300)
-    a_eig = v.conj().T @ a_mat @ v
-    kept = []
-    for k, rows, cols in sd.bohr_pairs:
-        if ops.spectral_norm_exceeds(_compact_block(a_eig, rows, cols, dim)[0], cutoff):
-            kept.append(k)
-        else:
-            a_eig[rows, cols] = 0.0
+    a_eig = sd.to_eig(a_mat)
+    f = sd.bohr_map
+    fro = np.sqrt(np.bincount(f.ravel(), (a_eig.real**2 + a_eig.imag**2).ravel(),
+                              len(sd.bohr_freqs)))
+    keep = fro > math.sqrt(dim) * cutoff * (1.0 + ops.NORM_BAND_SLACK)
+    for k in np.flatnonzero(~keep & (fro > cutoff * (1.0 - ops.NORM_BAND_SLACK))).tolist():
+        rows, cols = np.nonzero(f == k)
+        keep[k] = ops.spectral_norm_exceeds(_compact_block(a_eig, rows, cols, dim)[0], cutoff)
+    a_eig[~keep[f]] = 0.0
     a_eig.flags.writeable = False
+    kept = np.flatnonzero(keep)
     return BohrBlocks(
         label=label,
-        freq_indices=np.array(kept, dtype=int),
+        freq_indices=kept.astype(int),
         freqs=sd.bohr_freqs[kept],
         eig=a_eig,
         sd=sd,

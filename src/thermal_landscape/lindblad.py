@@ -185,8 +185,7 @@ class LindbladModel:
 
     def _from_eig(self, mat):
         """V mat V^dag."""
-        v = self.sd.eigenvectors
-        return v @ mat @ v.conj().T
+        return self.sd.from_eig(mat)
 
     def _decay_eig(self, a_eig):
         """G in the eigenbasis: G~[a, b] = sum_i conj(A~[i, a]) A~[i, b]
@@ -196,8 +195,7 @@ class LindbladModel:
 
     def _lamb_eig(self, label):
         """V^dag H_LS,a V: the Lamb shift of jump ``label`` in the eigenbasis."""
-        v = self.sd.eigenvectors
-        return v.conj().T @ lamb_shift_operator(self, label) @ v
+        return self.sd.to_eig(lamb_shift_operator(self, label))
 
     def _gradient_eig(self, label):
         """L^dag_a[H] in the eigenbasis, before Hermitization.
@@ -252,7 +250,6 @@ class LindbladModel:
         """
         if label not in self._superops:
             d = self.dim
-            v = self.sd.eigenvectors
             f = self.sd.bohr_map
             a_eig = self._jump_eig(self.jump(label))
             jump_part = (self._pair_weight(f[None, :, None, :], f[:, None, :, None])
@@ -263,7 +260,7 @@ class LindbladModel:
             eye = np.eye(d)
             mat = (jump_part.reshape(d * d, d * d) + np.kron(m_eig, eye)
                    + np.kron(eye, m_eig.conj()))
-            self._superops[label] = _rotate_superop(mat, v)
+            self._superops[label] = _rotate_superop(mat, self.sd)
         return self._superops[label]
 
 
@@ -310,17 +307,19 @@ def _gathered_product(left, f_left, right, f_right, weight, lam=None):
     return out.reshape(left.shape[0], d)
 
 
-def _rotate_superop(mat, v):
-    """(V (x) conj(V)) mat (V (x) conj(V))^dag for a d^2 x d^2 ``mat``.
+def _rotate_superop(mat, sd):
+    """(V (x) conj(V)) mat (V (x) conj(V))^dag for a d^2 x d^2 ``mat``, V
+    the eigenbasis of ``sd``.
 
     Column c of ``mat``, read as a d x d matrix X_c over (i, j), becomes
     V X_c V^dag; then row r, read as Y_r over (k, l), becomes
-    conj(V) Y_r V^T.  Each is a batch of d^2 products of d x d matrices.
+    conj(V) Y_r V^T.  Each is one :meth:`SpectralData.from_eig` of a stack
+    of d^2 matrices.
     """
-    d = v.shape[0]
+    d = sd.eigenvectors.shape[0]
     cols = mat.reshape(d, d, d * d).transpose(2, 0, 1)
-    rows = (v @ cols @ v.conj().T).reshape(d * d, d * d).T
-    return (v.conj() @ rows.reshape(d * d, d, d) @ v.T).reshape(d * d, d * d)
+    rows = sd.from_eig(cols).reshape(d * d, d * d).T
+    return sd.from_eig(rows.reshape(d * d, d, d), conj=True).reshape(d * d, d * d)
 
 
 def _as_jump_list(jumps):
@@ -333,12 +332,15 @@ def _as_jump_list(jumps):
 def _check_jump_set(jumps, dim):
     """Validate shapes, ||A^dag A|| <= 1 and closure under the adjoint.
 
-    Returns each jump's (||A||_2, ||A^dag A||_2).  ||A^dag A||_2 is max |diag|
-    when A^dag A has no nonzero off-diagonal entry, as for Pauli and clock
-    jumps, and one SVD otherwise; ||A||_2 is its square root.  The adjoint
-    of A is matched to a jump B when ||A^dag - B||_2 <= 1e-10 ||A||_2,
-    decided by :func:`operators.spectral_norm_exceeds`, so a clear match or
-    mismatch costs no SVD.
+    Returns each jump's (||A||_2, ||A^dag A||_2).  When every row of A has
+    at most one nonzero, as for Pauli, clock and sigma+- jumps, A^dag A is
+    diagonal with the squared column norms of A on its diagonal, and
+    ||A^dag A||_2 is their maximum, with no product formed; otherwise it is
+    one SVD of A^dag A.  ||A||_2 is its square root.  The adjoint of A is
+    matched to a jump B when ||A^dag - B||_2 <= 1e-10 ||A||_2, decided by
+    :func:`operators.spectral_norm_exceeds`, so a clear match or mismatch
+    costs no SVD; A itself is tried first, so a self-adjoint jump costs one
+    Frobenius norm.
     """
     for label, m in jumps:
         if m.shape != (dim, dim):
@@ -348,17 +350,16 @@ def _check_jump_set(jumps, dim):
     norms = []
     for label, m in jumps:
         adj = m.conj().T
-        aa_mat = adj @ m
-        diag = np.abs(np.diagonal(aa_mat))
-        if np.count_nonzero(aa_mat) == np.count_nonzero(diag):
-            aa = float(np.max(diag, initial=0.0))
+        if np.count_nonzero(m, axis=1).max(initial=0) <= 1:
+            aa = float(np.max((m.real**2 + m.imag**2).sum(axis=0), initial=0.0))
         else:
-            aa = ops.operator_norm(aa_mat)
+            aa = ops.operator_norm(adj @ m)
         if not aa <= 1.0 + 1e-9:
             raise JumpNotNormalized(f"jump {label!r} has ||A^dag A|| = {aa:.6f} > 1")
         norm = math.sqrt(aa)
         tol = 1e-10 * max(norm, 1e-300)
-        if all(ops.spectral_norm_exceeds(adj - other, tol) for _, other in jumps):
+        candidates = [m] + [other for _, other in jumps if other is not m]
+        if all(ops.spectral_norm_exceeds(adj - other, tol) for other in candidates):
             raise JumpSetNotClosed(
                 f"adjoint of jump {label!r} is missing from the jump set"
             )
@@ -762,10 +763,8 @@ class ZeroFrequencySector:
     """
 
     def __init__(self, model: LindbladModel):
-        sd = model.sd
+        sd = self._sd = model.sd
         d = self.dim = model.dim
-        self._v = sd.eigenvectors
-        self._vdag = self._v.conj().T
         groups = [range(sl.start, sl.stop) for sl in sd.group_slices]
         pairs = [(i, j) for g in groups for i in g for j in g if i < j]
         pos = {(i, i): i for i in range(d)}
@@ -798,8 +797,9 @@ class ZeroFrequencySector:
         the sector or fails the real-form check."""
         # E_q = V |r_q><c_q| V^dag spans the sector; column q of a complex
         # generator holds the complex coordinates of its image of E_q
-        basis = (self._v[:, self._rows].T[:, :, np.newaxis]
-                 * self._vdag[self._cols][:, np.newaxis, :])
+        v = self._sd.eigenvectors
+        basis = (v[:, self._rows].T[:, :, np.newaxis]
+                 * v.conj().T[self._cols][:, np.newaxis, :])
         h = model.ham.dense
         out = []
         for jump in model.jumps:
@@ -853,7 +853,7 @@ class ZeroFrequencySector:
     def _project(self, images):
         """Complex sector matrix of a stack of images L[E_q]; None if any
         leaves the sector."""
-        full = self._vdag @ images @ self._v
+        full = self._sd.to_eig(images)
         gen = np.ascontiguousarray(full[:, self._rows, self._cols].T)
         full[:, self._rows, self._cols] = 0.0
         leak = float(np.max(np.linalg.norm(full, axis=(1, 2)), initial=0.0))
@@ -865,7 +865,7 @@ class ZeroFrequencySector:
         """Sector coordinates of ``rho``, or None when it lies outside: when
         its Frobenius distance from the Hermitian block-diagonal matrices
         exceeds ``SECTOR_TOL``."""
-        t = self._vdag @ np.asarray(rho, dtype=complex) @ self._v
+        t = self._sd.to_eig(np.asarray(rho, dtype=complex))
         c = t[self._rows, self._cols]
         t[self._rows, self._cols] = 0.0
         x = self._right_q(c.conj()).real
@@ -878,12 +878,12 @@ class ZeroFrequencySector:
         """The density matrix with sector coordinates ``x``."""
         t = np.zeros((self.dim, self.dim), dtype=complex)
         t[self._rows, self._cols] = self._left_q(x)
-        rho = self._v @ t @ self._vdag
+        rho = self._sd.from_eig(t)
         return 0.5 * (rho + rho.conj().T)
 
     def row(self, op):
         """Row vector r with r @ x = Re Tr(op rho) for states in the sector."""
-        c = (self._vdag @ np.asarray(op, dtype=complex) @ self._v)[self._cols, self._rows]
+        c = self._sd.to_eig(np.asarray(op, dtype=complex))[self._cols, self._rows]
         return self._right_q(c).real
 
     def evolve(self, x, index, s):

@@ -13,6 +13,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     InvalidDensityMatrix,
+    NonFiniteValue,
     NonRealExpectation,
     NotHermitian,
     SiteOutOfRange,
@@ -124,20 +125,32 @@ def herm_eig(m, tol_herm=None):
     """Eigendecomposition of a Hermitian matrix.
 
     Returns ``(w, V)`` with eigenvalues ascending and columns of ``V``
-    phase-fixed so the largest-magnitude component is real positive.
+    phase-fixed so the largest-magnitude component is real positive; for a
+    diagonal ``m`` that makes V a permutation matrix.  The defect
+    ||m - m^dag||_2 is checked against ``tol_herm`` (default 1e-10 ||m||_2)
+    only when m - m^dag has a nonzero entry: an exactly Hermitian ``m``
+    costs no SVD.  An input or Hermitian part that is not finite raises
+    :class:`NonFiniteValue`.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
-    scale = operator_norm(m)
-    if tol_herm is None:
-        tol_herm = 1e-10 * scale
-    if hermiticity_defect(m) > max(tol_herm, 1e-300):
-        raise NotHermitian(
-            f"matrix is not Hermitian within {tol_herm:.3e} "
-            f"(defect {hermiticity_defect(m):.3e})"
-        )
-    w, v = np.linalg.eigh(0.5 * (m + dagger(m)))
+    if not np.all(np.isfinite(m)):
+        raise NonFiniteValue("matrix has a non-finite entry")
+    skew = m - dagger(m)
+    if np.any(skew):
+        if tol_herm is None:
+            tol_herm = 1e-10 * operator_norm(m)
+        defect = operator_norm(skew) if np.all(np.isfinite(skew)) else math.inf
+        if defect > max(tol_herm, 1e-300):
+            raise NotHermitian(
+                f"matrix is not Hermitian within {tol_herm:.3e} (defect {defect:.3e})"
+            )
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        herm = 0.5 * (m + dagger(m))
+    if not np.all(np.isfinite(herm)):
+        raise NonFiniteValue("the Hermitian part of the matrix overflows")
+    w, v = np.linalg.eigh(herm)
     # deterministic phase: largest-magnitude component real positive
     idx = np.argmax(np.abs(v), axis=0)
     phases = v[idx, np.arange(v.shape[1])]

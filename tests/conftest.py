@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import thermal_landscape as tl
-from thermal_landscape import bath, lindblad
+from thermal_landscape import bath, hamiltonian, lindblad
+from thermal_landscape import operators as ops
 from thermal_landscape.bath import BathSpec
 from thermal_landscape.lindblad import PAIR_DROP
 
@@ -45,6 +46,36 @@ def group_projectors():
 def sandwich_bohr_blocks():
     """``sandwich_bohr_blocks(a_mat, sd)``: the projector-sandwich oracle."""
     return _sandwich_bohr_blocks
+
+
+def _loop_bohr_decompose(a_mat, sd, drop_factor=1e-12, norm=None):
+    """The drop rule of ``bohr_decompose`` as one pass over the Bohr blocks:
+    A~ = V^dag A V by two dense products, then each Bohr index k that the
+    Bohr map F reaches, ascending, decided by ``spectral_norm_exceeds`` on
+    the compact entries of its pairs F == k and zeroed when dropped.
+    Returns (kept Bohr indices, A~)."""
+    a_mat = np.asarray(a_mat, dtype=complex)
+    v = sd.eigenvectors
+    if norm is None:
+        norm = ops.operator_norm(a_mat)
+    cutoff = drop_factor * max(norm, 1e-300)
+    a_eig = v.conj().T @ a_mat @ v
+    kept = []
+    for k in np.unique(sd.bohr_map).tolist():
+        rows, cols = np.nonzero(sd.bohr_map == k)
+        block = hamiltonian._compact_block(a_eig, rows, cols, v.shape[0])[0]
+        if ops.spectral_norm_exceeds(block, cutoff):
+            kept.append(k)
+        else:
+            a_eig[rows, cols] = 0.0
+    return np.array(kept, dtype=int), a_eig
+
+
+@pytest.fixture
+def loop_bohr_decompose():
+    """``loop_bohr_decompose(a_mat, sd, drop_factor=1e-12, norm=None)``: the
+    per-block oracle of the drop rule in ``hamiltonian.bohr_decompose``."""
+    return _loop_bohr_decompose
 
 
 def _loop_lamb_once(freqs, spec, corr, edges):
@@ -218,6 +249,13 @@ def _generic_pauli_chain(n, seed):
     dense = sum(c * tl.kron_embed(op, sites, n) for c, (op, sites) in zip(coeffs, local))
     coeffs = coeffs / np.linalg.norm(dense, 2)
     return tl.assemble([(c * op, sites) for c, (op, sites) in zip(coeffs, local)], n)
+
+
+@pytest.fixture
+def generic_pauli_chain():
+    """``generic_pauli_chain(n, seed)``: every 1- and 2-local Pauli on a
+    chain with Gaussian coefficients, scaled to ||H|| = 1."""
+    return _generic_pauli_chain
 
 
 def _oracle_system(name):

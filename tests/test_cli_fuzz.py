@@ -107,3 +107,40 @@ def test_malformed_field_exits_2_naming_it(name, path, value, field):
     assert code == 2, err
     assert "Traceback" not in err
     assert json.loads(err.strip().splitlines()[-1])["error"]["field"] == field
+
+
+@pytest.mark.parametrize("name, path", [
+    ("qubit_certify", ("bath", "davies")),
+    ("qubit_certify", ("bath", "beta_infinite")),
+    ("qubit_certify", ("include_coherent",)),
+    ("qubit_descend", ("descent", "noise")),
+    ("qubit_descend", ("report_ground_overlap",)),
+    ("ising_landscape_h0", ("hamiltonian", "ising", "periodic")),
+])
+@pytest.mark.parametrize("value", ["x", None, 1, []], ids=["str", "null", "int", "list"])
+def test_non_boolean_flag_exits_2_naming_it(name, path, value, monkeypatch):
+    cfg = json.loads((REPO / "scripts" / "configs" / f"{name}.json").read_text())
+    monkeypatch.setitem(SCENARIOS, name, cfg["scenario"])
+    code, err = _run(name, _set_leaf(cfg, path, value))
+    assert code == 2, err
+    assert "Traceback" not in err
+    assert json.loads(err.strip().splitlines()[-1])["error"]["field"] == ".".join(path)
+
+
+@pytest.mark.parametrize("value, code", [("x", 2), (1, 2), ([], 2), (None, 0), (True, 0)])
+def test_lamb_shift_flag_is_a_boolean_or_null(value, code):
+    cfg = _set_leaf(CONFIGS["qubit_certify"], ("bath", "davies"), False)
+    got, err = _run("qubit_certify", _set_leaf(cfg, ("include_lamb_shift",), value))
+    assert got == code, err
+    if code == 2:
+        assert json.loads(err.strip().splitlines()[-1])["error"]["field"] == "include_lamb_shift"
+
+
+def test_overflowing_hamiltonian_exits_3():
+    cfg = _set_leaf(CONFIGS["qubit_certify"], ("hamiltonian", "terms", 0, "coeff"), 1e308)
+    code, err = _run("qubit_certify", cfg)
+    assert code == 3, err
+    assert "Traceback" not in err
+    record = json.loads(err.strip().splitlines()[-1])["error"]
+    assert record["field"] == "numerical_guard"
+    assert record["message"].startswith("NonFiniteValue")
