@@ -55,7 +55,7 @@ def gradient_operator(model: LindbladModel, label):
     observable.
     """
     if label not in model._gradient_ops:
-        op = model._from_eig(model._gradient_eig(label))
+        op = model.sd.from_eig(model._gradient_eig(label))
         op += op.conj().T
         op *= 0.5
         model._gradient_ops[label] = op

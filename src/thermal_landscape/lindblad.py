@@ -6,20 +6,25 @@ weights C(nu', nu); the operator structure is exact and only the kernel
 values carry quadrature error.  The Davies (tau -> infinity) limit keeps
 the diagonal weights gamma(nu) only.
 
-The decay operator G, the Lamb shift H_LS and the dense superoperator are
-gathered in the eigenbasis V of H: from A~ = V^dag A V, masked to the
-jump's kept Bohr blocks as set-up stores it, the Bohr-index map F of the spectrum and the
-kernel table indexed by F, one expression per operator covers every pair
-of Bohr blocks at once.  A Davies model takes diag(gamma(nu)) as its
-table, so both share that code.
+Everything is gathered in the eigenbasis V of H: from A~ = V^dag A V,
+masked to the jump's kept Bohr blocks as set-up stores it, the Bohr-index
+map F of the spectrum and the kernel table indexed by F, one expression per
+operator covers every pair of Bohr blocks at once.  A Davies model takes
+diag(gamma(nu)) as its table, so both share that code.  Each jump has one
+sparse eigenbasis dissipator D~_a (:meth:`LindbladModel._dissipator_eig`);
+the dissipator and its adjoint, the generator, the dense superoperator,
+the omega = 0 sector and the evolution above ``SUPEROP_MAX_DIM`` all read
+it, adding the Lamb and coherent commutators where they need them.
 """
 
 import logging
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
+from types import SimpleNamespace
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.linalg.lapack import zpotrf as _zpotrf
 
 from . import bath as bath_mod
@@ -59,30 +64,6 @@ class Jump:
     matrix: np.ndarray
     blocks: object
     aa_norm: float
-
-
-@dataclass
-class _Dissipator:
-    """Per-jump pair data: D[rho] = sum_p c_p A_p rho B_p^dag - 1/2 {G, rho}."""
-
-    coeffs: np.ndarray
-    rights: list  # A_nu
-    lefts_dag: list  # A_nu'^dag
-    decay: np.ndarray  # G = sum_p c_p A_nu'^dag A_nu
-
-    def apply(self, rho):
-        out = np.zeros_like(rho)
-        for c, a_r, b_d in zip(self.coeffs, self.rights, self.lefts_dag):
-            out += c * (a_r @ rho @ b_d)
-        out -= 0.5 * (self.decay @ rho + rho @ self.decay)
-        return out
-
-    def apply_adjoint(self, obs):
-        out = np.zeros_like(obs)
-        for c, a_r, b_d in zip(self.coeffs, self.rights, self.lefts_dag):
-            out += c * (b_d @ obs @ a_r)
-        out -= 0.5 * (self.decay @ obs + obs @ self.decay)
-        return out
 
 
 @dataclass
@@ -183,10 +164,6 @@ class LindbladModel:
         of the blocks A_nu, in the eigenbasis V, as set-up stored it."""
         return jump.blocks.eig
 
-    def _from_eig(self, mat):
-        """V mat V^dag."""
-        return self.sd.from_eig(mat)
-
     def _decay_eig(self, a_eig):
         """G in the eigenbasis: G~[a, b] = sum_i conj(A~[i, a]) A~[i, b]
         C'[F[i, a], F[i, b]], which is sum C(nu', nu) A_nu'^dag A_nu."""
@@ -219,48 +196,53 @@ class LindbladModel:
             out += 1j * (lam - lam[:, None]) * self._lamb_eig(label)
         return out
 
-    def _dissipator(self, label) -> _Dissipator:
+    def _dissipator_eig(self, label):
+        """D~_a: the dissipator of jump ``label`` in the eigenbasis, CSR over
+        row-major vec, row (i, j) and column (k, l).  With A~ of
+        :meth:`_jump_eig`, F the Bohr-index map, C' of :meth:`_pair_weight`
+        and G~ of :meth:`_decay_eig` (Hermitian, so conj(G~) = G~^T),
+
+            D~[(i, j), (k, l)] = C'[F[j, l], F[i, k]] A~[i, k] conj(A~[j, l])
+                                 - (G~[i, k] delta_jl + delta_ik conj(G~[j, l])) / 2,
+
+        which is sum C(nu', nu) A_nu (.) A_nu'^dag - {G, .}/2 there.  The
+        jump part pairs every two nonzeros of A~, ``GATHER_BLOCK`` pairs at a
+        time, and keeps those of nonzero weight (for a Davies model, F[i, k]
+        = F[j, l]); the decay part is :func:`_kron_terms` of -G~/2.
+        """
         if label not in self._dissipators:
-            jump = self.jump(label)
-            indices = jump.blocks.freq_indices
-            weights = self._pair_weight(indices[:, None], indices[None, :])
-            lefts, rights = np.nonzero(weights)
-            mats = list(jump.blocks.mats)  # each block formed once
-            daggers = [mat.conj().T for mat in mats]
-            self._dissipators[label] = _Dissipator(
-                coeffs=weights[lefts, rights].astype(complex),
-                rights=[mats[q] for q in rights.tolist()],
-                lefts_dag=[daggers[p] for p in lefts.tolist()],
-                decay=self._from_eig(self._decay_eig(self._jump_eig(jump))),
-            )
+            d = self.dim
+            a_eig = self._jump_eig(self.jump(label))
+            row, col = np.nonzero(a_eig)
+            vals, freq = a_eig[row, col], self.sd.bohr_map[row, col]
+            terms = [_kron_terms(-0.5 * self._decay_eig(a_eig))]
+            step = max(1, GATHER_BLOCK // max(len(vals), 1))
+            for start in range(0, len(vals), step):
+                ik = slice(start, start + step)  # these nonzeros (i, k), paired with every (j, l)
+                w = self._pair_weight(freq[None, :], freq[ik, None])
+                keep = w != 0
+                terms.append(((row[ik, None] * d + row)[keep], (col[ik, None] * d + col)[keep],
+                              (w * vals[ik, None] * vals.conj())[keep]))
+            self._dissipators[label] = _csr(terms, d)
         return self._dissipators[label]
 
+    def _dissipator(self, label):
+        """D_a of jump ``label``, its ``apply`` and ``apply_adjoint`` read
+        through D~_a."""
+        mat = self._dissipator_eig(label)
+        return SimpleNamespace(apply=partial(_apply_eig, self.sd, mat),
+                               apply_adjoint=partial(_apply_eig, self.sd, mat, adjoint=True))
+
     def _superop(self, label):
-        """Dense superoperator of L_a (row-major vec) for small dimensions.
-
-        It is gathered in the eigenbasis V.  With A~ the masked V^dag A V of
-        :meth:`_jump_eig`, F the Bohr-index map and M~ = -G~/2 - i H~_LS,
-
-            S~[(i, j), (k, l)] = C'[F[j, l], F[i, k]] A~[i, k] conj(A~[j, l])
-                                 + M~[i, k] delta_jl + delta_ik conj(M~[j, l]),
-
-        which is sum C(nu', nu) A_nu (.) A_nu'^dag + M (.) + (.) M^dag there.
-        The result is (V (x) conj(V)) S~ (V (x) conj(V))^dag, formed by
-        :func:`_rotate_superop` in O(d^5).
-        """
+        """Dense superoperator of L_a (row-major vec) for small dimensions:
+        L~_a of :func:`_eig_generator` densified and rotated out of the
+        eigenbasis by :func:`_rotate_superop`, in O(d^5)."""
         if label not in self._superops:
-            d = self.dim
-            f = self.sd.bohr_map
-            a_eig = self._jump_eig(self.jump(label))
-            jump_part = (self._pair_weight(f[None, :, None, :], f[:, None, :, None])
-                         * a_eig[:, None, :, None] * a_eig.conj()[None, :, None, :])
-            m_eig = -0.5 * self._decay_eig(a_eig)
-            if self.include_lamb_shift:
-                m_eig -= 1j * self._lamb_eig(label)
-            eye = np.eye(d)
-            mat = (jump_part.reshape(d * d, d * d) + np.kron(m_eig, eye)
-                   + np.kron(eye, m_eig.conj()))
-            self._superops[label] = _rotate_superop(mat, self.sd)
+            held = label in self._dissipators
+            gen = _eig_generator(self, weight_vector(self, label=label), False)
+            self._superops[label] = _rotate_superop(gen.toarray(), self.sd)
+            if not held:  # the superoperator holds D~_a now
+                del self._dissipators[label]
         return self._superops[label]
 
 
@@ -305,6 +287,65 @@ def _gathered_product(left, f_left, right, f_right, weight, lam=None):
         out.imag[lo:hi] += np.bincount(at, term.imag, hi - lo)
         start = stop
     return out.reshape(left.shape[0], d)
+
+
+def _eig_generator(model: LindbladModel, w, include_coherent):
+    """sum_a w_a L~_a in the eigenbasis, plus -i[Lambda, .] when coherent
+    (Lambda = diag(lambda) is H there), CSR over row-major vec: L~_a is D~_a
+    plus :func:`_kron_terms` of M~ = -i H~_LS,a (:meth:`LindbladModel._lamb_eig`),
+    every M~ summed first.  One unit-weight jump without either is D~_a."""
+    d = model.dim
+    parts = []
+    m_eig = np.zeros((d, d), dtype=complex)
+    for wa, jump in zip(w, model.jumps):
+        if wa == 0.0:
+            continue
+        dis = model._dissipator_eig(jump.label)
+        parts.append(dis if wa == 1.0 else dis * float(wa))
+        if model.include_lamb_shift:
+            m_eig -= (1j * wa) * model._lamb_eig(jump.label)
+    if include_coherent:
+        m_eig[np.diag_indices(d)] -= 1j * model.sd.eigenvalues
+    if m_eig.any() or not parts:
+        parts.append(_csr([_kron_terms(m_eig)], d))
+    return sum(parts[1:], start=parts[0])
+
+
+def _kron_terms(m_eig):
+    """(rows, cols, values) of M (x) I + I (x) conj(M), which is X -> M X +
+    X M^dag on row-major vec: ((i, j), (k, j)) and ((j, i), (j, k)) for
+    each nonzero M[i, k]."""
+    d = len(m_eig)
+    i, k = np.nonzero(m_eig)
+    j = np.arange(d)[:, None]
+    vals = np.broadcast_to(m_eig[i, k], (d, len(i)))
+    return (np.concatenate(((i * d + j).ravel(), (j * d + i).ravel())),
+            np.concatenate(((k * d + j).ravel(), (j * d + k).ravel())),
+            np.concatenate((vals.ravel(), vals.conj().ravel())))
+
+
+def _csr(terms, d):
+    """The d^2 x d^2 CSR matrix of a list of (rows, cols, values), entries
+    at one position summed."""
+    rows, cols, vals = (np.concatenate(part) for part in zip(*terms))
+    return sp.csr_array((vals, (rows, cols)), shape=(d * d, d * d))
+
+
+def _square(x, d):
+    """``x`` as a complex array, which must be d x d."""
+    x = np.asarray(x, dtype=complex)
+    if x.shape != (d, d):
+        raise DimensionMismatch(f"shape {x.shape} does not match dimension {d}")
+    return x
+
+
+def _apply_eig(sd, mat, x, adjoint=False):
+    """V X~ V^dag with vec(X~) = mat vec(V^dag x V) (mat^dag with ``adjoint``),
+    for a d^2 x d^2 eigenbasis ``mat``; ``x`` must be d x d."""
+    d = sd.eigenvectors.shape[0]
+    vec = sd.to_eig(_square(x, d)).reshape(-1)
+    out = mat.T.dot(vec.conj()).conj() if adjoint else mat.dot(vec)
+    return sd.from_eig(out.reshape(d, d))
 
 
 def _rotate_superop(mat, sd):
@@ -463,27 +504,18 @@ def weight_vector(model: LindbladModel, values=None, label=None) -> np.ndarray:
 
 
 def dissipative_adjoint(model: LindbladModel, label, obs):
-    """Heisenberg-picture dissipative part D^dag_a[obs] at finite (beta, tau)."""
-    if model.davies:
-        raise ValueError("model is in the Davies limit; use davies_adjoint")
-    obs = np.asarray(obs, dtype=complex)
-    out = model._dissipator(label).apply_adjoint(obs)
+    """Heisenberg-picture dissipative part D^dag_a[obs], Hermitized: D~_a^dag
+    in the eigenbasis, for finite (beta, tau) and Davies models alike."""
+    out = _apply_eig(model.sd, model._dissipator_eig(label), obs, adjoint=True)
     return 0.5 * (out + out.conj().T)
 
 
 def davies_adjoint(model: LindbladModel, label, obs):
-    """Exact Davies-limit D^dag_a[obs] using gamma at exact Bohr frequencies."""
-    jump = model.jump(label)
-    obs = np.asarray(obs, dtype=complex)
-    weights = model.davies_gamma(jump.blocks.freqs)
-    out = np.zeros_like(obs)
-    decay = np.zeros_like(obs)
-    for w, mat in zip(weights, jump.blocks.mats):
-        md = mat.conj().T
-        out += w * (md @ obs @ mat)
-        decay += w * (md @ mat)
-    out -= 0.5 * (decay @ obs + obs @ decay)
-    return 0.5 * (out + out.conj().T)
+    """Exact Davies-limit D^dag_a[obs] using gamma at exact Bohr frequencies:
+    :func:`dissipative_adjoint` of a Davies model, which it requires."""
+    if not model.davies:
+        raise ValueError("model is not in the Davies limit; use dissipative_adjoint")
+    return dissipative_adjoint(model, label, obs)
 
 
 def lamb_shift_operator(model: LindbladModel, label):
@@ -513,50 +545,26 @@ def lamb_shift_operator(model: LindbladModel, label):
                 f"Lamb shift of jump {label!r} has Hermiticity defect "
                 f"{defect:.3e} > {bound:.3e}"
             )
-        h_ls = model._from_eig(raw)
+        h_ls = model.sd.from_eig(raw)
         model._lamb_ops[label] = 0.5 * (h_ls + h_ls.conj().T)
     return model._lamb_ops[label]
 
 
-def _lindblad_apply(model: LindbladModel, label, rho):
-    """Schroedinger-picture L_a[rho] (dissipator plus Lamb commutator)."""
-    out = model._dissipator(label).apply(rho)
-    if model.include_lamb_shift:
-        h_ls = lamb_shift_operator(model, label)
-        out += -1j * (h_ls @ rho - rho @ h_ls)
-    return out
-
-
 def lindblad_adjoint(model: LindbladModel, label, obs):
-    """Full energy-gradient-style adjoint L^dag_a[obs]."""
-    if model.davies:
-        return davies_adjoint(model, label, obs)
-    out = model._dissipator(label).apply_adjoint(obs)
-    if model.include_lamb_shift:
-        h_ls = lamb_shift_operator(model, label)
-        out += 1j * (h_ls @ obs - obs @ h_ls)
+    """Full energy-gradient-style adjoint L^dag_a[obs], Lamb commutator
+    included, Hermitized: L~_a^dag in the eigenbasis."""
+    gen = _eig_generator(model, weight_vector(model, label=label), False)
+    out = _apply_eig(model.sd, gen, obs, adjoint=True)
     return 0.5 * (out + out.conj().T)
 
 
 def generator_apply(model: LindbladModel, w, rho, include_coherent=_coherent_sentinel):
-    """d rho / dt under sum_a w_a L_a (plus -i[H, rho] when coherent)."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (model.dim, model.dim):
-        raise DimensionMismatch(
-            f"state shape {rho.shape} does not match dimension {model.dim}"
-        )
+    """d rho / dt under sum_a w_a L_a (plus -i[H, rho] when coherent), read
+    through :func:`_eig_generator`."""
     w = weight_vector(model, w)
     if include_coherent is _coherent_sentinel:
         include_coherent = model.include_coherent
-    out = np.zeros_like(rho)
-    for wa, jump in zip(w, model.jumps):
-        if wa == 0.0:
-            continue
-        out += wa * _lindblad_apply(model, jump.label, rho)
-    if include_coherent:
-        h = model.ham.dense
-        out += -1j * (h @ rho - rho @ h)
-    return out
+    return _apply_eig(model.sd, _eig_generator(model, w, include_coherent), rho)
 
 
 def _generator_norm_bound(model: LindbladModel, w, include_coherent):
@@ -575,8 +583,10 @@ def evolve(model: LindbladModel, w, rho, s, include_coherent=_coherent_sentinel,
     re-Hermitized and trace-renormalized; a Hermiticity/trace defect above
     1e-7 raises :class:`EvolutionDefect` and a minimum eigenvalue below
     -1e-6 raises :class:`PositivityDefect`.  Up to ``SUPEROP_MAX_DIM`` the
-    step itself is :func:`_evolve_vec`, which descent calls directly with
-    each jump's generator resolved once.
+    step itself is :func:`_evolve_vec` on the dense superoperator, which
+    descent calls directly with each jump's generator resolved once; above
+    it the same substeps run on vec(V^dag rho V) under the sparse
+    :func:`_eig_generator`, leaving the eigenbasis before :func:`_finish_vec`.
     """
     if s < 0:
         raise NegativeTime(f"evolution time must be nonnegative, got {s}")
@@ -585,11 +595,7 @@ def evolve(model: LindbladModel, w, rho, s, include_coherent=_coherent_sentinel,
         include_coherent = model.include_coherent
     if s * float(np.sum(w)) > 10.0 + 1e-12:
         raise ValueError("guard: s * ||w||_1 must not exceed 10")
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (model.dim, model.dim):
-        raise DimensionMismatch(
-            f"state shape {rho.shape} does not match dimension {model.dim}"
-        )
+    rho = _square(rho, model.dim)
     if s == 0.0:
         return rho.copy()
 
@@ -599,20 +605,12 @@ def evolve(model: LindbladModel, w, rho, s, include_coherent=_coherent_sentinel,
         gen = _dense_generator(model, w, include_coherent)
         return _evolve_vec(gen, bound, rho.reshape(-1), s, d, taylor_tol,
                            max_terms).reshape(d, d)
+    sd = model.sd
     nsub = max(1, int(math.ceil(s * bound)))
-    h = s / nsub
-    tol = taylor_tol / nsub
-    out = rho.copy()
-    for _ in range(nsub):
-        term = out
-        acc = out.copy()
-        for k in range(1, max_terms + 1):
-            term = (h / k) * generator_apply(model, w, term, include_coherent)
-            acc += term
-            if math.sqrt(d) * float(np.linalg.norm(term)) < 0.1 * tol:
-                break
-        out = acc
-    return _finish_vec(out.reshape(-1), d).reshape(d, d)
+    x = _taylor_substeps(_eig_generator(model, w, include_coherent),
+                         sd.to_eig(rho).reshape(-1), s / nsub, nsub, taylor_tol / nsub,
+                         bound, d, max_terms)
+    return _finish_vec(sd.from_eig(x.reshape(d, d)).reshape(-1), d).reshape(d, d)
 
 
 def _dense_generator(model: LindbladModel, w, include_coherent):
@@ -794,20 +792,27 @@ class ZeroFrequencySector:
         """Per jump: the real sector matrix of L_a (plus the coherent part when
         the model has one), the norm bound evolve() uses and sqrt(d) delta,
         with delta from :meth:`_real_generator`.  None if any jump leaves
-        the sector or fails the real-form check."""
-        # E_q = V |r_q><c_q| V^dag spans the sector; column q of a complex
-        # generator holds the complex coordinates of its image of E_q
-        v = self._sd.eigenvectors
-        basis = (v[:, self._rows].T[:, :, np.newaxis]
-                 * v.conj().T[self._cols][:, np.newaxis, :])
-        h = model.ham.dense
+        the sector or fails the real-form check.
+
+        Column q of a complex generator holds the coordinates of its image
+        of E_q = V |r_q><c_q| V^dag: D~_a's column at that sector position,
+        on the sector's rows, plus -i (lambda_r - lambda_c) on the diagonal
+        when coherent.  The column's other rows are the image that leaks out.
+        """
+        vec = self._rows * self.dim + self._cols
+        off_sector = np.ones(self.dim**2, dtype=bool)
+        off_sector[vec] = False
+        lam = self._sd.eigenvalues
         out = []
         for jump in model.jumps:
-            img = _lindblad_apply(model, jump.label, basis)
+            images = model._dissipator_eig(jump.label)[:, vec]
+            gen = images[vec].toarray()
             if model.include_coherent:
-                img += -1j * (h @ basis - basis @ h)
-            gen = self._project(img)
-            real = None if gen is None else self._real_generator(gen)
+                gen[np.diag_indices(len(vec))] -= 1j * (lam[self._rows] - lam[self._cols])
+            leak = math.sqrt(np.max(abs(images[off_sector]).power(2).sum(axis=0), initial=0.0))
+            real = None
+            if leak <= SECTOR_TOL * max(float(np.linalg.norm(gen)), 1e-300):
+                real = self._real_generator(gen)
             if real is None:
                 logger.debug("jump %s leaves the omega = 0 sector", jump.label)
                 return None
@@ -849,17 +854,6 @@ class ZeroFrequencySector:
         if delta > REAL_FORM_TOL * max(float(np.linalg.norm(gen)), 1e-300):
             return None
         return np.ascontiguousarray(full.real), delta
-
-    def _project(self, images):
-        """Complex sector matrix of a stack of images L[E_q]; None if any
-        leaves the sector."""
-        full = self._sd.to_eig(images)
-        gen = np.ascontiguousarray(full[:, self._rows, self._cols].T)
-        full[:, self._rows, self._cols] = 0.0
-        leak = float(np.max(np.linalg.norm(full, axis=(1, 2)), initial=0.0))
-        if leak > SECTOR_TOL * max(float(np.linalg.norm(gen)), 1e-300):
-            return None
-        return gen
 
     def coords(self, rho):
         """Sector coordinates of ``rho``, or None when it lies outside: when
@@ -933,11 +927,12 @@ def zero_frequency_sector(model: LindbladModel):
     """The model's :class:`ZeroFrequencySector`, or None if it has none.
 
     Only Davies models qualify, only while sum_g d_g^2 * d^2 stays within
-    ``SECTOR_MAX_ENTRIES`` (the cost of building the sector generators),
-    and only when every jump's generator maps the sector into itself within
-    ``SECTOR_TOL``, Hermitian blocks to Hermitian ones within
-    ``REAL_FORM_TOL``; a Bohr-frequency cluster that merges distinct energy
-    differences can break this.  The result is cached on the model.
+    ``SECTOR_MAX_ENTRIES``, and only when every jump's generator maps the
+    sector into itself within ``SECTOR_TOL``, Hermitian blocks to Hermitian
+    ones within ``REAL_FORM_TOL``; a Bohr-frequency cluster that merges
+    distinct energy differences can break this.  The generators are read
+    from D~_a's columns, so the cap bounds no build cost; its value is kept
+    so that the same models get a sector.  The result is cached on the model.
     """
     if model._sector is None:
         model._sector = False

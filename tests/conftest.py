@@ -174,6 +174,17 @@ def _pair_decay(model, label):
     return out
 
 
+def _pair_apply(model, label, rho, adjoint=False):
+    """D_a[rho] = sum_p c_p A_nu rho A_nu'^dag - {G, rho}/2 over the pairs of
+    :func:`_pair_lists`; with ``adjoint``, its Hilbert-Schmidt adjoint
+    sum_p conj(c_p) A_nu'^dag rho A_nu - {G, rho}/2."""
+    decay = _pair_decay(model, label)
+    out = -0.5 * (decay @ rho + rho @ decay)
+    for c, a_r, b_d in zip(*_pair_lists(model, label)):
+        out += np.conj(c) * (b_d @ rho @ a_r) if adjoint else c * (a_r @ rho @ b_d)
+    return out
+
+
 def _pair_sum_lamb_shift(model, label):
     """H_LS = sum K(nu2, nu1) A_nu2 A_nu1 over the block pairs with
     |K| > PAIR_DROP, Hermitized."""
@@ -236,6 +247,36 @@ def pair_sums():
     """The pair-sum oracles ``(pair_lists, decay, lamb_shift, superop)``,
     each called as ``f(model, label)``."""
     return _pair_lists, _pair_decay, _pair_sum_lamb_shift, _kron_superop
+
+
+@pytest.fixture
+def pair_apply():
+    """``pair_apply(model, label, rho, adjoint=False)``: D_a[rho], or
+    D^dag_a[rho], summed over the pair lists."""
+    return _pair_apply
+
+
+def _loop_davies_adjoint(model, label, obs):
+    """Davies-limit D^dag_a[obs] as one loop over the jump's Bohr blocks:
+    sum gamma(nu) A_nu^dag obs A_nu - {G, obs}/2 with G = sum gamma(nu)
+    A_nu^dag A_nu, gamma at the exact Bohr frequencies, Hermitized."""
+    jump = model.jump(label)
+    obs = np.asarray(obs, dtype=complex)
+    out = np.zeros_like(obs)
+    decay = np.zeros_like(obs)
+    for w, mat in zip(model.davies_gamma(jump.blocks.freqs), jump.blocks.mats):
+        md = mat.conj().T
+        out += w * (md @ obs @ mat)
+        decay += w * (md @ mat)
+    out -= 0.5 * (decay @ obs + obs @ decay)
+    return 0.5 * (out + out.conj().T)
+
+
+@pytest.fixture
+def loop_davies_adjoint():
+    """``loop_davies_adjoint(model, label, obs)``: the block-loop oracle of
+    the Davies-limit adjoint."""
+    return _loop_davies_adjoint
 
 
 def _generic_pauli_chain(n, seed):

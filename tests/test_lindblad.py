@@ -5,6 +5,7 @@ import thermal_landscape as tl
 from thermal_landscape import lindblad as L
 from thermal_landscape.bath import BathSpec
 from thermal_landscape.errors import (
+    DimensionMismatch,
     JumpNotNormalized,
     JumpSetNotClosed,
     NegativeTime,
@@ -45,6 +46,18 @@ def random_model(rng, n=2, beta=2.0, tau=20.0, include_lamb=True,
         ham, jumps, bath=BathSpec(beta=beta, tau=tau),
         include_lamb_shift=include_lamb,
     )
+
+
+def ising_davies_model(n, h=1.0, beta=5.0):
+    ham = tl.build_ising_chain(n, h)
+    jumps = [(f"X{j}", tl.kron_embed(tl.PAULI["X"], [j], n)) for j in range(n)]
+    return tl.build_model(ham, jumps, bath=BathSpec(beta=beta, tau=1.0, lambda0=4.0),
+                          davies=True)
+
+
+def hermitian_probe(rng, dim):
+    m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return (m + m.conj().T) / 2.0
 
 
 def random_state(rng, dim):
@@ -200,6 +213,36 @@ def test_dissipative_adjoint_davies_cross_check():
     assert np.linalg.norm(a - b, 2) < 0.02
 
 
+def test_davies_adjoint_rejects_a_finite_tau_model():
+    model = random_model(np.random.default_rng(2))
+    with pytest.raises(ValueError):
+        tl.davies_adjoint(model, "J0", model.ham.dense)
+
+
+def test_dissipative_adjoint_reads_a_davies_model(loop_davies_adjoint):
+    model = ising_davies_model(3)
+    obs = hermitian_probe(np.random.default_rng(7), model.dim)
+    for label in model.jump_labels:
+        want = loop_davies_adjoint(model, label, obs)
+        got = tl.dissipative_adjoint(model, label, obs)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        np.testing.assert_array_equal(tl.davies_adjoint(model, label, obs), got)
+
+
+@pytest.mark.parametrize("shape", [(2, 8), (3, 3), (16,)])
+def test_adjoints_reject_observables_of_the_wrong_shape(shape):
+    model = random_model(np.random.default_rng(2))
+    davies = ising_davies_model(2)
+    assert model.dim == davies.dim == 4
+    obs = np.ones(shape, dtype=complex)
+    with pytest.raises(DimensionMismatch):
+        tl.dissipative_adjoint(model, "J0", obs)
+    with pytest.raises(DimensionMismatch):
+        tl.lindblad_adjoint(model, "J0", obs)
+    with pytest.raises(DimensionMismatch):
+        tl.davies_adjoint(davies, "X0", obs)
+
+
 def test_gradient_norm_bound():
     rng = np.random.default_rng(3)
     for seed in range(5):
@@ -329,6 +372,36 @@ def test_evolve_matrix_free_path_matches_superop():
     assert np.linalg.norm(dense - free, 2) < 1e-10
 
 
+def test_large_davies_generator_and_evolve_match_block_loop(loop_davies_adjoint):
+    # above SUPEROP_MAX_DIM, generator_apply and evolve run in the eigenbasis;
+    # both are checked by duality, Tr(O L[rho]) = Tr(L^dag[O] rho), against
+    # the block loop, evolve through the Heisenberg series of that loop
+    model = ising_davies_model(6)
+    d = model.dim
+    assert d > L.SUPEROP_MAX_DIM
+    rng = np.random.default_rng(21)
+    rho = random_state(rng, d)
+    obs = hermitian_probe(rng, d)
+    scale = np.linalg.norm(obs, 2)
+    w = rng.uniform(size=len(model.jumps))
+    adjoints = [loop_davies_adjoint(model, label, obs) for label in model.jump_labels]
+    ham = model.ham.dense
+    want = np.trace((sum(wa * adj for wa, adj in zip(w, adjoints))
+                     + 1j * (ham @ obs - obs @ ham)) @ rho)
+    got = np.trace(obs @ tl.generator_apply(model, w, rho, include_coherent=True))
+    assert abs(got - want) <= 1e-12 * scale * (np.sum(w) + np.linalg.norm(ham, 2))
+    s = 0.3
+    for index, label in enumerate(model.jump_labels[:2]):
+        got = tl.davies_adjoint(model, label, obs)
+        assert np.max(np.abs(got - adjoints[index])) <= 1e-12 * np.max(np.abs(adjoints[index]))
+        heis, term = obs.copy(), obs
+        for k in range(1, 40):
+            term = (s / k) * loop_davies_adjoint(model, label, term)
+            heis += term
+        out = tl.evolve(model, tl.weight_vector(model, label=label), rho, s)
+        assert abs(np.trace(obs @ out) - np.trace(heis @ rho)) <= 1e-8 * scale
+
+
 def test_davies_fixed_point_stationary():
     model = qubit_davies_model(beta=10.0)
     spec = BathSpec(beta=10.0, tau=1.0)
@@ -374,33 +447,52 @@ def test_davies_recovery_superoperator_trend():
     assert dists[0] > dists[1] > dists[2]
 
 
+def _pair_sector_generator(model, sector, label, pair_apply):
+    """The complex sector matrix of D_a: column q holds the sector entries
+    of V^dag D_a[E_q] V, E_q = V |r_q><c_q| V^dag, by the pair loops."""
+    v = model.sd.eigenvectors
+    rows, cols = sector._rows, sector._cols
+    images = [model.sd.to_eig(pair_apply(model, label, np.outer(v[:, r], v[:, c].conj())))
+              for r, c in zip(rows.tolist(), cols.tolist())]
+    return np.array([img[rows, cols] for img in images]).T
+
+
 @pytest.mark.parametrize("name, davies", [
     ("generic_n3", False),
     ("ising_n3_h0", False),
     ("clock_x_t3", False),
     ("random8_b16_t800", False),
     ("generic_n3", True),
+    ("ising_n3_h0", True),
+    ("clock_x_t3", True),
 ])
-def test_eigenbasis_gathers_match_pair_sums(name, davies, oracle_system, pair_sums):
-    # the dissipator keeps the pairs of the loops over Bohr blocks; G, H_LS
-    # and the dense superoperator, gathered in the eigenbasis, match the
-    # sums over those pairs and the Kronecker-product sum
+def test_eigenbasis_gathers_match_pair_sums(name, davies, oracle_system, pair_sums,
+                                            pair_apply):
+    # G, H_LS, the dissipator and its adjoint, the dense superoperator and
+    # the sector generators, all read in the eigenbasis, match the sums
+    # over the pairs of the loops over Bohr blocks and the Kronecker sum
     ham, jumps, spec = oracle_system(name)
     model = tl.build_model(ham, jumps, bath=spec, davies=davies)
     assert model.include_lamb_shift is not davies
-    pair_lists, decay, lamb_shift, superop = pair_sums
+    _, decay, lamb_shift, superop = pair_sums
+    sector = L.zero_frequency_sector(model)
+    assert (sector is not None) is davies
+    rng = np.random.default_rng(3)
 
     def assert_close(got, want):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
-    for label in model.jump_labels:
+    for index, label in enumerate(model.jump_labels):
+        rho = random_state(rng, model.dim)
         dis = model._dissipator(label)
-        coeffs, rights, lefts_dag = pair_lists(model, label)
-        np.testing.assert_array_equal(dis.coeffs, coeffs)
-        assert all(a is b for a, b in zip(dis.rights, rights))
-        for got, want in zip(dis.lefts_dag, lefts_dag, strict=True):
-            np.testing.assert_array_equal(got, want)
-        assert_close(dis.decay, decay(model, label))
+        assert_close(dis.apply(rho), pair_apply(model, label, rho))
+        assert_close(dis.apply_adjoint(rho), pair_apply(model, label, rho, adjoint=True))
+        if sector is not None:
+            want = sector._real_generator(_pair_sector_generator(model, sector, label,
+                                                                 pair_apply))[0]
+            assert_close(sector.generators[index][0], want)
+        a_eig = model._jump_eig(model.jump(label))
+        assert_close(model.sd.from_eig(model._decay_eig(a_eig)), decay(model, label))
         if not davies:
             assert_close(tl.lamb_shift_operator(model, label), lamb_shift(model, label))
         assert_close(model._superop(label), superop(model, label))

@@ -134,6 +134,23 @@ def test_real_form_check_rejects_anti_hermitian_images():
     assert sector._real_generator(np.eye(n) + 1e-10 * skew) is None
 
 
+def test_sector_leak_check_rejects_a_chained_bohr_cluster():
+    # the differences 1, 1 + t, ..., 1 + 4t (t = group_tol) chain into one
+    # Bohr frequency, so the Davies block of |1><0| + |1 + 4t><0| maps
+    # |0><0| onto a coherence between the groups at 1 and 1 + 4t
+    t = 2.0**-10
+    levels = [0.0, 1.0, 1.0 + 4 * t, 10.0, 11.0 + t, 20.0, 21.0 + 2 * t, 30.0, 31.0 + 3 * t]
+    levels += [100.0 * k for k in range(1, 8)]
+    ham = tl.assemble([(np.diag(levels), (0, 1, 2, 3))], 4)
+    a = np.zeros((16, 16), dtype=complex)
+    a[1, 0] = a[2, 0] = np.sqrt(0.5)
+    model = tl.build_model(ham, [("A", a), ("Adag", a.conj().T)],
+                           bath=BathSpec(beta=1.0, tau=1.0), davies=True, group_tol=t)
+    sd = model.sd
+    assert len(sd.energies) == 16 and sd.bohr_map[1, 0] == sd.bohr_map[2, 0]
+    assert zero_frequency_sector(model) is None
+
+
 def test_sector_coords_reject_non_hermitian_states():
     sector = zero_frequency_sector(qubit_model())
     assert sector.coords(np.diag([0.3, 0.7])) is not None
