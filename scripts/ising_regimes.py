@@ -23,9 +23,8 @@ def certified_states(n, h, beta, epsilon):
     rows = []
     for idx in range(2**n):
         bits = format(idx, f"0{n}b")
-        rho = tl.basis_density(bits)
-        cert = tl.certify_local_min(model, rho, epsilon)
-        rows.append((h, bits, model.energy(rho), cert.inf_norm_minus, cert.kind))
+        cert = tl.certify_local_min(model, bits, epsilon)
+        rows.append((h, bits, model.energy(bits), cert.inf_norm_minus, cert.kind))
     return rows
 
 

@@ -509,9 +509,8 @@ def _scenario_ising(cfg, model, clock, echo, seed):
     reports = {}
     for idx in range(2**n):
         bits = format(idx, f"0{n}b")
-        rho = ops.basis_density(bits)
-        cert = certify_local_min(model, rho, epsilon)
-        energy = model.energy(rho)
+        cert = certify_local_min(model, bits, epsilon)  # |bits><bits| read by index
+        energy = model.energy(bits)
         rows.append((bits, energy, cert.inf_norm_minus, cert.kind))
         reports[bits] = _certificate_dict(cert)
         if cert.kind == "local_min_sufficient":

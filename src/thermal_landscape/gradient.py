@@ -46,20 +46,48 @@ class CertificateResult:
     inf_norm_minus: float
 
 
-def gradient_operator(model: LindbladModel, label):
-    """Hermitian gradient operator L^dag_a[H] (cached on the model).
+def gradient_operator(model: LindbladModel, label, cache=True):
+    """Hermitian gradient operator L^dag_a[H], cached on the model with ``cache``.
 
     It is gathered in the eigenbasis (:meth:`LindbladModel._gradient_eig`),
     rotated once by V and Hermitized last, so it is exactly Hermitian; it
     equals :func:`lindblad.lindblad_adjoint` of H, the adjoint of a general
     observable.
     """
-    if label not in model._gradient_ops:
+    op = model._gradient_ops.get(label)
+    if op is None:
         op = model.sd.from_eig(model._gradient_eig(label))
         op += op.conj().T
         op *= 0.5
-        model._gradient_ops[label] = op
-    return model._gradient_ops[label]
+        if cache:
+            model._gradient_ops[label] = op
+    return op
+
+
+# conj(X^T)'s (real, imaginary) bits at a zero of a Hermitized X, which has no -0.0 part
+_ZERO_BITS = np.array([0.0, -0.0]).view(np.uint64)
+
+
+def _layout_parts(vals, idx=None):
+    """Float positions and values, in a complex layout's float64 view, of the
+    entries ``vals`` at flat indices ``idx`` (all when None) whose bits are not a zero's."""
+    parts = np.ascontiguousarray(vals).view(np.float64).reshape(-1, 2)
+    at, part = np.nonzero(parts.view(np.uint64) != _ZERO_BITS)
+    return 2 * (at if idx is None else idx[at]) + part, parts[at, part]
+
+
+def _indexed_layout(g, p):
+    """:func:`_layout_parts` of conj(X^T) for the Hermitized X = P g P^T,
+    P the permutation matrix of ``p``, from the nonzeros of ``g`` alone."""
+    d = len(p)
+    a, b = ops.nonzero(g)
+    u = np.union1d(a * d + b, b * d + a)  # closed under transposition
+    ua, ub = divmod(u, d)
+    x = np.zeros(len(u), dtype=complex)
+    x[np.searchsorted(u, a * d + b)] = g[a, b] + 0.0  # X at u, as from_eig writes it
+    herm = x + x[np.searchsorted(u, ub * d + ua)].conj()  # as gradient_operator Hermitizes
+    herm *= 0.5
+    return _layout_parts(herm.conj(), p[ub] * d + p[ua])
 
 
 class GradientScan:
@@ -70,25 +98,26 @@ class GradientScan:
     and rho, both row-major and viewed as float64, for any complex rho.
     ``rows`` keeps ``support``, the union of the rows' nonzero columns: d of
     the 2 d^2 for the diagonal operators of the Ising chain under X jumps,
-    where a basis-state certificate then costs O(d).  Obtain one with
-    :func:`gradient_scan`.
+    where a basis-state certificate is one column.  The scan keeps no
+    operator, only each one's entries other than zeros; with a permutation
+    eigenbasis, one the model has not cached is never formed, its entries
+    found by index from its eigenbasis form.  Obtain one with :func:`gradient_scan`.
     """
 
     def __init__(self, model: LindbladModel):
-        self.dim = d = model.dim
-        labels = model.jump_labels
-
-        def layout(r):  # built one operator at a time, never stacked
-            op = gradient_operator(model, labels[r]) if r < len(labels) else model.ham.dense
-            return np.ascontiguousarray(op.T.conj()).reshape(-1).view(np.float64)
-
-        nonzero = np.zeros(2 * d * d, dtype=bool)
-        for r in range(len(labels) + 1):
-            nonzero |= layout(r) != 0.0
+        self.dim, p = model.dim, model.sd.permutation
+        entries = [_indexed_layout(model._gradient_eig(label), p)
+                   if p is not None and label not in model._gradient_ops
+                   else _layout_parts(gradient_operator(model, label, cache=False).T.conj())
+                   for label in model.jump_labels] + [_layout_parts(model.ham.dense.T.conj())]
+        nonzero = np.zeros(2 * self.dim**2, dtype=bool)
+        for pos, vals in entries:
+            nonzero[pos[vals != 0]] = True
         self.support = np.flatnonzero(nonzero)
-        self.rows = np.empty((len(labels) + 1, len(self.support)))
-        for r in range(len(labels) + 1):
-            self.rows[r] = layout(r)[self.support]
+        self.rows = np.tile(np.where(self.support % 2, -0.0, 0.0), (len(entries), 1))
+        for row, (pos, vals) in zip(self.rows, entries):
+            hit = nonzero[pos]
+            row[np.searchsorted(self.support, pos[hit])] = vals[hit]
 
     def read(self, x):
         """The gradients along every jump, then the energy, of the state
@@ -96,7 +125,14 @@ class GradientScan:
         return self.rows.dot(x.view(np.float64)[self.support])
 
     def __call__(self, rho):
-        """:meth:`read` of the d x d state ``rho``."""
+        """:meth:`read` of the d x d state ``rho``; for a bit string, of |bits><bits|
+        with no density formed: the column of ``rows`` at its diagonal entry, if
+        any, plus +0.0 as in the matvec (see :func:`operators.basis_index`)."""
+        if isinstance(rho, str):
+            if 2 ** len(rho) != self.dim:
+                raise DimensionMismatch(f"{len(rho)} bits do not match dimension {self.dim}")
+            hit = self.support == 2 * ops.basis_index(rho) * (self.dim + 1)
+            return self.rows[:, hit].sum(axis=1) + 0.0
         rho = np.ascontiguousarray(rho, dtype=complex)
         if rho.shape != (self.dim, self.dim):
             raise DimensionMismatch(f"state shape {rho.shape} does not match dimension {self.dim}")
@@ -111,7 +147,7 @@ def gradient_scan(model: LindbladModel) -> GradientScan:
 
 
 def gradient_vector(model: LindbladModel, rho, labels=None) -> GradientReport:
-    """Energy gradient g_a = Tr(L^dag_a[H] rho) over a jump subset."""
+    """Energy gradient g_a = Tr(L^dag_a[H] rho) over a jump subset; rho may be bits."""
     values = gradient_scan(model)(rho)
     if labels is None:
         labels = model.jump_labels

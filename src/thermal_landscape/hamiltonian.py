@@ -101,12 +101,8 @@ class SpectralData:
         v = self.eigenvectors
         if np.count_nonzero(v) != v.shape[0]:
             return None
-        rows, cols = np.nonzero(v)
-        if not np.all(v[rows, cols] == 1.0):
-            return None
-        p = np.empty(v.shape[0], dtype=np.intp)
-        p[cols] = rows
-        return p
+        cols, p = ops.nonzero(v.T)  # one nonzero in each column
+        return p if np.all(v[p, cols] == 1.0) else None
 
     def to_eig(self, x):
         """V^dag x V over the last two axes of ``x``.
@@ -202,7 +198,8 @@ def assemble(terms, n: int) -> LocalHamiltonian:
         op = np.asarray(op, dtype=complex)
         if ops.hermiticity_defect(op) > 1e-10 * max(ops.operator_norm(op), 1e-300):
             raise NotHermitian(f"term on sites {tuple(sites)} is not Hermitian")
-        dense += ops.kron_embed(op, sites, n)
+        rows, cols, vals = ops.embedded_entries(op, sites, n)
+        dense[rows, cols] += vals  # the embedding's other entries are zeros
         norm_bound += ops.operator_norm(op)
         kept.append((op, tuple(sites)))
     return LocalHamiltonian(n=n, terms=tuple(kept), dense=dense, norm_bound=norm_bound)
@@ -320,11 +317,11 @@ def bohr_decompose(a_mat, sd: SpectralData, label: str = "", drop_factor=1e-12,
     A block is kept when ||A_nu||_2 > drop_factor * ||A||_2.  The spectral
     norm is unitarily invariant, so it is that of the masked A~, and it lies
     between ||A_nu||_F / sqrt(d) and ||A_nu||_F.  Every block's Frobenius
-    norm is one ``np.bincount`` of |A~|^2 over the Bohr map F; it decides
-    each block outside the band that :func:`operators.spectral_norm_exceeds`
-    widens by ``NORM_BAND_SLACK``, and only a block inside it is decided by
-    that function on its compact entries.  ``norm`` is ||A||_2 when the
-    caller has it already.
+    norm is one ``np.bincount`` of |A~|^2 over the Bohr map F at A~'s
+    nonzeros; it decides each block outside the band that
+    :func:`operators.spectral_norm_exceeds` widens by ``NORM_BAND_SLACK``,
+    and only a block inside it is decided by that function on its compact
+    entries.  ``norm`` is ||A||_2 when the caller has it already.
     """
     a_mat = np.asarray(a_mat, dtype=complex)
     dim = sd.eigenvectors.shape[0]
@@ -337,8 +334,9 @@ def bohr_decompose(a_mat, sd: SpectralData, label: str = "", drop_factor=1e-12,
     cutoff = drop_factor * max(norm, 1e-300)
     a_eig = sd.to_eig(a_mat)
     f = sd.bohr_map
-    fro = np.sqrt(np.bincount(f.ravel(), (a_eig.real**2 + a_eig.imag**2).ravel(),
-                              len(sd.bohr_freqs)))
+    nz = np.flatnonzero(a_eig != 0)
+    vals = a_eig.ravel()[nz]
+    fro = np.sqrt(np.bincount(f.ravel()[nz], vals.real**2 + vals.imag**2, len(sd.bohr_freqs)))
     keep = fro > math.sqrt(dim) * cutoff * (1.0 + ops.NORM_BAND_SLACK)
     for k in np.flatnonzero(~keep & (fro > cutoff * (1.0 - ops.NORM_BAND_SLACK))).tolist():
         rows, cols = np.nonzero(f == k)

@@ -121,7 +121,7 @@ class LindbladModel:
 
     def energy(self, rho):
         """Re Tr(H rho), read through the model's gradient scan (which the
-        first call builds, every gradient operator with it)."""
+        first call builds); ``rho`` may be a bit string, for |bits><bits|."""
         from .gradient import gradient_scan  # the gradient module imports this one
 
         return float(gradient_scan(self)(rho)[-1])
@@ -213,7 +213,7 @@ class LindbladModel:
         if label not in self._dissipators:
             d = self.dim
             a_eig = self._jump_eig(self.jump(label))
-            row, col = np.nonzero(a_eig)
+            row, col = ops.nonzero(a_eig)
             vals, freq = a_eig[row, col], self.sd.bohr_map[row, col]
             terms = [_kron_terms(-0.5 * self._decay_eig(a_eig))]
             step = max(1, GATHER_BLOCK // max(len(vals), 1))
@@ -259,8 +259,8 @@ def _gathered_product(left, f_left, right, f_right, weight, lam=None):
     """
     d = right.shape[1]
     out = np.zeros(left.shape[0] * d, dtype=complex)
-    la, li = np.nonzero(left)
-    ri, rb = np.nonzero(right)
+    la, li = ops.nonzero(left)
+    ri, rb = ops.nonzero(right)
     lval, rval = left[la, li], right[ri, rb]
     count = np.bincount(ri, minlength=right.shape[0])
     first = np.cumsum(count) - count  # row i of right is rb[first[i]:][:count[i]]
@@ -374,37 +374,40 @@ def _check_jump_set(jumps, dim):
     """Validate shapes, ||A^dag A|| <= 1 and closure under the adjoint.
 
     Returns each jump's (||A||_2, ||A^dag A||_2).  When every row of A has
-    at most one nonzero, as for Pauli, clock and sigma+- jumps, A^dag A is
-    diagonal with the squared column norms of A on its diagonal, and
-    ||A^dag A||_2 is their maximum, with no product formed; otherwise it is
-    one SVD of A^dag A.  ||A||_2 is its square root.  The adjoint of A is
-    matched to a jump B when ||A^dag - B||_2 <= 1e-10 ||A||_2, decided by
-    :func:`operators.spectral_norm_exceeds`, so a clear match or mismatch
-    costs no SVD; A itself is tried first, so a self-adjoint jump costs one
-    Frobenius norm.
+    at most one nonzero, as for Pauli, clock and sigma+- jumps, ||A^dag A||_2
+    is the largest squared column norm of A, with no product formed, and A
+    is closed when such a jump has exactly A^dag's (row, column, value)
+    pattern.  Otherwise ||A^dag A||_2 is one SVD of A^dag A; failing a pattern
+    match, A^dag is matched to a jump B when ||A^dag - B||_2 <= 1e-10 ||A||_2
+    by :func:`operators.spectral_norm_exceeds` (no SVD for a clear match or
+    mismatch), A itself first.
     """
+    def key(rows, cols, vals):  # the exact pattern, -0.0 read as +0.0
+        return rows.tobytes(), cols.tobytes(), (vals + 0.0).tobytes()
+    patterns = []
     for label, m in jumps:
         if m.shape != (dim, dim):
-            raise DimensionMismatch(
-                f"jump {label!r} has shape {m.shape}, expected {(dim, dim)}"
-            )
-    norms = []
-    for label, m in jumps:
-        adj = m.conj().T
-        if np.count_nonzero(m, axis=1).max(initial=0) <= 1:
-            aa = float(np.max((m.real**2 + m.imag**2).sum(axis=0), initial=0.0))
+            raise DimensionMismatch(f"jump {label!r} has shape {m.shape}, expected {(dim, dim)}")
+        rows, cols = ops.nonzero(m)
+        patterns.append(None if np.any(rows[1:] == rows[:-1]) else (rows, cols, m[rows, cols]))
+    keys, norms = {key(*p) for p in patterns if p is not None}, []
+    for (label, m), pattern in zip(jumps, patterns):
+        if pattern is not None:
+            rows, cols, vals = pattern
+            aa = float(np.max(np.bincount(cols, vals.real**2 + vals.imag**2, dim), initial=0.0))
+            order = np.argsort(cols)
+            adjoint = key(cols[order], rows[order], vals[order].conj())
         else:
-            aa = ops.operator_norm(adj @ m)
+            aa = ops.operator_norm(m.conj().T @ m)
         if not aa <= 1.0 + 1e-9:
             raise JumpNotNormalized(f"jump {label!r} has ||A^dag A|| = {aa:.6f} > 1")
-        norm = math.sqrt(aa)
-        tol = 1e-10 * max(norm, 1e-300)
-        candidates = [m] + [other for _, other in jumps if other is not m]
-        if all(ops.spectral_norm_exceeds(adj - other, tol) for other in candidates):
-            raise JumpSetNotClosed(
-                f"adjoint of jump {label!r} is missing from the jump set"
-            )
-        norms.append((norm, aa))
+        norms.append((math.sqrt(aa), aa))
+        if pattern is not None and adjoint in keys:
+            continue
+        adj, tol = m.conj().T, 1e-10 * max(norms[-1][0], 1e-300)
+        if all(ops.spectral_norm_exceeds(adj - other, tol)
+               for other in [m] + [other for _, other in jumps if other is not m]):
+            raise JumpSetNotClosed(f"adjoint of jump {label!r} is missing from the jump set")
     return norms
 
 

@@ -78,6 +78,48 @@ def loop_bohr_decompose():
     return _loop_bohr_decompose
 
 
+def _kron_transpose_embed(op, sites, n):
+    """``op`` on ``sites`` of ``n`` qubits as the Kronecker product with the
+    2^(n-k) identity, its qubits then moved into register order by one
+    transpose of the 2n-axis tensor."""
+    sites = list(sites)
+    k = len(sites)
+    rest = [q for q in range(n) if q not in sites]
+    full = np.kron(np.asarray(op, dtype=complex), np.eye(2 ** (n - k), dtype=complex))
+    src = sites + rest
+    perm = [src.index(q) for q in range(n)]
+    tensor = full.reshape((2,) * (2 * n)).transpose(perm + [n + p for p in perm])
+    return np.ascontiguousarray(tensor.reshape(2**n, 2**n))
+
+
+def _lapack_herm_eig(m):
+    """LAPACK ``eigh`` of the Hermitian part of ``m``, each eigenvector's
+    largest-magnitude component made real positive."""
+    m = np.asarray(m, dtype=complex)
+    w, v = np.linalg.eigh(0.5 * (m + m.conj().T))
+    idx = np.argmax(np.abs(v), axis=0)
+    phases = v[idx, np.arange(v.shape[1])]
+    return w, v / (phases / np.abs(phases))[np.newaxis, :]
+
+
+def _dense_operator_scan(model):
+    """(support, rows) of the gradient scan built from dense operators:
+    every ``gradient_operator`` (cached on ``model``) and H laid out as
+    conj(X^T) in float64, ``support`` the union of their nonzero entries."""
+    mats = [tl.gradient_operator(model, label) for label in model.jump_labels]
+    layouts = [np.ascontiguousarray(op.T.conj()).reshape(-1).view(np.float64)
+               for op in mats + [model.ham.dense]]
+    support = np.flatnonzero(np.any([lay != 0.0 for lay in layouts], axis=0))
+    return support, np.array([lay[support] for lay in layouts])
+
+
+@pytest.fixture
+def dense_oracles():
+    """The dense routes the index paths replace: ``(kron_transpose_embed,
+    lapack_herm_eig, dense_operator_scan)``."""
+    return _kron_transpose_embed, _lapack_herm_eig, _dense_operator_scan
+
+
 def _loop_lamb_once(freqs, spec, corr, edges):
     """One Lamb-kernel quadrature pass as a double loop over the Bohr pairs:
     S[k, l] = sum_n b_n e^{i (nu_k - nu_l) u_n / 2} f(nu_k + nu_l, w_n),
