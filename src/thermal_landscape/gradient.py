@@ -46,48 +46,45 @@ class CertificateResult:
     inf_norm_minus: float
 
 
-def gradient_operator(model: LindbladModel, label, cache=True):
-    """Hermitian gradient operator L^dag_a[H], cached on the model with ``cache``.
+def gradient_operator(model: LindbladModel, label):
+    """Hermitian gradient operator L^dag_a[H] (cached on the model).
 
     It is gathered in the eigenbasis (:meth:`LindbladModel._gradient_eig`),
     rotated once by V and Hermitized last, so it is exactly Hermitian; it
     equals :func:`lindblad.lindblad_adjoint` of H, the adjoint of a general
     observable.
     """
-    op = model._gradient_ops.get(label)
-    if op is None:
+    if label not in model._gradient_ops:
         op = model.sd.from_eig(model._gradient_eig(label))
         op += op.conj().T
         op *= 0.5
-        if cache:
-            model._gradient_ops[label] = op
-    return op
+        model._gradient_ops[label] = op
+    return model._gradient_ops[label]
 
 
-# conj(X^T)'s (real, imaginary) bits at a zero of a Hermitized X, which has no -0.0 part
-_ZERO_BITS = np.array([0.0, -0.0]).view(np.uint64)
+def _layout(op):
+    """conj(op^T), row-major, viewed as float64: Re Tr(op rho) is its dot product with rho's."""
+    return np.ascontiguousarray(op.T.conj()).reshape(-1).view(np.float64)
 
 
-def _layout_parts(vals, idx=None):
-    """Float positions and values, in a complex layout's float64 view, of the
-    entries ``vals`` at flat indices ``idx`` (all when None) whose bits are not a zero's."""
-    parts = np.ascontiguousarray(vals).view(np.float64).reshape(-1, 2)
-    at, part = np.nonzero(parts.view(np.uint64) != _ZERO_BITS)
+def _layout_parts(lay, idx=None):
+    """Float positions and values of the entries of the float64 layout ``lay``, of
+    complex entries at flat indices ``idx`` (all when None), whose bits are not a zero's."""
+    parts = lay.reshape(-1, 2)  # a zero of conj(X^T), X Hermitized, is (+0.0, -0.0)
+    at, part = np.nonzero(parts.view(np.uint64) != np.array([0.0, -0.0]).view(np.uint64))
     return 2 * (at if idx is None else idx[at]) + part, parts[at, part]
 
 
 def _indexed_layout(g, p):
-    """:func:`_layout_parts` of conj(X^T) for the Hermitized X = P g P^T,
-    P the permutation matrix of ``p``, from the nonzeros of ``g`` alone."""
+    """:func:`_layout_parts` of conj(X^T), X = P g P^T Hermitized, P of ``p``, by g's nonzeros."""
     d = len(p)
     a, b = ops.nonzero(g)
     u = np.union1d(a * d + b, b * d + a)  # closed under transposition
     ua, ub = divmod(u, d)
     x = np.zeros(len(u), dtype=complex)
     x[np.searchsorted(u, a * d + b)] = g[a, b] + 0.0  # X at u, as from_eig writes it
-    herm = x + x[np.searchsorted(u, ub * d + ua)].conj()  # as gradient_operator Hermitizes
-    herm *= 0.5
-    return _layout_parts(herm.conj(), p[ub] * d + p[ua])
+    herm = 0.5 * (x + x[np.searchsorted(u, ub * d + ua)].conj())  # as gradient_operator does
+    return _layout_parts(herm.conj().view(np.float64), p[ub] * d + p[ua])
 
 
 class GradientScan:
@@ -98,19 +95,24 @@ class GradientScan:
     and rho, both row-major and viewed as float64, for any complex rho.
     ``rows`` keeps ``support``, the union of the rows' nonzero columns: d of
     the 2 d^2 for the diagonal operators of the Ising chain under X jumps,
-    where a basis-state certificate is one column.  The scan keeps no
-    operator, only each one's entries other than zeros; with a permutation
-    eigenbasis, one the model has not cached is never formed, its entries
-    found by index from its eigenbasis form.  Obtain one with :func:`gradient_scan`.
+    where a basis-state certificate is one column.  With a permutation
+    eigenbasis no operator is formed: each one's entries are found by index
+    from its eigenbasis form.  Obtain one with :func:`gradient_scan`.
     """
 
     def __init__(self, model: LindbladModel):
-        self.dim, p = model.dim, model.sd.permutation
-        entries = [_indexed_layout(model._gradient_eig(label), p)
-                   if p is not None and label not in model._gradient_ops
-                   else _layout_parts(gradient_operator(model, label, cache=False).T.conj())
-                   for label in model.jump_labels] + [_layout_parts(model.ham.dense.T.conj())]
-        nonzero = np.zeros(2 * self.dim**2, dtype=bool)
+        self.dim = d = model.dim
+        labels, p = model.jump_labels, model.sd.permutation
+        nonzero = np.zeros(2 * d * d, dtype=bool)
+        if p is None:  # the cached operators, laid out one at a time, never stacked
+            mats = [gradient_operator(model, label) for label in labels] + [model.ham.dense]
+            for m in mats:
+                nonzero |= _layout(m) != 0.0
+            self.support = np.flatnonzero(nonzero)
+            self.rows = np.array([_layout(m)[self.support] for m in mats])
+            return
+        entries = [_indexed_layout(model._gradient_eig(label), p) for label in labels]
+        entries.append(_layout_parts(_layout(model.ham.dense)))
         for pos, vals in entries:
             nonzero[pos[vals != 0]] = True
         self.support = np.flatnonzero(nonzero)
@@ -125,9 +127,8 @@ class GradientScan:
         return self.rows.dot(x.view(np.float64)[self.support])
 
     def __call__(self, rho):
-        """:meth:`read` of the d x d state ``rho``; for a bit string, of |bits><bits|
-        with no density formed: the column of ``rows`` at its diagonal entry, if
-        any, plus +0.0 as in the matvec (see :func:`operators.basis_index`)."""
+        """:meth:`read` of the d x d state ``rho``; for a bit string, of |bits><bits| with no
+        density formed: the column of ``rows`` at its diagonal entry, plus +0.0 as in the matvec."""
         if isinstance(rho, str):
             if 2 ** len(rho) != self.dim:
                 raise DimensionMismatch(f"{len(rho)} bits do not match dimension {self.dim}")

@@ -235,18 +235,17 @@ def basis_state(bits: str):
 
 
 def basis_density(bits: str):
-    """Density matrix |bits><bits| of a computational basis state."""
-    return projector(basis_state(bits))
+    """Density matrix |bits><bits| of a computational basis state, without
+    the d x d outer product of ``projector(basis_state(bits))``."""
+    idx = basis_index(bits)
+    rho = np.zeros((2 ** len(bits), 2 ** len(bits)), dtype=complex)
+    rho[idx, idx] = 1.0
+    return rho
 
 
 def projector(vec):
-    """|vec><vec| = np.outer(vec, vec.conj()), formed on the k x k block of
-    the k nonzero entries of ``vec`` only."""
     vec = np.asarray(vec, dtype=complex)
-    nz = np.flatnonzero(vec)
-    out = np.zeros((len(vec), len(vec)), dtype=complex)
-    out[nz[:, None], nz] = np.outer(vec[nz], vec[nz].conj())
-    return out
+    return np.outer(vec, vec.conj())
 
 
 def maximally_mixed(n: int):
