@@ -235,8 +235,7 @@ def basis_state(bits: str):
 
 
 def basis_density(bits: str):
-    """Density matrix |bits><bits| of a computational basis state, without
-    the d x d outer product of ``projector(basis_state(bits))``."""
+    """Density matrix |bits><bits| of a basis state, set by one entry, not by :func:`projector`."""
     idx = basis_index(bits)
     rho = np.zeros((2 ** len(bits), 2 ** len(bits)), dtype=complex)
     rho[idx, idx] = 1.0
@@ -244,6 +243,7 @@ def basis_density(bits: str):
 
 
 def projector(vec):
+    """|vec><vec| = np.outer(vec, vec.conj()), dense for any ``vec``; see :func:`basis_density`."""
     vec = np.asarray(vec, dtype=complex)
     return np.outer(vec, vec.conj())
 
