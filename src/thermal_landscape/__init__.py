@@ -83,6 +83,7 @@ from .operators import (
     expectation,
     herm_eig,
     kron_embed,
+    kron_embed_csr,
     maximally_mixed,
     pauli_matrix,
     projector,

@@ -316,7 +316,7 @@ def _resolve_jumps(cfg, ham, clock):
         if preset == "pauli_x_all":
             n = ham.n
             jumps = [
-                (f"X{j}", ops.kron_embed(ops.PAULI["X"], [j], n)) for j in range(n)
+                (f"X{j}", ops.kron_embed_csr(ops.PAULI["X"], [j], n)) for j in range(n)
             ]
         elif preset == "pauli_xz_clock_plus_flip":
             if clock is None:

@@ -75,14 +75,25 @@ def _layout_parts(lay, idx=None):
     return 2 * (at if idx is None else idx[at]) + part, parts[at, part]
 
 
+def _transposed_parts(op):
+    """:func:`_layout_parts` of :func:`_layout` of ``op``, read from the bits of op itself, with
+    no d x d copy: conj(op^T)[a, b] is op[b, a] with its imaginary part negated."""
+    d = len(op)
+    floats = np.ascontiguousarray(op).view(np.float64).reshape(d, d, 2)
+    b, a, part = np.nonzero(floats.view(np.uint64))
+    vals = floats[b, a, part]
+    return 2 * (a * d + b) + part, np.where(part == 1, -vals, vals)
+
+
 def _indexed_layout(g, p):
-    """:func:`_layout_parts` of conj(X^T), X = P g P^T Hermitized, P of ``p``, by g's nonzeros."""
+    """:func:`_layout_parts` of conj(X^T), X = P g P^T Hermitized, P of ``p``, from the
+    nonzero entries ``g`` = (rows, cols, values) of g."""
     d = len(p)
-    a, b = ops.nonzero(g)
+    a, b, vals = g
     u = np.union1d(a * d + b, b * d + a)  # closed under transposition
     ua, ub = divmod(u, d)
     x = np.zeros(len(u), dtype=complex)
-    x[np.searchsorted(u, a * d + b)] = g[a, b] + 0.0  # X at u, as from_eig writes it
+    x[np.searchsorted(u, a * d + b)] = vals + 0.0  # X at u, as from_eig writes it
     herm = 0.5 * (x + x[np.searchsorted(u, ub * d + ua)].conj())  # as gradient_operator does
     return _layout_parts(herm.conj().view(np.float64), p[ub] * d + p[ua])
 
@@ -97,7 +108,7 @@ class GradientScan:
     the 2 d^2 for the diagonal operators of the Ising chain under X jumps,
     where a basis-state certificate is one column.  With a permutation
     eigenbasis no operator is formed: each one's entries are found by index
-    from its eigenbasis form.  Obtain one with :func:`gradient_scan`.
+    from the entries of its eigenbasis form.  Obtain one with :func:`gradient_scan`.
     """
 
     def __init__(self, model: LindbladModel):
@@ -111,8 +122,8 @@ class GradientScan:
             self.support = np.flatnonzero(nonzero)
             self.rows = np.array([_layout(m)[self.support] for m in mats])
             return
-        entries = [_indexed_layout(model._gradient_eig(label), p) for label in labels]
-        entries.append(_layout_parts(_layout(model.ham.dense)))
+        entries = [_indexed_layout(model._gradient_entries(label), p) for label in labels]
+        entries.append(_transposed_parts(model.ham.dense))
         for pos, vals in entries:
             nonzero[pos[vals != 0]] = True
         self.support = np.flatnonzero(nonzero)
@@ -132,8 +143,11 @@ class GradientScan:
         if isinstance(rho, str):
             if 2 ** len(rho) != self.dim:
                 raise DimensionMismatch(f"{len(rho)} bits do not match dimension {self.dim}")
-            hit = self.support == 2 * ops.basis_index(rho) * (self.dim + 1)
-            return self.rows[:, hit].sum(axis=1) + 0.0
+            at = 2 * ops.basis_index(rho) * (self.dim + 1)
+            col = np.searchsorted(self.support, at)
+            if col < len(self.support) and self.support[col] == at:
+                return self.rows[:, col] + 0.0
+            return np.zeros(len(self.rows))
         rho = np.ascontiguousarray(rho, dtype=complex)
         if rho.shape != (self.dim, self.dim):
             raise DimensionMismatch(f"state shape {rho.shape} does not match dimension {self.dim}")

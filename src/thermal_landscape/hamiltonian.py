@@ -7,6 +7,7 @@ from functools import cached_property
 from weakref import WeakValueDictionary
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import operators as ops
 from .errors import DimensionMismatch, GroupingUnstable, NotHermitian, SizeLimit
@@ -32,17 +33,19 @@ class LocalHamiltonian:
 class SpectralData:
     """Grouped spectrum of a Hermitian operator.
 
-    ``eigenvectors`` holds the orthonormal eigenbasis V, ``eigenvalues``
-    the matching eigenvalues in ascending order, and ``group_slices[g]``
-    the columns of V that span energy group ``g``, whose mean eigenvalue is
-    ``energies[g]``.  Group projectors are derived from V on demand
-    (:meth:`group_projector`, :attr:`ground_projector`) rather than stored.
-    ``bohr_freqs`` is the deduplicated, sorted set of energy differences,
-    closed under negation by construction; :attr:`bohr_map` files every
-    eigenvector pair under the Bohr frequency of its groups as a d x d index
-    array, once per spectrum, for :func:`bohr_decompose` and the eigenbasis
-    gathers of the lindblad module.  Matrices enter and leave the eigenbasis
-    through :meth:`to_eig` and :meth:`from_eig`.
+    ``eigenvalues`` holds the eigenvalues in ascending order and ``basis``
+    their orthonormal eigenbasis V, or, when V is a permutation matrix, the
+    permutation p with V[p[j], j] = 1 (:attr:`permutation`), as
+    :func:`operators.herm_eig_basis` gives it for a diagonal H; the dense V
+    is :attr:`eigenvectors`.  ``group_slices[g]`` are the columns of V that
+    span energy group ``g``, whose mean eigenvalue is ``energies[g]``.  Group
+    projectors are derived from V on demand (:meth:`group_projector`,
+    :attr:`ground_projector`) rather than stored.  ``bohr_freqs`` is the
+    deduplicated, sorted set of energy differences, closed under negation by
+    construction; :meth:`bohr_at` files eigenvector pairs under the Bohr
+    frequency of their groups, and :attr:`bohr_map` does so for all d x d
+    pairs at once.  Matrices enter and leave the eigenbasis through
+    :meth:`to_eig` and :meth:`from_eig`.
     """
 
     energies: np.ndarray
@@ -51,8 +54,25 @@ class SpectralData:
     bohr_gap: float
     group_tol: float
     eigenvalues: np.ndarray = field(repr=False)
-    eigenvectors: np.ndarray = field(repr=False)
+    basis: np.ndarray = field(repr=False)
     group_slices: tuple = field(repr=False)
+
+    @property
+    def dim(self):
+        return len(self.eigenvalues)
+
+    @cached_property
+    def eigenvectors(self):
+        """The eigenbasis V as a dense d x d array, read-only; a permutation V
+        is formed from p on first read."""
+        p = self.permutation
+        if p is None:
+            v = self.basis
+        else:
+            v = np.zeros((self.dim, self.dim), dtype=complex)
+            v[p, np.arange(self.dim)] = 1.0
+        v.flags.writeable = False
+        return v
 
     def group_projector(self, g):
         """Orthogonal projector onto the eigenspace of group ``g``."""
@@ -83,26 +103,29 @@ class SpectralData:
         return int(k) if k.ndim == 0 else k
 
     @cached_property
-    def bohr_map(self):
-        """The d x d Bohr-index map F: F[i, j] = k for the eigenvector pair
-        (i, j) whose groups g, h have ``bohr_index(E_g - E_h) == k``."""
-        group_index = self.bohr_index(self.energies[:, None] - self.energies[None, :])
+    def _group_bohr(self):
+        """(group of each eigenvalue, g x g Bohr indices of the group pairs)."""
         groups = np.repeat(np.arange(len(self.group_slices)),
                            [sl.stop - sl.start for sl in self.group_slices])
-        return group_index[groups[:, None], groups[None, :]]
+        return groups, self.bohr_index(self.energies[:, None] - self.energies[None, :])
+
+    def bohr_at(self, rows, cols):
+        """The Bohr-index map F at the eigenvector pairs (rows, cols): F[i, j] = k
+        for the pair (i, j) whose groups g, h have ``bohr_index(E_g - E_h) == k``."""
+        groups, group_index = self._group_bohr
+        return group_index[groups[rows], groups[cols]]
 
     @cached_property
-    def permutation(self):
-        """p with V[p[j], j] = 1 when V is a permutation matrix, else None.
+    def bohr_map(self):
+        """The d x d Bohr-index map F of :meth:`bohr_at`, every pair at once."""
+        groups, group_index = self._group_bohr
+        return group_index[groups[:, None], groups[None, :]]
 
-        V is unitary, so it is one exactly when it has d nonzero entries,
-        each exactly 1.0, as :func:`operators.herm_eig` returns for a
-        diagonal H.  Found once per spectrum in O(d^2)."""
-        v = self.eigenvectors
-        if np.count_nonzero(v) != v.shape[0]:
-            return None
-        cols, p = ops.nonzero(v.T)  # one nonzero in each column
-        return p if np.all(v[p, cols] == 1.0) else None
+    @property
+    def permutation(self):
+        """p with V[p[j], j] = 1 when V is a permutation matrix, else None:
+        the ``basis`` that :func:`spectral_data` keeps for a diagonal H."""
+        return self.basis if self.basis.ndim == 1 else None
 
     def to_eig(self, x):
         """V^dag x V over the last two axes of ``x``.
@@ -136,23 +159,33 @@ class SpectralData:
 class BohrBlocks:
     """Decomposition A = sum_nu A_nu over Bohr frequencies of a Hamiltonian.
 
-    ``eig`` is A~ = V^dag A V in the eigenbasis V of ``sd``, with the entries
-    of the dropped blocks set to zero (read-only): with M_nu the 0/1 mask of
-    the eigenvector pairs filed under nu, A_nu = V (A~ o M_nu) V^dag.  The
-    kept blocks are at ``freqs[p]`` = ``bohr_freqs[freq_indices[p]]``,
-    indices ascending; blocks with ||A_nu||_2 <= drop_factor ||A||_2 are
-    left out (see :func:`bohr_decompose`).  ``mats[p]`` is the dense A_nu,
-    formed when it is read; it is kept only while a reader holds it, so
-    readers that hold it share one array.
+    ``entries`` are the nonzero entries (rows, cols, values), row-major, of
+    A~ = V^dag A V in the eigenbasis V of ``sd`` with the entries of the
+    dropped blocks left out, and ``entry_bohr`` their Bohr indices F: with
+    M_nu the 0/1 mask of the eigenvector pairs filed under nu, A_nu =
+    V (A~ o M_nu) V^dag.  ``eig`` is that masked A~ as a dense read-only
+    d x d array, formed on first read.  The kept blocks are at ``freqs[p]`` =
+    ``bohr_freqs[freq_indices[p]]``, indices ascending; blocks with
+    ||A_nu||_2 <= drop_factor ||A||_2 are left out (see
+    :func:`bohr_decompose`).  ``mats[p]`` is the dense A_nu, formed when it
+    is read; it is kept only while a reader holds it, so readers that hold
+    it share one array.
     """
 
     label: str
     freq_indices: np.ndarray  # indices into SpectralData.bohr_freqs
     freqs: np.ndarray
-    eig: np.ndarray = field(repr=False)
+    entries: tuple = field(repr=False)
+    entry_bohr: np.ndarray = field(repr=False)
     sd: SpectralData = field(repr=False)
     _formed: WeakValueDictionary = field(default_factory=WeakValueDictionary,
                                          repr=False, compare=False)
+
+    @cached_property
+    def eig(self):
+        eig = ops.from_entries(self.entries, self.sd.dim)
+        eig.flags.writeable = False
+        return eig
 
     @property
     def mats(self):
@@ -167,7 +200,8 @@ class BohrBlocks:
 
 class _DenseBlocks(Sequence):
     """The dense blocks V (A~ o M_nu) V^dag of a :class:`BohrBlocks`, each
-    formed when it is read unless a reader still holds it."""
+    formed when it is read unless a reader still holds it: from the entries
+    of A~ filed under nu, scattered through p for a permutation V."""
 
     def __init__(self, blocks):
         self._blocks = blocks
@@ -180,10 +214,17 @@ class _DenseBlocks(Sequence):
         k = int(blocks.freq_indices[p])
         mat = blocks._formed.get(k)
         if mat is None:
-            rows, cols = np.nonzero(blocks.sd.bohr_map == k)
-            v = blocks.sd.eigenvectors
-            block, r, c = _compact_block(blocks.eig, rows, cols, v.shape[0])
-            mat = blocks._formed[k] = v[:, r] @ block @ np.ascontiguousarray(v[:, c].conj().T)
+            sd, (rows, cols, vals) = blocks.sd, blocks.entries
+            sel = blocks.entry_bohr == k
+            block, r, c = _compact_block(vals[sel], rows[sel], cols[sel], sd.dim)
+            perm = sd.permutation
+            if perm is None:
+                v = sd.eigenvectors
+                mat = v[:, r] @ block @ np.ascontiguousarray(v[:, c].conj().T)
+            else:  # V B V^dag for V[perm[j], j] = 1, +0.0 as the product gives it
+                mat = np.zeros((sd.dim, sd.dim), dtype=complex)
+                mat[perm[r][:, None], perm[c]] = block + 0.0
+            blocks._formed[k] = mat
         return mat
 
 
@@ -239,7 +280,7 @@ def spectral_data(ham, group_tol=None) -> SpectralData:
     clustering).
     """
     dense = ham.dense if isinstance(ham, LocalHamiltonian) else np.asarray(ham)
-    w, v = ops.herm_eig(dense)
+    w, basis = ops.herm_eig_basis(dense)
     scale = max(np.max(np.abs(w)), 1e-300) if len(w) else 1.0
     if group_tol is None:
         group_tol = DEFAULT_GROUP_TOL_FACTOR * scale
@@ -279,7 +320,7 @@ def spectral_data(ham, group_tol=None) -> SpectralData:
         bohr_gap=bohr_gap,
         group_tol=float(group_tol),
         eigenvalues=w,
-        eigenvectors=v,
+        basis=basis,
         group_slices=tuple(slices),
     )
 
@@ -294,8 +335,9 @@ def _compact(idx, dim):
 
 def _compact_block(a_eig, rows, cols, dim):
     """The entries of ``a_eig`` at (rows, cols), on the rows r and columns c
-    where one is nonzero: (block, r, c) with a_eig o M = embed(block)."""
-    vals = a_eig[rows, cols]
+    where one is nonzero: (block, r, c) with a_eig o M = embed(block).  A 1-d
+    ``a_eig`` holds those entries' values already."""
+    vals = a_eig[rows, cols] if a_eig.ndim == 2 else a_eig
     hit = vals != 0  # exactly-zero entries add nothing to V B V^dag
     r, r_at = _compact(rows[hit], dim)
     c, c_at = _compact(cols[hit], dim)
@@ -305,14 +347,18 @@ def _compact_block(a_eig, rows, cols, dim):
 
 
 def bohr_decompose(a_mat, sd: SpectralData, label: str = "", drop_factor=1e-12,
-                   norm=None):
+                   norm=None, entries=None):
     """Decompose ``a_mat`` into blocks A_nu = sum_{E2-E1=nu} P_{E2} A P_{E1}.
 
     The blocks are kept in the eigenbasis V of ``sd``: with A~ = V^dag A V
     and the 0/1 mask M_nu that covers every eigenvector pair whose energy
     groups differ by the Bohr frequency nu, A_nu = V (A~ o M_nu) V^dag.
     That is one transform per jump instead of g^2 projector sandwiches; the
-    result stores A~ with the dropped blocks zeroed and forms no A_nu.
+    result stores the nonzero entries of A~ in the kept blocks and forms no
+    A_nu.  For a permutation V, A~[i, j] = A[p[i], p[j]], so the entries of A
+    (``entries`` when the caller has them, else read from ``a_mat``, which may
+    be ``scipy.sparse``) are mapped through the inverse of p and no d x d
+    array is formed; otherwise A~ is the dense product.
 
     A block is kept when ||A_nu||_2 > drop_factor * ||A||_2.  The spectral
     norm is unitarily invariant, so it is that of the masked A~, and it lies
@@ -323,31 +369,45 @@ def bohr_decompose(a_mat, sd: SpectralData, label: str = "", drop_factor=1e-12,
     and only a block inside it is decided by that function on its compact
     entries.  ``norm`` is ||A||_2 when the caller has it already.
     """
-    a_mat = np.asarray(a_mat, dtype=complex)
-    dim = sd.eigenvectors.shape[0]
+    a_mat = sp.csr_array(a_mat, dtype=complex) if sp.issparse(a_mat) else np.asarray(
+        a_mat, dtype=complex)
+    dim = sd.dim
     if a_mat.shape != (dim, dim):
         raise DimensionMismatch(
             f"operator shape {a_mat.shape} does not match dimension {dim}"
         )
     if norm is None:
-        norm = ops.operator_norm(a_mat)
+        norm = ops.operator_norm(ops.as_dense(a_mat))
     cutoff = drop_factor * max(norm, 1e-300)
-    a_eig = sd.to_eig(a_mat)
-    f = sd.bohr_map
-    nz = np.flatnonzero(a_eig != 0)
-    vals = a_eig.ravel()[nz]
-    fro = np.sqrt(np.bincount(f.ravel()[nz], vals.real**2 + vals.imag**2, len(sd.bohr_freqs)))
+    p = sd.permutation
+    if p is None:
+        a_eig = sd.to_eig(ops.as_dense(a_mat))
+        rows, cols = ops.nonzero(a_eig)
+        vals = a_eig[rows, cols]
+    else:
+        inv = np.empty_like(p)
+        inv[p] = np.arange(dim)
+        a_rows, a_cols, a_vals = ops.entries(a_mat) if entries is None else entries
+        order = np.argsort(inv[a_rows] * dim + inv[a_cols])  # row-major in the eigenbasis
+        rows, cols = inv[a_rows[order]], inv[a_cols[order]]
+        vals = a_vals[order] + 0.0  # as to_eig writes it
+    f = sd.bohr_at(rows, cols)
+    fro = np.sqrt(np.bincount(f, vals.real**2 + vals.imag**2, len(sd.bohr_freqs)))
     keep = fro > math.sqrt(dim) * cutoff * (1.0 + ops.NORM_BAND_SLACK)
     for k in np.flatnonzero(~keep & (fro > cutoff * (1.0 - ops.NORM_BAND_SLACK))).tolist():
-        rows, cols = np.nonzero(f == k)
-        keep[k] = ops.spectral_norm_exceeds(_compact_block(a_eig, rows, cols, dim)[0], cutoff)
-    a_eig[~keep[f]] = 0.0
-    a_eig.flags.writeable = False
+        sel = f == k
+        keep[k] = ops.spectral_norm_exceeds(
+            _compact_block(vals[sel], rows[sel], cols[sel], dim)[0], cutoff)
+    hit = keep[f]
+    kept_entries = (rows[hit], cols[hit], vals[hit])
+    for arr in kept_entries:
+        arr.flags.writeable = False
     kept = np.flatnonzero(keep)
     return BohrBlocks(
         label=label,
         freq_indices=kept.astype(int),
         freqs=sd.bohr_freqs[kept],
-        eig=a_eig,
+        entries=kept_entries,
+        entry_bohr=f[hit],
         sd=sd,
     )

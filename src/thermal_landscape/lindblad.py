@@ -6,11 +6,11 @@ weights C(nu', nu); the operator structure is exact and only the kernel
 values carry quadrature error.  The Davies (tau -> infinity) limit keeps
 the diagonal weights gamma(nu) only.
 
-Everything is gathered in the eigenbasis V of H: from A~ = V^dag A V,
-masked to the jump's kept Bohr blocks as set-up stores it, the Bohr-index
-map F of the spectrum and the kernel table indexed by F, one expression per
-operator covers every pair of Bohr blocks at once.  A Davies model takes
-diag(gamma(nu)) as its table, so both share that code.  Each jump has one
+Everything is gathered in the eigenbasis V of H: from the nonzero entries
+of A~ = V^dag A V, masked to the jump's kept Bohr blocks as set-up stores
+them, their Bohr indices F and the kernel table indexed by F, one
+expression per operator covers every pair of Bohr blocks at once.  A
+Davies model takes diag(gamma(nu)) as its table, so both share that code.  Each jump has one
 sparse eigenbasis dissipator D~_a (:meth:`LindbladModel._dissipator_eig`);
 the dissipator and its adjoint, the generator, the dense superoperator,
 the omega = 0 sector and the evolution above ``SUPEROP_MAX_DIM`` all read
@@ -60,10 +60,18 @@ _coherent_sentinel = object()
 
 @dataclass
 class Jump:
+    """A jump operator A as given (a dense array, or a ``scipy.sparse`` CSR
+    array kept as its entries), its Bohr blocks and ||A^dag A||_2."""
+
     label: str
-    matrix: np.ndarray
+    given: object = field(repr=False)
     blocks: object
     aa_norm: float
+
+    @property
+    def matrix(self):
+        """A as a dense array; a sparse jump is densified on each read."""
+        return ops.as_dense(self.given)
 
 
 @dataclass
@@ -161,14 +169,21 @@ class LindbladModel:
 
     def _jump_eig(self, jump):
         """V^dag A V of ``jump`` restricted to its kept Bohr blocks: the sum
-        of the blocks A_nu, in the eigenbasis V, as set-up stored it."""
+        of the blocks A_nu, in the eigenbasis V, densified from the entries
+        set-up stored (and cached there)."""
         return jump.blocks.eig
 
     def _decay_eig(self, a_eig):
         """G in the eigenbasis: G~[a, b] = sum_i conj(A~[i, a]) A~[i, b]
-        C'[F[i, a], F[i, b]], which is sum C(nu', nu) A_nu'^dag A_nu."""
+        C'[F[i, a], F[i, b]], which is sum C(nu', nu) A_nu'^dag A_nu, for a
+        dense A~; :meth:`_decay_entries` gathers it from a jump's entries."""
         f = self.sd.bohr_map
         return _gathered_product(a_eig.conj().T, f.T, a_eig, f, self._pair_weight)
+
+    def _decay_entries(self, blocks):
+        """:meth:`_decay_eig` of the masked A~ of ``blocks``, as entries."""
+        a, f = blocks.entries, blocks.entry_bohr
+        return _gather(*_adjoint(a, f), a, f, self._pair_weight, self.dim)
 
     def _lamb_eig(self, label):
         """V^dag H_LS,a V: the Lamb shift of jump ``label`` in the eigenbasis."""
@@ -186,15 +201,31 @@ class LindbladModel:
                        + i H~_LS[a, b] (lambda_b - lambda_a),
 
         which is sum C(nu', nu) A_nu'^dag H A_nu - {G, H}/2 + i [H_LS, H]
-        there, G~ being the same sum without the lambda factor.
+        there, G~ being the same sum without the lambda factor.  The first
+        sum is :meth:`_gather_gradient` densified.
         """
-        lam = self.sd.eigenvalues
-        f = self.sd.bohr_map
-        a_eig = self._jump_eig(self.jump(label))
-        out = _gathered_product(a_eig.conj().T, f.T, a_eig, f, self._pair_weight, lam)
+        out = ops.from_entries(self._gather_gradient(label), self.dim)
         if self.include_lamb_shift:
+            lam = self.sd.eigenvalues
             out += 1j * (lam - lam[:, None]) * self._lamb_eig(label)
         return out
+
+    def _gather_gradient(self, label):
+        """The entries of the first sum of :meth:`_gradient_eig`."""
+        blocks = self.jump(label).blocks
+        a, f = blocks.entries, blocks.entry_bohr
+        return _gather(*_adjoint(a, f), a, f, self._pair_weight, self.dim,
+                       self.sd.eigenvalues)
+
+    def _gradient_entries(self, label):
+        """The nonzero entries (rows, cols, values), row-major, of
+        :meth:`_gradient_eig`, with no d x d array formed unless the Lamb
+        shift adds its dense term."""
+        if self.include_lamb_shift:
+            return ops.entries(self._gradient_eig(label))
+        rows, cols, vals = self._gather_gradient(label)
+        hit = vals != 0
+        return rows[hit], cols[hit], vals[hit]
 
     def _dissipator_eig(self, label):
         """D~_a: the dissipator of jump ``label`` in the eigenbasis, CSR over
@@ -206,16 +237,19 @@ class LindbladModel:
                                  - (G~[i, k] delta_jl + delta_ik conj(G~[j, l])) / 2,
 
         which is sum C(nu', nu) A_nu (.) A_nu'^dag - {G, .}/2 there.  The
-        jump part pairs every two nonzeros of A~, ``GATHER_BLOCK`` pairs at a
-        time, and keeps those of nonzero weight (for a Davies model, F[i, k]
-        = F[j, l]); the decay part is :func:`_kron_terms` of -G~/2.
+        jump part pairs every two stored nonzeros of A~, ``GATHER_BLOCK``
+        pairs at a time, and keeps those of nonzero weight (for a Davies
+        model, F[i, k] = F[j, l]); the decay part is :func:`_kron_terms` of
+        -G~/2, from :meth:`_decay_entries`.
         """
         if label not in self._dissipators:
             d = self.dim
-            a_eig = self._jump_eig(self.jump(label))
-            row, col = ops.nonzero(a_eig)
-            vals, freq = a_eig[row, col], self.sd.bohr_map[row, col]
-            terms = [_kron_terms(-0.5 * self._decay_eig(a_eig))]
+            blocks = self.jump(label).blocks
+            (row, col, vals), freq = blocks.entries, blocks.entry_bohr
+            g_rows, g_cols, g_vals = self._decay_entries(blocks)
+            g_vals = -0.5 * g_vals
+            hit = g_vals != 0
+            terms = [_kron_terms(g_rows[hit], g_cols[hit], g_vals[hit], d)]
             step = max(1, GATHER_BLOCK // max(len(vals), 1))
             for start in range(0, len(vals), step):
                 ik = slice(start, start + step)  # these nonzeros (i, k), paired with every (j, l)
@@ -247,46 +281,76 @@ class LindbladModel:
 
 
 def _gathered_product(left, f_left, right, f_right, weight, lam=None):
-    """sum_i left[a, i] right[i, b] weight(f_left[a, i], f_right[i, b]),
-    each term times lam[i] - (lam[a] + lam[b]) / 2 when ``lam`` is given.
-
-    ``weight`` maps two arrays of Bohr indices to the kernel entries.  Each
-    nonzero (a, i) of ``left`` is paired with each nonzero (i, b) of
-    ``right``, in chunks taken in row order of ``left``; a chunk's terms are
-    summed into its rows of the result by ``np.bincount``, the real and
-    imaginary parts apart.  A chunk has at most ``GATHER_BLOCK`` terms and
-    spans at most ``GATHER_BLOCK`` entries of the result.
-    """
-    d = right.shape[1]
-    out = np.zeros(left.shape[0] * d, dtype=complex)
+    """:func:`_gather` of the dense d x d ``left`` and ``right`` with their
+    d x d Bohr-index maps, as a dense d x d array."""
     la, li = ops.nonzero(left)
     ri, rb = ops.nonzero(right)
-    lval, rval = left[la, li], right[ri, rb]
-    count = np.bincount(ri, minlength=right.shape[0])
+    d = right.shape[1]
+    entries = _gather((la, li, left[la, li]), f_left[la, li], (ri, rb, right[ri, rb]),
+                      f_right[ri, rb], weight, d, lam)
+    return ops.from_entries(entries, d)
+
+
+def _gather(left, f_left, right, f_right, weight, d, lam=None):
+    """sum_i left[a, i] right[i, b] weight(f_left[a, i], f_right[i, b]),
+    each term times lam[i] - (lam[a] + lam[b]) / 2 when ``lam`` is given, as
+    entries (rows, cols, values), row-major, at every (a, b) some term reaches.
+
+    ``left`` and ``right`` are the row-major nonzero entries (rows, cols,
+    values) of two d x d matrices, and ``f_left``, ``f_right`` their Bohr
+    indices; ``weight`` maps two arrays of Bohr indices to the kernel entries.
+    Each entry (a, i) of ``left`` is paired with each entry (i, b) of
+    ``right``, in chunks of at most ``GATHER_BLOCK`` terms (or one entry of
+    ``left``) taken in order.  A chunk's terms are summed over their
+    distinct keys a d + b by ``np.bincount``, the real and imaginary parts
+    apart, in term order from 0.0, and the chunks' sums likewise in chunk
+    order; so with one chunk each value is the sum of its terms in order.
+    """
+    la, li, lval = left
+    ri, rb, rval = right
+    count = np.bincount(ri, minlength=d)
     first = np.cumsum(count) - count  # row i of right is rb[first[i]:][:count[i]]
-    per = count[li]  # terms of each nonzero of left
+    per = count[li]  # terms of each entry of left
     ends = np.cumsum(per)
     starts = ends - per
-    span = max(1, GATHER_BLOCK // d)  # rows of the result one chunk may reach
+    keys, sums = [], []
     start = 0
     while start < len(la):
-        stop = min(np.searchsorted(ends, starts[start] + GATHER_BLOCK, side="right"),
-                   np.searchsorted(la, la[start] + span))
-        stop = max(int(stop), start + 1)
+        stop = max(int(np.searchsorted(ends, starts[start] + GATHER_BLOCK, side="right")),
+                   start + 1)
         owner = np.repeat(np.arange(start, stop), per[start:stop])
         # term t of the chunk is term t + starts[start] - starts[owner] of its owner
         pos = first[li[owner]] + np.arange(len(owner)) + (starts[start] - starts[owner])
         a, i, b = la[owner], li[owner], rb[pos]
-        w = weight(f_left[a, i], f_right[i, b])
+        w = weight(f_left[owner], f_right[pos])
         if lam is not None:
             w = w * (lam[i] - 0.5 * (lam[a] + lam[b]))
-        term = lval[owner] * (rval[pos] * w)
-        lo, hi = la[start] * d, (la[stop - 1] + 1) * d
-        at = a * d + b - lo
-        out.real[lo:hi] += np.bincount(at, term.real, hi - lo)
-        out.imag[lo:hi] += np.bincount(at, term.imag, hi - lo)
+        key, at = np.unique(a * d + b, return_inverse=True)
+        keys.append(key)
+        sums.append(_key_sums(at, lval[owner] * (rval[pos] * w), len(key)))
         start = stop
-    return out.reshape(left.shape[0], d)
+    if not keys:
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0, dtype=complex)
+    if len(keys) > 1:
+        key, at = np.unique(np.concatenate(keys), return_inverse=True)
+        sums = [_key_sums(at, np.concatenate(sums), len(key))]
+    rows, cols = divmod(key, d)
+    return rows, cols, sums[0]
+
+
+def _key_sums(at, terms, size):
+    """The sums of ``terms`` over their compressed keys ``at``, each in term order from 0.0."""
+    out = np.empty(size, dtype=complex)
+    out.real = np.bincount(at, terms.real, size)
+    out.imag = np.bincount(at, terms.imag, size)
+    return out
+
+
+def _adjoint(entries, bohr):
+    """The row-major entries of A^dag, and their Bohr indices, from those of A."""
+    rows, cols, vals = entries
+    order = np.argsort(cols, kind="stable")
+    return (cols[order], rows[order], vals[order].conj()), bohr[order]
 
 
 def _eig_generator(model: LindbladModel, w, include_coherent):
@@ -307,18 +371,17 @@ def _eig_generator(model: LindbladModel, w, include_coherent):
     if include_coherent:
         m_eig[np.diag_indices(d)] -= 1j * model.sd.eigenvalues
     if m_eig.any() or not parts:
-        parts.append(_csr([_kron_terms(m_eig)], d))
+        parts.append(_csr([_kron_terms(*ops.entries(m_eig), d)], d))
     return sum(parts[1:], start=parts[0])
 
 
-def _kron_terms(m_eig):
+def _kron_terms(i, k, vals, d):
     """(rows, cols, values) of M (x) I + I (x) conj(M), which is X -> M X +
-    X M^dag on row-major vec: ((i, j), (k, j)) and ((j, i), (j, k)) for
-    each nonzero M[i, k]."""
-    d = len(m_eig)
-    i, k = np.nonzero(m_eig)
+    X M^dag on row-major vec, for the d x d M with the nonzero entries
+    M[i, k] = ``vals``, row-major: ((i, j), (k, j)) and ((j, i), (j, k))
+    for each of them."""
     j = np.arange(d)[:, None]
-    vals = np.broadcast_to(m_eig[i, k], (d, len(i)))
+    vals = np.broadcast_to(vals, (d, len(i)))
     return (np.concatenate(((i * d + j).ravel(), (j * d + i).ravel())),
             np.concatenate(((k * d + j).ravel(), (j * d + k).ravel())),
             np.concatenate((vals.ravel(), vals.conj().ravel())))
@@ -342,7 +405,7 @@ def _square(x, d):
 def _apply_eig(sd, mat, x, adjoint=False):
     """V X~ V^dag with vec(X~) = mat vec(V^dag x V) (mat^dag with ``adjoint``),
     for a d^2 x d^2 eigenbasis ``mat``; ``x`` must be d x d."""
-    d = sd.eigenvectors.shape[0]
+    d = sd.dim
     vec = sd.to_eig(_square(x, d)).reshape(-1)
     out = mat.T.dot(vec.conj()).conj() if adjoint else mat.dot(vec)
     return sd.from_eig(out.reshape(d, d))
@@ -357,55 +420,72 @@ def _rotate_superop(mat, sd):
     conj(V) Y_r V^T.  Each is one :meth:`SpectralData.from_eig` of a stack
     of d^2 matrices.
     """
-    d = sd.eigenvectors.shape[0]
+    d = sd.dim
     cols = mat.reshape(d, d, d * d).transpose(2, 0, 1)
     rows = sd.from_eig(cols).reshape(d * d, d * d).T
     return sd.from_eig(rows.reshape(d * d, d, d), conj=True).reshape(d * d, d * d)
 
 
 def _as_jump_list(jumps):
+    """(label, matrix) pairs: a dense complex array, or a ``scipy.sparse``
+    jump as a complex CSR array in canonical form."""
     out = []
     for label, mat in jumps:
-        out.append((str(label), np.asarray(mat, dtype=complex)))
+        if sp.issparse(mat):
+            mat = sp.csr_array(mat, dtype=complex, copy=True)
+            mat.sum_duplicates()
+        else:
+            mat = np.asarray(mat, dtype=complex)
+        out.append((str(label), mat))
     return out
 
 
-def _check_jump_set(jumps, dim):
+def _jump_entries(label, m, dim):
+    """:func:`operators.entries` of jump ``m``, after its shape is checked."""
+    if m.shape != (dim, dim):
+        raise DimensionMismatch(f"jump {label!r} has shape {m.shape}, expected {(dim, dim)}")
+    return ops.entries(m)
+
+
+def _check_jump_set(jumps, dim, entries=None):
     """Validate shapes, ||A^dag A|| <= 1 and closure under the adjoint.
 
-    Returns each jump's (||A||_2, ||A^dag A||_2).  When every row of A has
+    Returns each jump's (||A||_2, ||A^dag A||_2).  ``entries`` are the jumps'
+    :func:`_jump_entries` when the caller has them.  When every row of A has
     at most one nonzero, as for Pauli, clock and sigma+- jumps, ||A^dag A||_2
     is the largest squared column norm of A, with no product formed, and A
     is closed when such a jump has exactly A^dag's (row, column, value)
-    pattern.  Otherwise ||A^dag A||_2 is one SVD of A^dag A; failing a pattern
+    pattern; a ``scipy.sparse`` jump is read so without densifying it.
+    Otherwise ||A^dag A||_2 is one SVD of A^dag A; failing a pattern
     match, A^dag is matched to a jump B when ||A^dag - B||_2 <= 1e-10 ||A||_2
     by :func:`operators.spectral_norm_exceeds` (no SVD for a clear match or
     mismatch), A itself first.
     """
     def key(rows, cols, vals):  # the exact pattern, -0.0 read as +0.0
         return rows.tobytes(), cols.tobytes(), (vals + 0.0).tobytes()
-    patterns = []
-    for label, m in jumps:
-        if m.shape != (dim, dim):
-            raise DimensionMismatch(f"jump {label!r} has shape {m.shape}, expected {(dim, dim)}")
-        rows, cols = ops.nonzero(m)
-        patterns.append(None if np.any(rows[1:] == rows[:-1]) else (rows, cols, m[rows, cols]))
+    if entries is None:
+        entries = [_jump_entries(label, m, dim) for label, m in jumps]
+    patterns = [None if np.any(rows[1:] == rows[:-1]) else (rows, cols, vals)
+                for rows, cols, vals in entries]
     keys, norms = {key(*p) for p in patterns if p is not None}, []
     for (label, m), pattern in zip(jumps, patterns):
+        dense = None
         if pattern is not None:
             rows, cols, vals = pattern
             aa = float(np.max(np.bincount(cols, vals.real**2 + vals.imag**2, dim), initial=0.0))
             order = np.argsort(cols)
             adjoint = key(cols[order], rows[order], vals[order].conj())
         else:
-            aa = ops.operator_norm(m.conj().T @ m)
+            dense = ops.as_dense(m)
+            aa = ops.operator_norm(dense.conj().T @ dense)
         if not aa <= 1.0 + 1e-9:
             raise JumpNotNormalized(f"jump {label!r} has ||A^dag A|| = {aa:.6f} > 1")
         norms.append((math.sqrt(aa), aa))
         if pattern is not None and adjoint in keys:
             continue
-        adj, tol = m.conj().T, 1e-10 * max(norms[-1][0], 1e-300)
-        if all(ops.spectral_norm_exceeds(adj - other, tol)
+        dense = ops.as_dense(m) if dense is None else dense
+        adj, tol = dense.conj().T, 1e-10 * max(norms[-1][0], 1e-300)
+        if all(ops.spectral_norm_exceeds(adj - ops.as_dense(other), tol)
                for other in [m] + [other for _, other in jumps if other is not m]):
             raise JumpSetNotClosed(f"adjoint of jump {label!r} is missing from the jump set")
     return norms
@@ -428,23 +508,26 @@ def build_model(
 ) -> LindbladModel:
     """Assemble a :class:`LindbladModel` from a Hamiltonian and jumps.
 
-    ``jumps`` is a list of ``(label, matrix)`` pairs; the set must be
-    closed under Hermitian conjugation and each jump must satisfy
-    ``||A^dag A|| <= 1``.  With ``davies=True`` (or ``beta_infinite``)
-    the exact Bohr-frequency limit is used and no kernel table is built.
+    ``jumps`` is a list of ``(label, matrix)`` pairs, each matrix dense or
+    ``scipy.sparse`` (kept as its entries); the set must be closed under
+    Hermitian conjugation and each jump must satisfy ``||A^dag A|| <= 1``.
+    With ``davies=True`` (or ``beta_infinite``) the exact Bohr-frequency
+    limit is used and no kernel table is built.
     """
     if beta_infinite:
         davies = True
     if not davies and bath is None:
         raise ValueError("a BathSpec is required unless davies=True")
     jump_list = _as_jump_list(jumps)
-    norms = _check_jump_set(jump_list, ham.dense.shape[0])
+    dim = ham.dense.shape[0]
+    entries = [_jump_entries(label, mat, dim) for label, mat in jump_list]
+    norms = _check_jump_set(jump_list, dim, entries)
 
     sd = spectral_data(ham, group_tol)
     jump_objs = [
-        Jump(label=label, matrix=mat,
-             blocks=bohr_decompose(mat, sd, label=label, norm=norm), aa_norm=aa)
-        for (label, mat), (norm, aa) in zip(jump_list, norms)
+        Jump(label=label, given=mat, aa_norm=aa,
+             blocks=bohr_decompose(mat, sd, label=label, norm=norm, entries=ent))
+        for (label, mat), (norm, aa), ent in zip(jump_list, norms, entries)
     ]
 
     if include_lamb_shift is None:
@@ -524,8 +607,8 @@ def davies_adjoint(model: LindbladModel, label, obs):
 def lamb_shift_operator(model: LindbladModel, label):
     """H_LS,a = sum K(nu2, nu1) A_nu2 A_nu1, Hermitized after a defect check.
 
-    It is gathered in the eigenbasis: with A~ the masked V^dag A V of
-    :meth:`LindbladModel._jump_eig`, F the Bohr-index map and K' the Lamb
+    It is gathered in the eigenbasis: with A~ the masked V^dag A V whose
+    entries set-up stores, F the Bohr-index map and K' the Lamb
     kernel without its entries of modulus <= ``PAIR_DROP``,
 
         H~[a, b] = sum_i A~[a, i] A~[i, b] K'[F[a, i], F[i, b]],
@@ -538,9 +621,8 @@ def lamb_shift_operator(model: LindbladModel, label):
         raise ValueError("model was built with include_lamb_shift=False")
     if label not in model._lamb_ops:
         jump = model.jump(label)
-        a_eig = model._jump_eig(jump)
-        f = model.sd.bohr_map
-        raw = _gathered_product(a_eig, f, a_eig, f, model._lamb_weight)
+        a, f = jump.blocks.entries, jump.blocks.entry_bohr
+        raw = ops.from_entries(_gather(a, f, a, f, model._lamb_weight, model.dim), model.dim)
         defect = ops.hermiticity_defect(raw)
         bound = 1e-6 * max(jump.aa_norm, 1e-300)
         if defect > bound:

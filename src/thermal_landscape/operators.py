@@ -1,7 +1,9 @@
 """Dense complex operator primitives: Pauli tensors, site embeddings, spectra.
 
 Everything in the package works with plain ``numpy.ndarray`` matrices of
-dtype complex128.  Density matrices are ordinary matrices validated by
+dtype complex128; a jump operator may also be a ``scipy.sparse`` matrix
+(:func:`kron_embed_csr`), read through :func:`entries` and :func:`as_dense`.
+Density matrices are ordinary matrices validated by
 :func:`check_density_matrix` at API boundaries.
 """
 
@@ -9,6 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import (
     DimensionMismatch,
@@ -76,6 +79,35 @@ def nonzero(m):
     return divmod(np.flatnonzero(m != 0), m.shape[1])
 
 
+def entries(m):
+    """The nonzero entries ``(rows, cols, values)`` of a 2-d array or a
+    ``scipy.sparse`` matrix, in row-major order; a sparse one is read
+    without densifying it, its stored zeros skipped."""
+    if not sp.issparse(m):
+        rows, cols = nonzero(m)
+        return rows, cols, m[rows, cols]
+    m = sp.csr_array(m)
+    if not m.has_canonical_format:  # duplicates summed, columns sorted in each row
+        m = m.copy()
+        m.sum_duplicates()
+    rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+    hit = m.data != 0
+    return rows[hit], m.indices[hit].astype(np.intp), m.data[hit]
+
+
+def from_entries(entries, d):
+    """The d x d complex array with the given (rows, cols, values) and zeros elsewhere."""
+    rows, cols, vals = entries
+    out = np.zeros((d, d), dtype=complex)
+    out[rows, cols] = vals
+    return out
+
+
+def as_dense(m):
+    """``m`` as a dense array: a ``scipy.sparse`` matrix densified, any other returned as it is."""
+    return m.toarray() if sp.issparse(m) else m
+
+
 def pauli_matrix(term: PauliTerm, n: int):
     """Dense matrix of ``coefficient * tensor(sigma_letter[j] for j)``."""
     if n > MAX_QUBITS:
@@ -128,6 +160,12 @@ def kron_embed(op, sites, n: int):
     return out
 
 
+def kron_embed_csr(op, sites, n: int):
+    """:func:`kron_embed` as a ``scipy.sparse`` CSR array of its nonzero entries."""
+    rows, cols, vals = embedded_entries(op, sites, n)
+    return sp.csr_array((vals, (rows, cols)), shape=(2**n, 2**n))
+
+
 def hermiticity_defect(m):
     return operator_norm(m - dagger(m))
 
@@ -139,10 +177,24 @@ def herm_eig(m, tol_herm=None):
     phase-fixed so the largest-magnitude component is real positive.  A
     diagonal Hermitian part takes no LAPACK call: w is its diagonal by a
     stable sort, V the permutation matrix with V[k, j] = 1 for w[j] at k,
-    so equal eigenvalues keep the diagonal's order, not ``eigh``'s.  The defect
+    so equal eigenvalues keep the diagonal's order, not ``eigh``'s
+    (:func:`herm_eig_basis` returns that V as the permutation itself).
+    """
+    w, v = herm_eig_basis(m, tol_herm)
+    if v.ndim == 1:
+        p, v = v, np.zeros((len(w), len(w)), dtype=complex)
+        v[p, np.arange(len(w))] = 1.0
+    return w, v
+
+
+def herm_eig_basis(m, tol_herm=None):
+    """:func:`herm_eig`, with the V of a diagonal Hermitian part returned as
+    the permutation p, V[p[j], j] = 1, not as a d x d matrix.  The defect
     ||m - m^dag||_2 is checked against ``tol_herm`` (default 1e-10 ||m||_2)
-    only when m - m^dag has a nonzero entry: an exactly Hermitian ``m``
-    costs no SVD.  An input or Hermitian part that is not finite raises
+    only when m - m^dag has a nonzero entry, which is read from the nonzero
+    entries of m: an exactly Hermitian ``m`` costs no SVD, and if it is
+    diagonal as well no d x d array is formed.
+    An input or Hermitian part that is not finite raises
     :class:`NonFiniteValue`.
     """
     m = np.asarray(m, dtype=complex)
@@ -150,8 +202,9 @@ def herm_eig(m, tol_herm=None):
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise NonFiniteValue("matrix has a non-finite entry")
-    skew = m - dagger(m)
-    if np.any(skew):
+    rows, cols, vals = entries(m)
+    if np.any(m[cols, rows] != vals.conj()):  # m - m^dag has a nonzero entry
+        skew = m - dagger(m)
         if tol_herm is None:
             tol_herm = 1e-10 * operator_norm(m)
         defect = operator_norm(skew) if np.all(np.isfinite(skew)) else math.inf
@@ -159,6 +212,13 @@ def herm_eig(m, tol_herm=None):
             raise NotHermitian(
                 f"matrix is not Hermitian within {tol_herm:.3e} (defect {defect:.3e})"
             )
+    elif np.array_equal(rows, cols):
+        # m = m^dag and diagonal: its Hermitian part is m, unless 2 m overflows
+        diag = m.diagonal().real
+        if np.any(np.abs(diag) >= 2.0**1023):
+            raise NonFiniteValue("the Hermitian part of the matrix overflows")
+        order = np.argsort(diag, kind="stable")
+        return diag[order], order
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
         herm = 0.5 * (m + dagger(m))
     if not np.all(np.isfinite(herm)):
@@ -166,9 +226,7 @@ def herm_eig(m, tol_herm=None):
     diag = herm.diagonal().real
     if np.count_nonzero(herm) == np.count_nonzero(diag):
         order = np.argsort(diag, kind="stable")
-        v = np.zeros_like(herm)
-        v[order, np.arange(len(order))] = 1.0
-        return diag[order], v
+        return diag[order], order
     w, v = np.linalg.eigh(herm)
     # deterministic phase: largest-magnitude component real positive
     idx = np.argmax(np.abs(v), axis=0)
