@@ -382,24 +382,25 @@ def bohr_decompose(a_mat, sd: SpectralData, label: str = "", drop_factor=1e-12,
     p = sd.permutation
     if p is None:
         a_eig = sd.to_eig(ops.as_dense(a_mat))
-        rows, cols = ops.nonzero(a_eig)
-        vals = a_eig[rows, cols]
+        keys = np.flatnonzero(a_eig != 0)  # row-major flat indices of the nonzeros
+        vals = a_eig.ravel()[keys]
+        f = sd.bohr_map.ravel()[keys]
     else:
         inv = np.empty_like(p)
         inv[p] = np.arange(dim)
         a_rows, a_cols, a_vals = ops.entries(a_mat) if entries is None else entries
-        order = np.argsort(inv[a_rows] * dim + inv[a_cols])  # row-major in the eigenbasis
-        rows, cols = inv[a_rows[order]], inv[a_cols[order]]
-        vals = a_vals[order] + 0.0  # as to_eig writes it
-    f = sd.bohr_at(rows, cols)
+        keys = inv[a_rows] * dim + inv[a_cols]
+        order = np.argsort(keys)
+        keys, vals = keys[order], a_vals[order] + 0.0  # as to_eig writes it
+        f = sd.bohr_at(*divmod(keys, dim))
     fro = np.sqrt(np.bincount(f, vals.real**2 + vals.imag**2, len(sd.bohr_freqs)))
     keep = fro > math.sqrt(dim) * cutoff * (1.0 + ops.NORM_BAND_SLACK)
     for k in np.flatnonzero(~keep & (fro > cutoff * (1.0 - ops.NORM_BAND_SLACK))).tolist():
         sel = f == k
         keep[k] = ops.spectral_norm_exceeds(
-            _compact_block(vals[sel], rows[sel], cols[sel], dim)[0], cutoff)
+            _compact_block(vals[sel], *divmod(keys[sel], dim), dim)[0], cutoff)
     hit = keep[f]
-    kept_entries = (rows[hit], cols[hit], vals[hit])
+    kept_entries = (*divmod(keys[hit], dim), vals[hit])
     for arr in kept_entries:
         arr.flags.writeable = False
     kept = np.flatnonzero(keep)

@@ -201,29 +201,23 @@ class LindbladModel:
                        + i H~_LS[a, b] (lambda_b - lambda_a),
 
         which is sum C(nu', nu) A_nu'^dag H A_nu - {G, H}/2 + i [H_LS, H]
-        there, G~ being the same sum without the lambda factor.  The first
-        sum is :meth:`_gather_gradient` densified.
+        there, G~ being the same sum without the lambda factor.  It is
+        :meth:`_gradient_entries` densified.
         """
-        out = ops.from_entries(self._gather_gradient(label), self.dim)
-        if self.include_lamb_shift:
-            lam = self.sd.eigenvalues
-            out += 1j * (lam - lam[:, None]) * self._lamb_eig(label)
-        return out
-
-    def _gather_gradient(self, label):
-        """The entries of the first sum of :meth:`_gradient_eig`."""
-        blocks = self.jump(label).blocks
-        a, f = blocks.entries, blocks.entry_bohr
-        return _gather(*_adjoint(a, f), a, f, self._pair_weight, self.dim,
-                       self.sd.eigenvalues)
+        return ops.from_entries(self._gradient_entries(label), self.dim)
 
     def _gradient_entries(self, label):
         """The nonzero entries (rows, cols, values), row-major, of
-        :meth:`_gradient_eig`, with no d x d array formed unless the Lamb
-        shift adds its dense term."""
+        :meth:`_gradient_eig`, gathered from the jump's entries with no d x d
+        array formed, unless the Lamb shift adds its dense term."""
+        blocks = self.jump(label).blocks
+        a, f = blocks.entries, blocks.entry_bohr
+        lam = self.sd.eigenvalues
+        rows, cols, vals = _gather(*_adjoint(a, f), a, f, self._pair_weight, self.dim, lam)
         if self.include_lamb_shift:
-            return ops.entries(self._gradient_eig(label))
-        rows, cols, vals = self._gather_gradient(label)
+            out = ops.from_entries((rows, cols, vals), self.dim)
+            out += 1j * (lam - lam[:, None]) * self._lamb_eig(label)
+            return ops.entries(out)
         hit = vals != 0
         return rows[hit], cols[hit], vals[hit]
 
