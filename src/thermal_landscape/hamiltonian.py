@@ -369,8 +369,10 @@ def bohr_decompose(a_mat, sd: SpectralData, label: str = "", drop_factor=1e-12,
     and only a block inside it is decided by that function on its compact
     entries.  ``norm`` is ||A||_2 when the caller has it already.
     """
-    a_mat = sp.csr_array(a_mat, dtype=complex) if sp.issparse(a_mat) else np.asarray(
-        a_mat, dtype=complex)
+    if sp.issparse(a_mat):
+        a_mat = sp.csr_array(a_mat, dtype=complex)
+    else:
+        a_mat = np.asarray(a_mat, dtype=complex)
     dim = sd.dim
     if a_mat.shape != (dim, dim):
         raise DimensionMismatch(

@@ -193,9 +193,8 @@ def herm_eig_basis(m, tol_herm=None):
     ||m - m^dag||_2 is checked against ``tol_herm`` (default 1e-10 ||m||_2)
     only when m - m^dag has a nonzero entry, which is read from the nonzero
     entries of m: an exactly Hermitian ``m`` costs no SVD, and if it is
-    diagonal as well no d x d array is formed.
-    An input or Hermitian part that is not finite raises
-    :class:`NonFiniteValue`.
+    diagonal as well no d x d array is formed.  An input or Hermitian part
+    that is not finite raises :class:`NonFiniteValue`.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:

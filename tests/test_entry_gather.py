@@ -95,17 +95,15 @@ def test_ising_landscape_forms_no_dense_eigenbasis(embed, monkeypatch):
     assert certified == ["0" * n, "1" * n]
 
 
-def _sparse_cases(generic_pauli_chain):
-    """(name, Hamiltonian, jump factors, bath, davies)."""
-    for n in (4, 8):
-        for h in (0.0, 1.0):
-            yield f"ising_n{n}_h{h:g}", tl.build_ising_chain(n, h), "XY", n, DAVIES_BATH, True
-    yield "generic_n3", generic_pauli_chain(3, 0), "XZ", 3, BathSpec(beta=2.0, tau=25.0), False
-
-
-@pytest.mark.parametrize("index", range(5))
-def test_sparse_jumps_build_the_dense_jumps_model(index, generic_pauli_chain):
-    name, ham, letters, n, bath, davies = list(_sparse_cases(generic_pauli_chain))[index]
+@pytest.mark.parametrize("name", ["ising_n4_h0", "ising_n4_h1", "ising_n8_h0", "ising_n8_h1",
+                                  "generic_n3"])
+def test_sparse_jumps_build_the_dense_jumps_model(name, generic_pauli_chain):
+    if name == "generic_n3":
+        n, ham, letters = 3, generic_pauli_chain(3, 0), "XZ"
+        bath, davies = BathSpec(beta=2.0, tau=25.0), False
+    else:
+        n, ham, letters = int(name[7]), tl.build_ising_chain(int(name[7]), float(name[-1])), "XY"
+        bath, davies = DAVIES_BATH, True
     models = []
     for embed in (tl.kron_embed, tl.kron_embed_csr):
         jumps = [(f"{p}{j}", embed(tl.PAULI[p], [j], n)) for j in range(n) for p in letters]
