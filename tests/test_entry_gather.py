@@ -27,18 +27,19 @@ def _entry_args(left, f_left, right, f_right, weight, lam=None):
 
 def _in_order_sum(left, f_left, right, f_right, weight, lam=None):
     """The same sum with the terms of each entry added in order of i from
-    0.0: for each i, every product left[a, i] right[i, b] w as one flat
-    elementwise product (as the gather forms its terms: numpy's complex
-    product of whole arrays may round differently from a scalar one)."""
-    d = right.shape[1]
-    a, b = np.divmod(np.arange(left.shape[0] * d), d)
-    out = np.zeros(left.shape[0] * d, dtype=complex)
+    0.0: for each i, the products left[a, i] right[i, b] w over the nonzeros
+    of column i and row i as one flat elementwise product (as the gather forms
+    its terms: numpy's complex product of arrays may round differently from a
+    scalar one)."""
+    out = np.zeros(right.shape, dtype=complex)
     for i in range(left.shape[1]):
+        a, b = np.flatnonzero(left[:, i]), np.flatnonzero(right[i])
+        a, b = np.repeat(a, len(b)), np.tile(b, len(a))
         w = weight(f_left[a, i], f_right[i, b])
         if lam is not None:
             w = w * (lam[i] - 0.5 * (lam[a] + lam[b]))
-        out += left[a, i] * (right[i, b] * w)
-    return out.reshape(left.shape[0], d)
+        out[a, b] += left[a, i] * (right[i, b] * w)
+    return out
 
 
 GATHER_CASES = CASES + [("ising_n8_h0", True), ("ising_n8_h1", True)]
@@ -52,18 +53,19 @@ def test_entry_gather_matches_the_row_loop(name, davies, oracle_system, row_loop
     else:
         model = _model(name, davies, oracle_system)
     default = lindblad.GATHER_BLOCK
-    for block in (default, 7, 40):
-        monkeypatch.setattr(lindblad, "GATHER_BLOCK", block)
-        for label in model.jump_labels:
-            for args in _gathers(model, label):
+    for label in model.jump_labels:
+        for args in _gathers(model, label):
+            left, right = args[0], args[2]
+            terms = (left != 0).astype(int) @ (right != 0).astype(int)
+            want = row_loop_gather(*args) + 0.0  # its signed zeros made +0.0
+            in_order = _in_order_sum(*args) + 0.0
+            for block in (default, 7, 40):
+                monkeypatch.setattr(lindblad, "GATHER_BLOCK", block)
                 rows, cols, vals = lindblad._gather(*_entry_args(*args))
-                left, right = args[0], args[2]
-                terms = (left != 0).astype(int) @ (right != 0).astype(int)
                 # keys: every (a, b) that some term reaches, once each, row-major
                 assert np.array_equal(rows * len(right) + cols, np.flatnonzero(terms))
                 got = np.zeros(right.shape, dtype=complex)
                 got[rows, cols] = vals
-                want = row_loop_gather(*args) + 0.0  # its signed zeros made +0.0
                 assert np.array_equal(got != 0, want != 0)
                 if np.max(terms, initial=0) <= 1:
                     assert got.tobytes() == want.tobytes()
@@ -71,7 +73,7 @@ def test_entry_gather_matches_the_row_loop(name, davies, oracle_system, row_loop
                     scale = np.max(np.abs(want), initial=0.0)
                     assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * scale
                 if block == default:  # one chunk: every entry summed in term order
-                    assert got.tobytes() == (_in_order_sum(*args) + 0.0).tobytes()
+                    assert got.tobytes() == in_order.tobytes()
 
 
 def _forbid(monkeypatch, owner, name):
