@@ -463,7 +463,6 @@ def _check_jump_set(jumps, dim, entries=None):
                 for rows, cols, vals in entries]
     keys, norms = {key(*p) for p in patterns if p is not None}, []
     for (label, m), pattern in zip(jumps, patterns):
-        dense = None
         if pattern is not None:
             rows, cols, vals = pattern
             aa = float(np.max(np.bincount(cols, vals.real**2 + vals.imag**2, dim), initial=0.0))
@@ -477,8 +476,7 @@ def _check_jump_set(jumps, dim, entries=None):
         norms.append((math.sqrt(aa), aa))
         if pattern is not None and adjoint in keys:
             continue
-        dense = ops.as_dense(m) if dense is None else dense
-        adj, tol = dense.conj().T, 1e-10 * max(norms[-1][0], 1e-300)
+        adj, tol = ops.as_dense(m).conj().T, 1e-10 * max(norms[-1][0], 1e-300)
         if all(ops.spectral_norm_exceeds(adj - ops.as_dense(other), tol)
                for other in [m] + [other for _, other in jumps if other is not m]):
             raise JumpSetNotClosed(f"adjoint of jump {label!r} is missing from the jump set")
