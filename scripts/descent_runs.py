@@ -1,0 +1,121 @@
+#!/usr/bin/env python3
+"""How much of a sector descent its run blocks take.
+
+For each case, prints the steps taken, the number of runs (maximal stretches
+of steps along one jump), the share of steps evaluated in run blocks and the
+wall time of ``thermal_gradient_descent``.  The counts come from the one
+DEBUG line per run that ``thermal_landscape.descent`` logs.  Cases:
+
+- ``clock_cool``: the benchmark workload (T = 3 clock, beta = 30,
+  epsilon = 1.5e-2, B = 2.43), to termination;
+- ``criterion11``: ``configs/clock_cooling_t3.json`` (epsilon = 8e-4),
+  capped at 200,000 steps;
+- ``ising4_eps1e-2``: Ising ring n = 4, h = 1.5, epsilon = 1e-2, capped at
+  200,000 steps;
+- ``ising4_eps0.1`` and ``ising5_eps0.1``: n = 4 and 5, h = 1,
+  epsilon = 0.1, to termination.
+
+The Ising rings have X jumps on every site and a beta = 5, lambda0 = 4
+Davies bath, and start maximally mixed.  Run from the repository root with
+``PYTHONPATH=src python scripts/descent_runs.py [case ...]``.
+"""
+
+import argparse
+import logging
+import time
+
+import numpy as np
+
+import thermal_landscape as tl
+from thermal_landscape import cli
+from thermal_landscape.bath import BathSpec
+from thermal_landscape.errors import MaxStepsExceeded
+
+from clock_cooling import load_config
+
+CAP = 200_000
+
+
+def clock_cool():
+    eye = np.eye(2, dtype=complex)
+    cs = tl.make_circuit(1, 1, [(eye, [0]), (tl.PAULI["X"], [0]), (eye, [0])])
+    clock = tl.build_clock_hamiltonian(cs, j_in=0.6, j_prop=0.3)
+    model = tl.build_model(clock.local, tl.clock_jump_preset(cs),
+                           bath=BathSpec(beta=30.0, tau=1.0), davies=True)
+    return model, np.eye(16, dtype=complex) / 16, tl.DescentConfig(epsilon=1.5e-2, norm_bound=2.43)
+
+
+def criterion11():
+    cfg = load_config()
+    ham, clock, _ = cli._resolve_hamiltonian(cfg)
+    _, model_kwargs = cli._build_model(cfg, ham)
+    jumps, _ = cli._resolve_jumps(cfg, ham, clock)
+    model = tl.build_model(ham, jumps, **model_kwargs)
+    descent = cfg["descent"]
+    return model, tl.maximally_mixed(int(np.log2(model.dim))), tl.DescentConfig(
+        epsilon=descent["epsilon"], norm_bound=descent["B"], max_steps=CAP,
+        record_stride=descent["record_stride"])
+
+
+def ising(n, h, epsilon, max_steps=None):
+    ham = tl.build_ising_chain(n, h, periodic=True)
+    jumps = [(f"X{j}", tl.kron_embed(tl.PAULI["X"], [j], n)) for j in range(n)]
+    model = tl.build_model(ham, jumps, bath=BathSpec(beta=5.0, tau=1.0, lambda0=4.0),
+                           davies=True)
+    return model, tl.maximally_mixed(n), tl.DescentConfig(
+        epsilon=epsilon, norm_bound=model.ham.norm_bound, max_steps=max_steps)
+
+
+CASES = {
+    "clock_cool": clock_cool,
+    "criterion11": criterion11,
+    "ising4_eps1e-2": lambda: ising(4, 1.5, 1e-2, CAP),
+    "ising4_eps0.1": lambda: ising(4, 1.0, 0.1),
+    "ising5_eps0.1": lambda: ising(5, 1.0, 0.1),
+}
+
+
+class _Runs(logging.Handler):
+    """Collects the (label, steps, block steps, blocks, sweeps, one at a
+    time) of each run line."""
+
+    def __init__(self):
+        super().__init__(logging.DEBUG)
+        self.runs = []
+
+    def emit(self, record):
+        self.runs.append(record.args)
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("cases", nargs="*", metavar="case",
+                        help=f"any of {', '.join(CASES)} (default: all)")
+    args = parser.parse_args()
+    unknown = sorted(set(args.cases) - set(CASES))
+    if unknown:
+        parser.error(f"unknown case {', '.join(unknown)}")
+    log = logging.getLogger("thermal_landscape.descent")
+    log.setLevel(logging.DEBUG)
+    for name in args.cases or CASES:
+        model, rho, cfg = CASES[name]()
+        handler = _Runs()
+        log.addHandler(handler)
+        start = time.perf_counter()
+        try:
+            tl.thermal_gradient_descent(model, rho, cfg)
+            end = "terminated"
+        except MaxStepsExceeded:
+            end = f"capped at {cfg.max_steps}"
+        wall = time.perf_counter() - start
+        log.removeHandler(handler)
+        steps = sum(run[1] for run in handler.runs)
+        blocked = sum(run[2] for run in handler.runs)
+        print(f"{name}: {steps} steps ({end}), {len(handler.runs)} runs, "
+              f"{blocked / max(steps, 1):.1%} in blocks, "
+              f"{sum(run[4] for run in handler.runs)} Picard sweeps, {wall:.2f} s")
+
+
+if __name__ == "__main__":
+    main()

@@ -297,8 +297,9 @@ def _gather(left, f_left, right, f_right, weight, d, lam=None):
     ``right``, in chunks of at most ``GATHER_BLOCK`` terms (or one entry of
     ``left``) taken in order.  A chunk's terms are summed over their
     distinct keys a d + b by ``np.bincount``, the real and imaginary parts
-    apart, in term order from 0.0, and the chunks' sums likewise in chunk
-    order; so with one chunk each value is the sum of its terms in order.
+    apart, in term order from 0.0; a key that an earlier chunk reached
+    carries its running sum into its first term of the chunk.  So each value
+    is the sum of its terms in order, whatever the chunk size.
     """
     la, li, lval = left
     ri, rb, rval = right
@@ -308,6 +309,8 @@ def _gather(left, f_left, right, f_right, weight, d, lam=None):
     ends = np.cumsum(per)
     starts = ends - per
     keys, sums = [], []
+    # the keys of row la[start], which the chunk from ``start`` on may reach again
+    open_keys, open_sums = np.zeros(0, dtype=np.intp), np.zeros(0, dtype=complex)
     start = 0
     while start < len(la):
         stop = max(int(np.searchsorted(ends, starts[start] + GATHER_BLOCK, side="right")),
@@ -319,15 +322,32 @@ def _gather(left, f_left, right, f_right, weight, d, lam=None):
         w = weight(f_left[owner], f_right[pos])
         if lam is not None:
             w = w * (lam[i] - 0.5 * (lam[a] + lam[b]))
-        key, at = np.unique(a * d + b, return_inverse=True)
-        keys.append(key)
-        sums.append(_key_sums(at, lval[owner] * (rval[pos] * w), len(key)))
+        flat = a * d + b
+        key, at = np.unique(flat, return_inverse=True)
+        terms = lval[owner] * (rval[pos] * w)
+        if len(open_keys):
+            # the open keys' terms come first: those of the chunk's first row
+            head_keys, head = np.unique(flat[:np.searchsorted(a, la[start], side="right")],
+                                        return_index=True)
+            carried = np.isin(open_keys, head_keys)
+            terms[head[np.searchsorted(head_keys, open_keys[carried])]] += open_sums[carried]
+        key_sums = _key_sums(at, terms, len(key))
+        if len(open_keys):  # the open keys this chunk does not reach stay open
+            key = np.concatenate((open_keys[~carried], key))
+            order = np.argsort(key, kind="stable")
+            key, key_sums = key[order], np.concatenate((open_sums[~carried], key_sums))[order]
+        # rows before the next chunk's first row are complete
+        done = len(key) if stop == len(la) else np.searchsorted(key, la[stop] * d)
+        keys.append(key[:done])
+        sums.append(key_sums[:done])
+        open_keys, open_sums = key[done:], key_sums[done:]
         start = stop
     if not keys:
         return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0, dtype=complex)
     if len(keys) > 1:
-        key, at = np.unique(np.concatenate(keys), return_inverse=True)
-        sums = [_key_sums(at, np.concatenate(sums), len(key))]
+        key = np.concatenate(keys)
+        order = np.argsort(key, kind="stable")
+        key, sums = key[order], [np.concatenate(sums)[order]]
     rows, cols = divmod(key, d)
     return rows, cols, sums[0]
 

@@ -450,3 +450,39 @@ def _parent_vec_descent(model, rho, cfg):
 def parent_vec_path():
     """The pre-kernel vec(rho) oracles ``(post_step, evolve, descent)``."""
     return _parent_post_step, _parent_evolve, _parent_vec_descent
+
+
+def _sector_step_descent(model, rho, cfg, records=None):
+    """The omega = 0 sector descent one step at a time, as it ran before run
+    blocks: the first jump, in declared order, whose gradient lies below the
+    trigger, then ``ZeroFrequencySector.evolve`` with s = |g| / (9 B^2), then
+    one matvec of the gradient and energy rows.  Appends every step as
+    (index, label, g, s, e_before, e_after) to ``records`` (so that a caller
+    keeps the steps before a raising one) and returns them with the terminal
+    density; stops when no jump triggers or after ``cfg.max_steps`` steps.
+    Noise-free configs only."""
+    sector = lindblad.zero_frequency_sector(model)
+    x = sector.coords(rho)
+    labels = model.jump_labels
+    scan = np.array([sector.row(tl.gradient_operator(model, label)) for label in labels]
+                    + [sector.row(model.ham.dense)])
+    records = [] if records is None else records
+    m = len(labels)
+    values = scan.dot(x).tolist()
+    for t in range(1, cfg.max_steps + 1):
+        chosen = next((j for j in range(m) if values[j] < cfg.trigger), None)
+        if chosen is None:
+            break
+        g, e_before = values[chosen], values[m]
+        s = abs(g) / (9.0 * cfg.norm_bound**2)
+        x = sector.evolve(x, chosen, s)
+        values = scan.dot(x).tolist()
+        records.append((t, labels[chosen], g, s, e_before, values[m]))
+    return records, sector.density(x)
+
+
+@pytest.fixture
+def sector_step_descent():
+    """``sector_step_descent(model, rho, cfg, records=None)``: the one-step
+    sector descent that run blocks replace."""
+    return _sector_step_descent

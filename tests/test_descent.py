@@ -315,3 +315,30 @@ def test_sector_evolve_keeps_the_guards():
         sector.evolve(sector.coords(state([[0.5, 0.6], [0.6, 0.5]])), 0, 1e-6)
     with pytest.raises(tl.errors.EvolutionDefect):
         sector.evolve(sector.coords(state([[0.6, 0.0], [0.0, 0.5]])), 0, 1e-6)
+
+
+@pytest.mark.parametrize("fields, name", [
+    ({"epsilon": float("nan")}, "epsilon"),
+    ({"norm_bound": float("nan")}, "norm_bound"),
+    ({"norm_bound": float("inf")}, "norm_bound"),
+    ({"grad_tol": float("inf")}, "grad_tol"),
+    ({"trigger": float("-inf")}, "trigger"),
+    ({"norm_bound": 1e200}, "max_steps"),  # the budget 42 B^3 / eps^2 overflows
+    ({"epsilon": 1e-200}, "max_steps"),
+    ({"max_steps": True}, "max_steps"),
+    ({"max_steps": 10.0}, "max_steps"),
+    ({"record_stride": 2.5}, "record_stride"),
+    ({"record_stride": False}, "record_stride"),
+    ({"record_stride": None}, "record_stride"),
+])
+def test_config_rejects_non_finite_and_non_int_fields(fields, name):
+    with pytest.raises(ValueError, match=name):
+        tl.DescentConfig(**{"epsilon": 0.01, "norm_bound": 2.0, **fields})
+
+
+def test_config_keeps_numpy_ints_and_a_finite_budget():
+    cfg = tl.DescentConfig(epsilon=0.01, norm_bound=2.0, max_steps=np.int64(5),
+                           record_stride=np.int32(2))
+    assert cfg.max_steps == 5 and cfg.record_stride == 2
+    big = tl.DescentConfig(epsilon=1e-200, norm_bound=1e200, max_steps=7)
+    assert big.max_steps == 7

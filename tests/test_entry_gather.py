@@ -76,6 +76,26 @@ def test_entry_gather_matches_the_row_loop(name, davies, oracle_system, row_loop
                     assert got.tobytes() == in_order.tobytes()
 
 
+@pytest.mark.parametrize("name, davies", GATHER_CASES)
+def test_entry_gather_sums_in_order_at_every_block(name, davies, oracle_system, monkeypatch):
+    """A key whose terms span chunks carries its running sum from chunk to
+    chunk, so every block size gives the in-order sum byte for byte."""
+    if name.startswith("ising_n8"):
+        model = _ising_davies(8, float(name[-1]))
+    else:
+        model = _model(name, davies, oracle_system)
+    for label in model.jump_labels:
+        for args in _gathers(model, label):
+            in_order = _in_order_sum(*args) + 0.0
+            for block in (7, 40):
+                monkeypatch.setattr(lindblad, "GATHER_BLOCK", block)
+                rows, cols, vals = lindblad._gather(*_entry_args(*args))
+                assert np.all(np.diff(rows * len(args[2]) + cols) > 0)  # once each, row-major
+                got = np.zeros(args[2].shape, dtype=complex)
+                got[rows, cols] = vals
+                assert got.tobytes() == in_order.tobytes()
+
+
 def _forbid(monkeypatch, owner, name):
     def read(self):
         raise AssertionError(f"{owner.__name__}.{name} was read")
