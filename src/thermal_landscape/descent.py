@@ -546,6 +546,8 @@ def thermal_gradient_descent(model: LindbladModel, rho0, cfg: DescentConfig) -> 
         taken += 1
         if blocks is not None:
             sizes.append(s)
+            if len(sizes) > 2 * BLOCK_MAX:  # a run whose blocks keep failing
+                del sizes[:-BLOCK_MAX]
             if stepwise:
                 stepwise -= 1
         last = (t, labels[chosen], g, s, e_before, values[m])
