@@ -470,8 +470,9 @@ def thermal_gradient_descent(model: LindbladModel, rho0, cfg: DescentConfig) -> 
     sector and without noise, a run that has taken ``RUN_WARMUP`` steps
     along one jump goes on in blocks of as many steps as it has taken, at
     most ``BLOCK_MAX`` (:class:`_RunBlocks`).  The step at which a block
-    stops is taken one at a time, and after a block that keeps no step
-    another ``RUN_WARMUP`` steps are.  A block's size never depends on
+    stops is taken one at a time; after a block that keeps no step,
+    ``RUN_WARMUP`` steps are, doubling with each such block in a row up to
+    the run's length so far.  A block's size never depends on
     ``cfg.max_steps`` or ``cfg.record_stride``, so a cap only cuts what is
     committed.  Each run's steps, block steps, blocks and Picard sweeps are
     logged at DEBUG level when the run ends.
@@ -492,8 +493,9 @@ def thermal_gradient_descent(model: LindbladModel, rho0, cfg: DescentConfig) -> 
     steps = []
     last = None
     t = 0
-    # the current run: its jump, steps, and the sizes of its latest steps
-    run, taken, sizes = None, 0, []
+    # the current run: its jump, steps, the sizes of its latest steps, and
+    # the blocks in a row that kept no step
+    run, taken, sizes, empty = None, 0, [], 0
     stepwise = 0  # steps to take one at a time before the next block
     log = _RunLog() if logger.isEnabledFor(logging.DEBUG) else None
     while t < max_steps:
@@ -509,7 +511,7 @@ def thermal_gradient_descent(model: LindbladModel, rho0, cfg: DescentConfig) -> 
         if chosen != run:
             if log is not None:
                 log.end(run, taken, labels)
-            run, taken, sizes = chosen, 0, []
+            run, taken, sizes, empty, stepwise = chosen, 0, [], 0, 0
         if chosen is None:
             rho = space.density(x)
             return DescentTrace(
@@ -525,8 +527,10 @@ def thermal_gradient_descent(model: LindbladModel, rho0, cfg: DescentConfig) -> 
             if log is not None:
                 log.add(block, n)
             if block.count < block.size:
-                # the step that stopped the block, or a run's worth after an empty block
-                stepwise = 1 if block.count else RUN_WARMUP
+                # the step that stopped the block; after blocks that kept no
+                # step, twice as many steps each time, at most the run's length
+                stepwise = 1 if block.count else min(RUN_WARMUP << empty, taken)
+            empty = 0 if block.count else empty + 1
             if n:
                 g, sizes = block.g[:n].tolist(), block.s[:n].tolist()
                 e = block.values[:n + 1, m].tolist()

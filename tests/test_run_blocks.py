@@ -162,3 +162,47 @@ def test_noise_takes_one_sector_step_per_step(monkeypatch):
     calls = _count_sector_steps(monkeypatch)
     trace = _descend(model, rho, cfg)
     assert len(calls) == trace.steps[-1].index == 300
+
+
+def test_gershgorin_screen_sends_steps_to_the_exact_check(sector_step_descent, monkeypatch):
+    """A rank-one block with unequal diagonals in a degenerate pair fails the
+    Gershgorin screen, whose failures the one-step loop settles by the exact
+    positivity check: the blocks must leave every such step to it, and,
+    keeping no step, be tried again after twice as many steps each time."""
+    model, _, cfg = _case("clock_cool")
+    sd = model.sd
+    pair = next(sl for sl in sd.group_slices if sl.stop - sl.start == 2)
+    t = np.eye(model.dim, dtype=complex) / model.dim
+    t[pair, pair] = 2.0 / model.dim * np.array([[0.2, 0.4], [0.4, 0.8]])
+    v = sd.eigenvectors
+    rho = v @ t @ v.conj().T
+    rho = 0.5 * (rho + rho.conj().T)
+    cfg = dataclasses.replace(cfg, max_steps=3000)
+    checks = []
+    floor = lindblad._check_floor
+
+    def counted(blocks):
+        checks.append(len(blocks))
+        return floor(blocks)
+
+    monkeypatch.setattr(lindblad, "_check_floor", counted)
+    want, want_rho = sector_step_descent(model, rho, cfg)
+    oracle_checks = len(checks)
+    checks.clear()
+    attempts = []
+    run_block = descent._RunBlocks.run
+
+    def counted_run(self, *args):
+        attempts.append(args[1])
+        return run_block(self, *args)
+
+    monkeypatch.setattr(descent._RunBlocks, "run", counted_run)
+    trace = _descend(model, rho, cfg)
+    assert oracle_checks > 0 and len(checks) == oracle_checks
+    # 1,429 steps along flip0, then 1,571 along clockX1: blocks after 32,
+    # 64, 128, 256, 512 and 1,024 steps of each run
+    assert len(attempts) == 12
+    assert [(st.index, st.jump) for st in trace.steps] == [w[:2] for w in want]
+    got = np.array([(st.g, st.s, st.e_before, st.e_after) for st in trace.steps])
+    assert np.max(np.abs(got - np.array([w[2:] for w in want]))) <= 1e-12
+    assert np.max(np.abs(trace.terminal_state - want_rho)) <= 1e-12
