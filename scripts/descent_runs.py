@@ -2,9 +2,10 @@
 """How much of a sector descent its run blocks take.
 
 For each case, prints the steps taken, the number of runs (maximal stretches
-of steps along one jump), the share of steps evaluated in run blocks and the
-wall time of ``thermal_gradient_descent``.  The counts come from the one
-DEBUG line per run that ``thermal_landscape.descent`` logs.  Cases:
+of steps along one jump), the run blocks tried, the share of steps evaluated
+in run blocks and the wall time of ``thermal_gradient_descent``.  The counts
+come from the one DEBUG line per run that ``thermal_landscape.descent``
+logs.  Cases:
 
 - ``clock_cool``: the benchmark workload (T = 3 clock, beta = 30,
   epsilon = 1.5e-2, B = 2.43), to termination;
@@ -13,7 +14,13 @@ DEBUG line per run that ``thermal_landscape.descent`` logs.  Cases:
 - ``ising4_eps1e-2``: Ising ring n = 4, h = 1.5, epsilon = 1e-2, capped at
   200,000 steps;
 - ``ising4_eps0.1`` and ``ising5_eps0.1``: n = 4 and 5, h = 1,
-  epsilon = 0.1, to termination.
+  epsilon = 0.1, to termination;
+- ``finite_tau_lamb``: the benchmark workload's problem in its own frame
+  (every 1- and 2-local Pauli on a 3-qubit chain with Gaussian coefficients
+  of seed 0, scaled to ||H|| = 1, jumps X_j and Z_j, beta = 2, tau = 25,
+  Lamb shift, from |000>, epsilon = 5e-3, B = 1.01), to termination.  Its
+  start is not block-diagonal by energy group, so it descends in the one
+  group of all 8 levels.
 
 The Ising rings have X jumps on every site and a beta = 5, lambda0 = 4
 Davies bath, and start maximally mixed.  Run from the repository root with
@@ -21,6 +28,7 @@ Davies bath, and start maximally mixed.  Run from the repository root with
 """
 
 import argparse
+import itertools
 import logging
 import time
 
@@ -66,12 +74,28 @@ def ising(n, h, epsilon, max_steps=None):
         epsilon=epsilon, norm_bound=model.ham.norm_bound, max_steps=max_steps)
 
 
+def finite_tau_lamb():
+    n = 3
+    local = [(tl.PAULI[p], (j,)) for j in range(n) for p in "XYZ"]
+    local += [(np.kron(tl.PAULI[p], tl.PAULI[q]), (j, j + 1))
+              for j in range(n - 1) for p, q in itertools.product("XYZ", repeat=2)]
+    coeffs = np.random.default_rng(0).normal(size=len(local))
+    dense = sum(c * tl.kron_embed(op, sites, n) for c, (op, sites) in zip(coeffs, local))
+    coeffs = coeffs / np.linalg.norm(dense, 2)
+    ham = tl.assemble([(c * op, sites) for c, (op, sites) in zip(coeffs, local)], n)
+    jumps = [(f"{p}{j}", tl.kron_embed(tl.PAULI[p], [j], n)) for j in range(n) for p in "XZ"]
+    model = tl.build_model(ham, jumps, bath=BathSpec(beta=2.0, tau=25.0))
+    return model, tl.projector(tl.basis_state("000")), tl.DescentConfig(epsilon=5e-3,
+                                                                        norm_bound=1.01)
+
+
 CASES = {
     "clock_cool": clock_cool,
     "criterion11": criterion11,
     "ising4_eps1e-2": lambda: ising(4, 1.5, 1e-2, CAP),
     "ising4_eps0.1": lambda: ising(4, 1.0, 0.1),
     "ising5_eps0.1": lambda: ising(5, 1.0, 0.1),
+    "finite_tau_lamb": finite_tau_lamb,
 }
 
 
@@ -113,6 +137,7 @@ def main():
         steps = sum(run[1] for run in handler.runs)
         blocked = sum(run[2] for run in handler.runs)
         print(f"{name}: {steps} steps ({end}), {len(handler.runs)} runs, "
+              f"{sum(run[3] for run in handler.runs)} blocks tried, "
               f"{blocked / max(steps, 1):.1%} in blocks, "
               f"{sum(run[4] for run in handler.runs)} Picard sweeps, {wall:.2f} s")
 

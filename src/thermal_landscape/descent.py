@@ -6,8 +6,11 @@ with step s = |g| / (9 B^2), repeat until no direction triggers, then
 certify the terminal state.  Defaults reproduce the step budget
 T = 42 B^3 / eps^2 and the trigger/estimation constants.
 
-In the omega = 0 sector a run of steps along one jump is evaluated in
-blocks once it has taken ``RUN_WARMUP`` steps (:class:`_RunBlocks`).
+States are real Hermitian coordinates in the eigenbasis
+(:class:`ZeroFrequencySector`): the omega = 0 sector for a Davies model
+started block-diagonal by energy group, one group of all d levels for any
+other start.  There a run of steps along one jump is evaluated in blocks
+once it has taken ``RUN_WARMUP`` steps (:class:`_RunBlocks`).
 """
 
 import logging
@@ -22,12 +25,8 @@ from .errors import MaxStepsExceeded, TriggerNotMet
 from .gradient import CertificateResult, certify_local_min, gradient_operator, gradient_scan
 from .lindblad import (
     MAX_TAYLOR_TERMS,
-    SUPEROP_MAX_DIM,
     TAYLOR_TOL,
     LindbladModel,
-    _check_unit_time,
-    _evolve_vec,
-    _jump_step_data,
     evolve,
     weight_vector,
     zero_frequency_sector,
@@ -132,51 +131,37 @@ def cool_step(model: LindbladModel, rho, a_star, g, cfg: DescentConfig):
 
 
 class _FullSpace:
-    """States as row-major vec(rho); the fallback for states and models
-    without a zero-frequency sector.  Up to ``SUPEROP_MAX_DIM`` each jump's
-    generator and norm bound are resolved once, on its first step, and the
-    step is the kernel of :func:`evolve`; above it, :func:`evolve` itself.
-    Gradients and energy are read through the model's gradient scan."""
+    """States as row-major vec(rho), for models without a sector (d > 32,
+    or a real-form failure): :func:`evolve` each step, the gradients and
+    energy read through the model's gradient scan."""
 
     def __init__(self, model: LindbladModel):
         self._model = model
-        self._steps = {}  # jump index -> (generator, norm bound)
         self.read = gradient_scan(model).read
 
     def evolve(self, x, index, s):
         model = self._model
         d = model.dim
-        if d > SUPEROP_MAX_DIM:
-            unit = weight_vector(model, label=model.jumps[index].label)
-            return evolve(model, unit, x.reshape(d, d), s).reshape(-1)
-        _check_unit_time(s)
-        if s == 0.0:
-            return x.copy()
-        step = self._steps.get(index)
-        if step is None:
-            step = self._steps[index] = _jump_step_data(model, index)
-        return _evolve_vec(*step, x, s, d)
+        unit = weight_vector(model, label=model.jumps[index].label)
+        return evolve(model, unit, x.reshape(d, d), s).reshape(-1)
 
     def density(self, x):
         d = self._model.dim
         return x.reshape(d, d)
 
 
-def _state_space(model: LindbladModel, rho):
-    """The cheapest exact representation of ``rho`` under ``model``: the
-    space, the coordinates x, and the rows that map x to the gradients
-    along every jump followed by the energy (None on vec(rho), which reads
-    them through the model's gradient scan)."""
-    sector = zero_frequency_sector(model)
-    if sector is not None:
-        x = sector.coords(rho)
-        if x is not None:
-            scan = np.array([sector.row(gradient_operator(model, label))
-                             for label in model.jump_labels]
-                            + [sector.row(model.ham.dense)])
-            return sector, x, scan
-    space = _FullSpace(model)
-    return space, rho.reshape(-1).copy(), None
+def _state_space(model: LindbladModel, rho, cfg: DescentConfig):
+    """The representation of ``rho`` under ``model``: the space, the
+    coordinates x, the read of x's gradients along every jump followed by
+    its energy, and the run blocks (None with noise, or on vec(rho))."""
+    sector = zero_frequency_sector(model, rho)
+    if sector is None:
+        space = _FullSpace(model)
+        return space, rho.reshape(-1).copy(), space.read, None
+    scan = np.array([sector.row(gradient_operator(model, label)) for label in model.jump_labels]
+                    + [sector.row(model.ham.dense)])
+    blocks = None if cfg.noise else _RunBlocks(sector, scan, cfg)
+    return sector, sector.coords(rho), scan.dot, blocks
 
 
 @dataclass
@@ -196,7 +181,7 @@ class _Block:
 
 
 class _RunBlocks:
-    """Steps along one jump a of the omega = 0 sector, evaluated as a block.
+    """Steps along one jump a of a sector, evaluated as a block.
 
     Every step of such a run applies a Taylor polynomial
     T_v(G) = sum_{k <= k_v} (s_v G)^k / k! of the one real sector generator
@@ -465,26 +450,26 @@ def thermal_gradient_descent(model: LindbladModel, rho0, cfg: DescentConfig) -> 
 
     A Davies model started inside its zero-frequency sector (block-diagonal
     by energy group, e.g. a maximally mixed, ground or commuting-basis
-    state) is evolved in that sector; any other start uses vec(rho).  Each
-    step reads every gradient and the energy from one fused matvec.  In the
-    sector and without noise, a run that has taken ``RUN_WARMUP`` steps
-    along one jump goes on in blocks of as many steps as it has taken, at
-    most ``BLOCK_MAX`` (:class:`_RunBlocks`).  The step at which a block
-    stops is taken one at a time; after a block that keeps no step,
-    ``RUN_WARMUP`` steps are, doubling with each such block in a row up to
-    the run's length so far.  A block's size never depends on
-    ``cfg.max_steps`` or ``cfg.record_stride``, so a cap only cuts what is
-    committed.  Each run's steps, block steps, blocks and Picard sweeps are
-    logged at DEBUG level when the run ends.
+    state) is evolved in that sector; any other start, on any model, in the
+    one group of all d levels, from the start's Hermitian part
+    (:func:`zero_frequency_sector`).  Without a sector (d > 32 for one
+    group) the state is vec(rho).  Each step reads every gradient and the
+    energy from one fused matvec.  In a sector and without noise, a run that
+    has taken ``RUN_WARMUP`` steps along one jump goes on in blocks of as
+    many steps as it has taken, at most ``BLOCK_MAX`` (:class:`_RunBlocks`).
+    The step at which a block stops is taken one at a time; after a block
+    that keeps no step, ``RUN_WARMUP`` steps are, doubling with each such
+    block in a row up to the run's length so far.  A block's size never
+    depends on ``cfg.max_steps`` or ``cfg.record_stride``, so a cap only
+    cuts what is committed.  Each run's steps, block steps, blocks and
+    Picard sweeps are logged at DEBUG level when the run ends.
 
     The trace keeps step 1 (whose ``e_before`` is the starting energy),
     every ``cfg.record_stride``-th step, and the final step.
     """
     rho = ops.check_density_matrix(rho0)
     rng = np.random.default_rng(cfg.seed) if cfg.noise else None
-    space, x, scan = _state_space(model, rho)
-    read = space.read if scan is None else scan.dot
-    blocks = None if scan is None or rng is not None else _RunBlocks(space, scan, cfg)
+    space, x, read, blocks = _state_space(model, rho, cfg)
     labels = model.jump_labels
     m = len(labels)
     # entries 0..m-1 are the gradients g_a = Tr(L^dag_a[H] rho), entry m the energy

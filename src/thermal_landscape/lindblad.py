@@ -12,9 +12,11 @@ them, their Bohr indices F and the kernel table indexed by F, one
 expression per operator covers every pair of Bohr blocks at once.  A
 Davies model takes diag(gamma(nu)) as its table, so both share that code.  Each jump has one
 sparse eigenbasis dissipator D~_a (:meth:`LindbladModel._dissipator_eig`);
-the dissipator and its adjoint, the generator, the dense superoperator,
-the omega = 0 sector and the evolution above ``SUPEROP_MAX_DIM`` all read
-it, adding the Lamb and coherent commutators where they need them.
+the dissipator and its adjoint, the generator, the sector generators and
+``evolve`` all read it, adding the Lamb and coherent commutators where they
+need them.  Descent runs in real Hermitian coordinates in the eigenbasis
+(:class:`ZeroFrequencySector`): by energy group for a Davies model started
+block-diagonal, else as one group of all d levels.
 """
 
 import logging
@@ -45,14 +47,13 @@ from .hamiltonian import LocalHamiltonian, SpectralData, bohr_decompose, spectra
 
 logger = logging.getLogger(__name__)
 
-SUPEROP_MAX_DIM = 32  # build dense superoperators up to this Hilbert dimension
 PAIR_DROP = 1e-14
 TAYLOR_TOL = 1e-9  # trace-norm budget of one evolve() call
 MAX_TAYLOR_TERMS = 60
 SECTOR_TOL = 1e-12  # off-sector Frobenius mass still counted as in the sector
 SECTOR_MAX_ENTRIES = 2**20  # largest sum_g d_g^2 * d^2 for which a sector is built
 REAL_FORM_TOL = 1e-12  # anti-Hermitian image of a real sector generator, relative
-GATHER_BLOCK = 2**20  # terms, and entries of the result, one chunk of _gathered_product reaches
+GATHER_BLOCK = 2**20  # terms, and entries of the result, one chunk of _gather reaches
 _SQRT_HALF = math.sqrt(0.5)
 
 _coherent_sentinel = object()
@@ -94,8 +95,8 @@ class LindbladModel:
     _dissipators: dict = field(default_factory=dict, repr=False)
     _lamb_ops: dict = field(default_factory=dict, repr=False)
     _gradient_ops: dict = field(default_factory=dict, repr=False)
-    _superops: dict = field(default_factory=dict, repr=False)
-    _sector: object = field(default=None, repr=False)
+    _generators: dict = field(default_factory=dict, repr=False)
+    _sectors: dict = field(default_factory=dict, repr=False)
     _scan: object = field(default=None, repr=False)
 
     @property
@@ -167,21 +168,10 @@ class LindbladModel:
         k = self.kernels.K[left, right]
         return np.where(np.abs(k) > PAIR_DROP, k, 0.0)
 
-    def _jump_eig(self, jump):
-        """V^dag A V of ``jump`` restricted to its kept Bohr blocks: the sum
-        of the blocks A_nu, in the eigenbasis V, densified from the entries
-        set-up stored (and cached there)."""
-        return jump.blocks.eig
-
-    def _decay_eig(self, a_eig):
-        """G in the eigenbasis: G~[a, b] = sum_i conj(A~[i, a]) A~[i, b]
-        C'[F[i, a], F[i, b]], which is sum C(nu', nu) A_nu'^dag A_nu, for a
-        dense A~; :meth:`_decay_entries` gathers it from a jump's entries."""
-        f = self.sd.bohr_map
-        return _gathered_product(a_eig.conj().T, f.T, a_eig, f, self._pair_weight)
-
     def _decay_entries(self, blocks):
-        """:meth:`_decay_eig` of the masked A~ of ``blocks``, as entries."""
+        """G in the eigenbasis, as entries: G~[a, b] = sum_i conj(A~[i, a])
+        A~[i, b] C'[F[i, a], F[i, b]], which is sum C(nu', nu) A_nu'^dag A_nu,
+        gathered from the masked A~ of ``blocks``."""
         a, f = blocks.entries, blocks.entry_bohr
         return _gather(*_adjoint(a, f), a, f, self._pair_weight, self.dim)
 
@@ -193,7 +183,7 @@ class LindbladModel:
         """L^dag_a[H] in the eigenbasis, before Hermitization.
 
         With lambda the eigenvalues of H (not the group energies), A~ the
-        masked V^dag A V of :meth:`_jump_eig`, F the Bohr-index map and C'
+        masked V^dag A V (``BohrBlocks.eig``), F the Bohr-index map and C'
         the pair weights of :meth:`_pair_weight`,
 
             X~[a, b] = sum_i conj(A~[i, a]) A~[i, b] C'[F[i, a], F[i, b]]
@@ -223,9 +213,9 @@ class LindbladModel:
 
     def _dissipator_eig(self, label):
         """D~_a: the dissipator of jump ``label`` in the eigenbasis, CSR over
-        row-major vec, row (i, j) and column (k, l).  With A~ of
-        :meth:`_jump_eig`, F the Bohr-index map, C' of :meth:`_pair_weight`
-        and G~ of :meth:`_decay_eig` (Hermitian, so conj(G~) = G~^T),
+        row-major vec, row (i, j) and column (k, l).  With A~ the masked
+        V^dag A V, F the Bohr-index map, C' of :meth:`_pair_weight` and G~ of
+        :meth:`_decay_entries` (Hermitian, so conj(G~) = G~^T),
 
             D~[(i, j), (k, l)] = C'[F[j, l], F[i, k]] A~[i, k] conj(A~[j, l])
                                  - (G~[i, k] delta_jl + delta_ik conj(G~[j, l])) / 2,
@@ -260,29 +250,6 @@ class LindbladModel:
         mat = self._dissipator_eig(label)
         return SimpleNamespace(apply=partial(_apply_eig, self.sd, mat),
                                apply_adjoint=partial(_apply_eig, self.sd, mat, adjoint=True))
-
-    def _superop(self, label):
-        """Dense superoperator of L_a (row-major vec) for small dimensions:
-        L~_a of :func:`_eig_generator` densified and rotated out of the
-        eigenbasis by :func:`_rotate_superop`, in O(d^5)."""
-        if label not in self._superops:
-            held = label in self._dissipators
-            gen = _eig_generator(self, weight_vector(self, label=label), False)
-            self._superops[label] = _rotate_superop(gen.toarray(), self.sd)
-            if not held:  # the superoperator holds D~_a now
-                del self._dissipators[label]
-        return self._superops[label]
-
-
-def _gathered_product(left, f_left, right, f_right, weight, lam=None):
-    """:func:`_gather` of the dense d x d ``left`` and ``right`` with their
-    d x d Bohr-index maps, as a dense d x d array."""
-    la, li = ops.nonzero(left)
-    ri, rb = ops.nonzero(right)
-    d = right.shape[1]
-    entries = _gather((la, li, left[la, li]), f_left[la, li], (ri, rb, right[ri, rb]),
-                      f_right[ri, rb], weight, d, lam)
-    return ops.from_entries(entries, d)
 
 
 def _gather(left, f_left, right, f_right, weight, d, lam=None):
@@ -371,7 +338,18 @@ def _eig_generator(model: LindbladModel, w, include_coherent):
     """sum_a w_a L~_a in the eigenbasis, plus -i[Lambda, .] when coherent
     (Lambda = diag(lambda) is H there), CSR over row-major vec: L~_a is D~_a
     plus :func:`_kron_terms` of M~ = -i H~_LS,a (:meth:`LindbladModel._lamb_eig`),
-    every M~ summed first.  One unit-weight jump without either is D~_a."""
+    every M~ summed first.  One unit-weight jump without either is D~_a.
+
+    The generator of one unit-weight jump is cached on the model for each
+    coherent setting.  When it is not D~_a itself it holds D~_a's entries,
+    so D~_a stays cached only if it already was."""
+    active = np.flatnonzero(w)
+    unit = len(active) == 1 and w[active[0]] == 1.0
+    key = (int(active[0]), bool(include_coherent)) if unit else None
+    if key in model._generators:
+        return model._generators[key]
+    label = model.jumps[active[0]].label if unit else None
+    held = label in model._dissipators
     d = model.dim
     parts = []
     m_eig = np.zeros((d, d), dtype=complex)
@@ -386,7 +364,12 @@ def _eig_generator(model: LindbladModel, w, include_coherent):
         m_eig[np.diag_indices(d)] -= 1j * model.sd.eigenvalues
     if m_eig.any() or not parts:
         parts.append(_csr([_kron_terms(*ops.entries(m_eig), d)], d))
-    return sum(parts[1:], start=parts[0])
+    gen = sum(parts[1:], start=parts[0])
+    if unit:
+        model._generators[key] = gen
+        if not held and gen is not model._dissipators[label]:
+            del model._dissipators[label]
+    return gen
 
 
 def _kron_terms(i, k, vals, d):
@@ -423,21 +406,6 @@ def _apply_eig(sd, mat, x, adjoint=False):
     vec = sd.to_eig(_square(x, d)).reshape(-1)
     out = mat.T.dot(vec.conj()).conj() if adjoint else mat.dot(vec)
     return sd.from_eig(out.reshape(d, d))
-
-
-def _rotate_superop(mat, sd):
-    """(V (x) conj(V)) mat (V (x) conj(V))^dag for a d^2 x d^2 ``mat``, V
-    the eigenbasis of ``sd``.
-
-    Column c of ``mat``, read as a d x d matrix X_c over (i, j), becomes
-    V X_c V^dag; then row r, read as Y_r over (k, l), becomes
-    conj(V) Y_r V^T.  Each is one :meth:`SpectralData.from_eig` of a stack
-    of d^2 matrices.
-    """
-    d = sd.dim
-    cols = mat.reshape(d, d, d * d).transpose(2, 0, 1)
-    rows = sd.from_eig(cols).reshape(d * d, d * d).T
-    return sd.from_eig(rows.reshape(d * d, d, d), conj=True).reshape(d * d, d * d)
 
 
 def _as_jump_list(jumps):
@@ -676,14 +644,12 @@ def evolve(model: LindbladModel, w, rho, s, include_coherent=_coherent_sentinel,
            taylor_tol=TAYLOR_TOL, max_terms=MAX_TAYLOR_TERMS):
     """rho(s) = exp(s sum_a w_a L_a)[rho] by substepped truncated Taylor.
 
-    Substeps keep ||h L||_{1-1} <= 1 per step.  The output is
-    re-Hermitized and trace-renormalized; a Hermiticity/trace defect above
-    1e-7 raises :class:`EvolutionDefect` and a minimum eigenvalue below
-    -1e-6 raises :class:`PositivityDefect`.  Up to ``SUPEROP_MAX_DIM`` the
-    step itself is :func:`_evolve_vec` on the dense superoperator, which
-    descent calls directly with each jump's generator resolved once; above
-    it the same substeps run on vec(V^dag rho V) under the sparse
-    :func:`_eig_generator`, leaving the eigenbasis before :func:`_finish_vec`.
+    Substeps keep ||h L||_{1-1} <= 1 per step.  They run on vec(V^dag rho V)
+    under the sparse :func:`_eig_generator`, and the result leaves the
+    eigenbasis before :func:`_finish_vec`: it is re-Hermitized and
+    trace-renormalized; a Hermiticity/trace defect above 1e-7 raises
+    :class:`EvolutionDefect` and a minimum eigenvalue below -1e-6 raises
+    :class:`PositivityDefect`.
     """
     if s < 0:
         raise NegativeTime(f"evolution time must be nonnegative, got {s}")
@@ -696,59 +662,13 @@ def evolve(model: LindbladModel, w, rho, s, include_coherent=_coherent_sentinel,
     if s == 0.0:
         return rho.copy()
 
-    d = model.dim
+    d, sd = model.dim, model.sd
     bound = _generator_norm_bound(model, w, include_coherent)
-    if d <= SUPEROP_MAX_DIM:
-        gen = _dense_generator(model, w, include_coherent)
-        return _evolve_vec(gen, bound, rho.reshape(-1), s, d, taylor_tol,
-                           max_terms).reshape(d, d)
-    sd = model.sd
     nsub = max(1, int(math.ceil(s * bound)))
     x = _taylor_substeps(_eig_generator(model, w, include_coherent),
                          sd.to_eig(rho).reshape(-1), s / nsub, nsub, taylor_tol / nsub,
                          bound, d, max_terms)
     return _finish_vec(sd.from_eig(x.reshape(d, d)).reshape(-1), d).reshape(d, d)
-
-
-def _dense_generator(model: LindbladModel, w, include_coherent):
-    """Row-major superoperator of sum_a w_a L_a, plus -i[H, .] when coherent."""
-    d = model.dim
-    active = [(wa, jump) for wa, jump in zip(w, model.jumps) if wa]
-    if len(active) == 1 and active[0][0] == 1.0 and not include_coherent:
-        return model._superop(active[0][1].label)  # no copy on the hot path
-    gen = np.zeros((d * d, d * d), dtype=complex)
-    for wa, jump in active:
-        gen += wa * model._superop(jump.label)
-    if include_coherent:
-        eye = np.eye(d, dtype=complex)
-        hmat = model.ham.dense
-        gen += -1j * (np.kron(hmat, eye) - np.kron(eye, hmat.T))
-    return gen
-
-
-def _jump_step_data(model: LindbladModel, index):
-    """(generator, norm bound) of :func:`_evolve_vec` along jump ``index``
-    with unit weight and the model's coherent setting; d <= SUPEROP_MAX_DIM."""
-    unit = weight_vector(model, label=model.jumps[index].label)
-    return (_dense_generator(model, unit, model.include_coherent),
-            _generator_norm_bound(model, unit, model.include_coherent))
-
-
-def _check_unit_time(s):
-    """The time guards of evolve() for a unit weight vector."""
-    if s < 0:
-        raise NegativeTime(f"evolution time must be nonnegative, got {s}")
-    if s > 10.0 + 1e-12:
-        raise ValueError("guard: s * ||w||_1 must not exceed 10")
-
-
-def _evolve_vec(gen, bound, x, s, d, taylor_tol=TAYLOR_TOL, max_terms=MAX_TAYLOR_TERMS):
-    """The step of :func:`evolve` on row-major vec(rho), its arguments
-    already checked: exp(s gen) by ``nsub`` Taylor substeps, then
-    :func:`_finish_vec`.  ``bound`` bounds the 1->1 norm of ``gen``."""
-    nsub = max(1, int(math.ceil(s * bound)))
-    x = _taylor_substeps(gen, x, s / nsub, nsub, taylor_tol / nsub, bound, d, max_terms)
-    return _finish_vec(x, d)
 
 
 def _finish_vec(x, d):
@@ -840,27 +760,33 @@ def _check_floor(blocks):
 
 
 class ZeroFrequencySector:
-    """The omega = 0 sector of a Davies generator, in real coordinates.
+    """Real Hermitian coordinates in the eigenbasis V of H, by groups of levels.
 
-    The Davies generator commutes with [H, .] (Davies, Commun. Math. Phys.
-    39 (1974) 91), so a state that is block-diagonal by energy group in the
-    eigenbasis V of H stays so.  Each Hermitian group block T of V^dag rho V
-    is stored in the orthonormal basis {E_ii, (E_ij + E_ji)/sqrt2,
-    i(E_ij - E_ji)/sqrt2 : i < j} of Hermitian matrices, that is as t_ii,
-    sqrt2 Re t_ij and sqrt2 Im t_ij.  ``x`` holds the d diagonal coordinates
-    in eigenvalue order, then the (Re, Im) pair of each i < j of a group:
-    sum_g d_g^2 real numbers, with ||x||_2 = ||V^dag rho V||_F.  Obtain one
-    with :func:`zero_frequency_sector`.
+    A state that is block-diagonal in V over the sector's groups (slices of
+    the eigenvalue order) is stored as its Hermitian group blocks T, each in
+    the orthonormal basis {E_ii, (E_ij + E_ji)/sqrt2, i(E_ij - E_ji)/sqrt2 :
+    i < j} of Hermitian matrices, that is as t_ii, sqrt2 Re t_ij and sqrt2
+    Im t_ij.  ``x`` holds the d diagonal coordinates in eigenvalue order,
+    then the (Re, Im) pair of each i < j of a group: sum_g d_g^2 real
+    numbers, with ||x||_2 = ||V^dag rho V||_F.  Obtain one with
+    :func:`zero_frequency_sector`, which uses two kinds of groups:
+
+    - the energy groups of a Davies model: the Davies generator commutes
+      with [H, .] (Davies, Commun. Math. Phys. 39 (1974) 91), so a state
+      that is block-diagonal by energy group stays so (the omega = 0 sector);
+    - one group of all d levels, which holds every Hermitian state under any
+      model; the energy groups are its special case.
 
     The complex coordinates c are the block entries in the same order: t_ii,
     then (t_ij, t_ji) per pair.  With Q the unitary whose columns are the
     basis above, c = Q x and x = Re(Q^dag c).
     """
 
-    def __init__(self, model: LindbladModel):
+    def __init__(self, model: LindbladModel, groups):
         sd = self._sd = model.sd
         d = self.dim = model.dim
-        groups = [range(sl.start, sl.stop) for sl in sd.group_slices]
+        groups = [range(sl.start, sl.stop) for sl in groups]
+        self._grouped = len(groups) > 1
         pairs = [(i, j) for g in groups for i in g for j in g if i < j]
         pos = {(i, i): i for i in range(d)}
         for p, (i, j) in enumerate(pairs):
@@ -872,7 +798,8 @@ class ZeroFrequencySector:
         by_size = {}
         for g in groups:
             by_size.setdefault(len(g), []).append([[pos[i, j] for j in g] for i in g])
-        self._blocks = [np.array(b) for b in by_size.values()]  # (n, k, k) positions in c
+        # (n, k, k) group blocks of c = Q x by size, each gathered from x
+        self._blocks = [self._block_gather(np.array(b)) for b in by_size.values()]
         # rows over (x, |x|): the trace, then for each i the Gershgorin bound
         # t_ii - sum_j (|Re t_ij| + |Im t_ij|) <= t_ii - sum_j |t_ij|
         n = len(entries)
@@ -885,35 +812,41 @@ class ZeroFrequencySector:
         self._sqrt_d = math.sqrt(d)
         self.generators = self._jump_generators(model)
 
+    def _block_gather(self, pos):
+        """(src, scale) with c[pos] = x[src] * scale read as complex (real
+        and imaginary parts along the last axis), as :meth:`_left_q` forms it."""
+        off = pos >= self.dim
+        odd = (pos - self.dim) % 2 * off  # t_ji of a pair: the conjugate of t_ij
+        re = pos - odd
+        scale = (np.where(off, _SQRT_HALF, 1.0), (off - 2 * odd) * _SQRT_HALF)
+        return np.stack((re, re + off), axis=-1), np.stack(scale, axis=-1)
+
     def _jump_generators(self, model):
-        """Per jump: the real sector matrix of L_a (plus the coherent part when
-        the model has one), the norm bound evolve() uses and sqrt(d) delta,
-        with delta from :meth:`_real_generator`.  None if any jump leaves
-        the sector or fails the real-form check.
+        """Per jump: the real sector matrix of L_a with the model's coherent
+        setting, the norm bound evolve() uses and sqrt(d) delta, with delta
+        from :meth:`_real_generator`.  None if any jump leaves the sector or
+        fails the real-form check.
 
         Column q of a complex generator holds the coordinates of its image
-        of E_q = V |r_q><c_q| V^dag: D~_a's column at that sector position,
-        on the sector's rows, plus -i (lambda_r - lambda_c) on the diagonal
-        when coherent.  The column's other rows are the image that leaks out.
+        of E_q = V |r_q><c_q| V^dag: the column of the unit-weight
+        :func:`_eig_generator` at that position, on the sector's rows.  The
+        column's other rows are the image that leaks out.
         """
         vec = self._rows * self.dim + self._cols
         off_sector = np.ones(self.dim**2, dtype=bool)
         off_sector[vec] = False
-        lam = self._sd.eigenvalues
         out = []
         for jump in model.jumps:
-            images = model._dissipator_eig(jump.label)[:, vec]
+            unit = weight_vector(model, label=jump.label)
+            images = _eig_generator(model, unit, model.include_coherent)[:, vec]
             gen = images[vec].toarray()
-            if model.include_coherent:
-                gen[np.diag_indices(len(vec))] -= 1j * (lam[self._rows] - lam[self._cols])
             leak = math.sqrt(np.max(abs(images[off_sector]).power(2).sum(axis=0), initial=0.0))
             real = None
             if leak <= SECTOR_TOL * max(float(np.linalg.norm(gen)), 1e-300):
                 real = self._real_generator(gen)
             if real is None:
-                logger.debug("jump %s leaves the omega = 0 sector", jump.label)
+                logger.debug("jump %s leaves the sector", jump.label)
                 return None
-            unit = weight_vector(model, label=jump.label)
             out.append((real[0], _generator_norm_bound(model, unit, model.include_coherent),
                         self._sqrt_d * real[1]))
         return out
@@ -953,16 +886,18 @@ class ZeroFrequencySector:
         return np.ascontiguousarray(full.real), delta
 
     def coords(self, rho):
-        """Sector coordinates of ``rho``, or None when it lies outside: when
-        its Frobenius distance from the Hermitian block-diagonal matrices
-        exceeds ``SECTOR_TOL``."""
+        """Coordinates of the Hermitian part of ``rho``.  With more than one
+        group they are None when ``rho`` lies outside the sector: when its
+        Frobenius distance from the Hermitian block-diagonal matrices exceeds
+        ``SECTOR_TOL``."""
         t = self._sd.to_eig(np.asarray(rho, dtype=complex))
         c = t[self._rows, self._cols]
-        t[self._rows, self._cols] = 0.0
         x = self._right_q(c.conj()).real
-        skew = float(np.linalg.norm(c - self._left_q(x)))
-        if math.hypot(float(np.linalg.norm(t)), skew) > SECTOR_TOL:
-            return None
+        if self._grouped:
+            t[self._rows, self._cols] = 0.0
+            skew = float(np.linalg.norm(c - self._left_q(x)))
+            if math.hypot(float(np.linalg.norm(t)), skew) > SECTOR_TOL:
+                return None
         return x
 
     def density(self, x):
@@ -987,19 +922,26 @@ class ZeroFrequencySector:
         - Hermiticity.  The state is Hermitian by construction.  The complex
           evolution of the same state, which ``evolve`` measures, differs
           from it by e(s) = int_0^s exp((s - t) G)(G Q - Q R) x(t) dt.  The
-          Davies semigroup is trace-norm contractive, so
+          semigroup of a Lindblad generator whose kernel is positive
+          semidefinite (Davies' gamma, or at finite tau C = Phi^T
+          diag(gamma w) Phi), with any Hamiltonian part, is completely
+          positive and trace preserving, so trace-norm contractive:
           ||exp(t G)||_{F->F} <= sqrt(d), and ||e(s)||_F <=
           d delta s ||x||_2 / (1 - sqrt(d) delta s), with delta <=
           ``REAL_FORM_TOL`` ||G||_F fixed at build.  That bound, evaluated
           for each step, is the Hermiticity defect checked against 1e-7.
         - Trace.  A trace defect above 1e-7 raises
           :class:`EvolutionDefect`; the state is then renormalized.
-        - Positivity.  Each energy-group block passes the -1e-6 floor by
+        - Positivity.  Each group block passes the -1e-6 floor by
           Gershgorin, with |Re t_ij| + |Im t_ij| >= |t_ij| in the radii,
-          or else by the exact check of :func:`_check_floor`.  The trace
-          and the Gershgorin bounds come from one matvec.
+          or else by the exact check of :func:`_check_floor` on the blocks
+          gathered from x.  The trace and the Gershgorin bounds come from
+          one matvec.
         """
-        _check_unit_time(s)
+        if s < 0:  # evolve()'s time guards for a unit weight vector
+            raise NegativeTime(f"evolution time must be nonnegative, got {s}")
+        if s > 10.0 + 1e-12:
+            raise ValueError("guard: s * ||w||_1 must not exceed 10")
         if s == 0.0:
             return x.copy()
         gen, bound, leak = self.generators[index]
@@ -1014,28 +956,38 @@ class ZeroFrequencySector:
         _check_defect(herm, abs(trace - 1.0))
         x = (1.0 / trace) * x
         if min(z[1:]) < -1e-6 * trace:
-            c = self._left_q(x)
-            for blocks in self._blocks:
-                _check_floor(c[blocks])
+            for src, scale in self._blocks:
+                _check_floor((x[src] * scale).view(complex)[..., 0])
         return x
 
 
-def zero_frequency_sector(model: LindbladModel):
-    """The model's :class:`ZeroFrequencySector`, or None if it has none.
+def zero_frequency_sector(model: LindbladModel, rho=None):
+    """The :class:`ZeroFrequencySector` a descent from ``rho`` runs in, or
+    None if there is none.
 
-    Only Davies models qualify, only while sum_g d_g^2 * d^2 stays within
-    ``SECTOR_MAX_ENTRIES``, and only when every jump's generator maps the
-    sector into itself within ``SECTOR_TOL``, Hermitian blocks to Hermitian
-    ones within ``REAL_FORM_TOL``; a Bohr-frequency cluster that merges
-    distinct energy differences can break this.  The generators are read
-    from D~_a's columns, so the cap bounds no build cost; its value is kept
-    so that the same models get a sector.  The result is cached on the model.
+    A Davies model has the sector of its energy groups, which is returned
+    when ``rho`` is None or lies in it.  Any other ``rho``, on any model,
+    gets the sector of one group of all d levels.  Each is built only while
+    sum_g d_g^2 * d^2 stays within ``SECTOR_MAX_ENTRIES`` (d <= 32 for one
+    group), and only when every jump's generator maps the sector into itself
+    within ``SECTOR_TOL`` and Hermitian blocks to Hermitian ones within
+    ``REAL_FORM_TOL``; a Bohr-frequency cluster that merges distinct energy
+    differences can break the first for energy groups.  Both are cached on
+    the model.
     """
-    if model._sector is None:
-        model._sector = False
-        size = sum((sl.stop - sl.start) ** 2 for sl in model.sd.group_slices)
-        if model.davies and size * model.dim**2 <= SECTOR_MAX_ENTRIES:
-            sector = ZeroFrequencySector(model)
-            if sector.generators is not None:
-                model._sector = sector
-    return model._sector or None
+    kinds = [model.sd.group_slices] if model.davies else []
+    if rho is not None:
+        kinds.append([slice(0, model.dim)])
+    for groups in kinds:
+        key = tuple((sl.start, sl.stop) for sl in groups)
+        if key not in model._sectors:
+            sector = None
+            if sum((b - a) ** 2 for a, b in key) * model.dim**2 <= SECTOR_MAX_ENTRIES:
+                sector = ZeroFrequencySector(model, groups)
+                if sector.generators is None:
+                    sector = None
+            model._sectors[key] = sector
+        sector = model._sectors[key]
+        if sector is not None and (rho is None or sector.coords(rho) is not None):
+            return sector
+    return None

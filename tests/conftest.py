@@ -273,7 +273,7 @@ def _row_loop_gathered_product(left, f_left, right, f_right, weight, lam=None):
 @pytest.fixture
 def row_loop_gather():
     """``row_loop_gather(left, f_left, right, f_right, weight, lam=None)``:
-    the row-loop oracle of ``lindblad._gathered_product``."""
+    the row-loop oracle of ``lindblad._gather``, densified."""
     return _row_loop_gathered_product
 
 
@@ -404,12 +404,13 @@ def _parent_post_step(out):
     return out
 
 
-def _parent_evolve(model, label, rho, s):
+def _parent_evolve(model, label, rho, s, gen=None):
     """``evolve`` along jump ``label`` with unit weight on the dense
-    superoperator path, for a model without the coherent part: the
-    substepped Taylor series written out, then :func:`_parent_post_step`."""
+    superoperator ``gen`` (by default :func:`_kron_superop`), for a model
+    without the coherent part: the substepped Taylor series written out,
+    then :func:`_parent_post_step`."""
     d = model.dim
-    gen = model._superop(label)
+    gen = _kron_superop(model, label) if gen is None else gen
     bound = 3.0 * model.jump(label).aa_norm
     nsub = max(1, int(np.ceil(s * bound)))
     h, tol = s / nsub, lindblad.TAYLOR_TOL / nsub
@@ -430,6 +431,7 @@ def _parent_vec_descent(model, rho, cfg):
     gradient read by ``gradient_vector``: the jump sequence and the
     (e_before, e_after) of every step, and the terminal state."""
     steps = []
+    gens = {label: _kron_superop(model, label) for label in model.jump_labels}
     for _ in range(cfg.max_steps):
         chosen = None
         for label in model.jump_labels:
@@ -441,7 +443,7 @@ def _parent_vec_descent(model, rho, cfg):
             break
         label, g = chosen
         e_before = model.energy(rho)
-        rho = _parent_evolve(model, label, rho, abs(g) / (9.0 * cfg.norm_bound**2))
+        rho = _parent_evolve(model, label, rho, abs(g) / (9.0 * cfg.norm_bound**2), gens[label])
         steps.append((label, e_before, model.energy(rho)))
     return steps, rho
 

@@ -12,17 +12,9 @@ from thermal_landscape import gradient, hamiltonian, lindblad
 from thermal_landscape import operators as ops
 from thermal_landscape.bath import BathSpec
 
-from test_masked_jump import CASES, _gathers, _ising_davies, _model
+from test_masked_jump import CASES, _entry_args, _gathers, _ising_davies, _model
 
 DAVIES_BATH = BathSpec(beta=5.0, tau=1.0, lambda0=4.0)
-
-
-def _entry_args(left, f_left, right, f_right, weight, lam=None):
-    """The arguments of ``lindblad._gather`` for those of ``_gathered_product``."""
-    la, li = np.nonzero(left)
-    ri, rb = np.nonzero(right)
-    return ((la, li, left[la, li]), f_left[la, li], (ri, rb, right[ri, rb]), f_right[ri, rb],
-            weight, right.shape[1], lam)
 
 
 def _in_order_sum(left, f_left, right, f_right, weight, lam=None):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 import thermal_landscape as tl
 from thermal_landscape import lindblad as L
+from thermal_landscape import operators as ops
 from thermal_landscape.bath import BathSpec
 from thermal_landscape.errors import (
     DimensionMismatch,
@@ -357,28 +359,26 @@ def test_evolve_guards():
         tl.evolve(model, [2.0], rho, 6.0)  # s * ||w||_1 > 10
 
 
-def test_evolve_matrix_free_path_matches_superop():
-    # force the matrix-free branch by lowering the dense-dim threshold
+def test_evolve_matrix_free_path_matches_superop(pair_sums):
+    # evolve's eigenbasis Taylor series against the exact exponential of the
+    # weighted Kronecker-sum superoperator, on row-major vec(rho)
+    superop = pair_sums[3]
     rng = np.random.default_rng(10)
     model = random_model(rng)
     rho = random_state(rng, 4)
-    dense = tl.evolve(model, [1.0, 0.3], rho, 0.8)
-    old = L.SUPEROP_MAX_DIM
-    try:
-        L.SUPEROP_MAX_DIM = 1
-        free = tl.evolve(model, [1.0, 0.3], rho, 0.8)
-    finally:
-        L.SUPEROP_MAX_DIM = old
-    assert np.linalg.norm(dense - free, 2) < 1e-10
+    w = [1.0, 0.3]
+    free = tl.evolve(model, w, rho, 0.8)
+    gen = sum(wa * superop(model, label) for wa, label in zip(w, model.jump_labels))
+    exact = (scipy.linalg.expm(0.8 * gen) @ rho.reshape(-1)).reshape(4, 4)
+    assert np.linalg.norm(exact - free, 2) < 1e-10
 
 
 def test_large_davies_generator_and_evolve_match_block_loop(loop_davies_adjoint):
-    # above SUPEROP_MAX_DIM, generator_apply and evolve run in the eigenbasis;
-    # both are checked by duality, Tr(O L[rho]) = Tr(L^dag[O] rho), against
+    # at d = 64, generator_apply and evolve in the eigenbasis are both
+    # checked by duality, Tr(O L[rho]) = Tr(L^dag[O] rho), against
     # the block loop, evolve through the Heisenberg series of that loop
     model = ising_davies_model(6)
     d = model.dim
-    assert d > L.SUPEROP_MAX_DIM
     rng = np.random.default_rng(21)
     rho = random_state(rng, d)
     obs = hermitian_probe(rng, d)
@@ -468,9 +468,9 @@ def _pair_sector_generator(model, sector, label, pair_apply):
 ])
 def test_eigenbasis_gathers_match_pair_sums(name, davies, oracle_system, pair_sums,
                                             pair_apply):
-    # G, H_LS, the dissipator and its adjoint, the dense superoperator and
-    # the sector generators, all read in the eigenbasis, match the sums
-    # over the pairs of the loops over Bohr blocks and the Kronecker sum
+    # G, H_LS, the dissipator and its adjoint, the generator and the sector
+    # generators, all read in the eigenbasis, match the sums over the pairs
+    # of the loops over Bohr blocks and the Kronecker sum
     ham, jumps, spec = oracle_system(name)
     model = tl.build_model(ham, jumps, bath=spec, davies=davies)
     assert model.include_lamb_shift is not davies
@@ -491,8 +491,10 @@ def test_eigenbasis_gathers_match_pair_sums(name, davies, oracle_system, pair_su
             want = sector._real_generator(_pair_sector_generator(model, sector, label,
                                                                  pair_apply))[0]
             assert_close(sector.generators[index][0], want)
-        a_eig = model._jump_eig(model.jump(label))
-        assert_close(model.sd.from_eig(model._decay_eig(a_eig)), decay(model, label))
+        decay_eig = ops.from_entries(model._decay_entries(model.jump(label).blocks), model.dim)
+        assert_close(model.sd.from_eig(decay_eig), decay(model, label))
         if not davies:
             assert_close(tl.lamb_shift_operator(model, label), lamb_shift(model, label))
-        assert_close(model._superop(label), superop(model, label))
+        unit = tl.weight_vector(model, label=label)
+        assert_close(tl.generator_apply(model, unit, rho, False).reshape(-1),
+                     superop(model, label) @ rho.reshape(-1))

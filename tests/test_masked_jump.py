@@ -7,6 +7,7 @@ import pytest
 
 import thermal_landscape as tl
 from thermal_landscape import hamiltonian, lindblad
+from thermal_landscape import operators as ops
 from thermal_landscape.bath import BathSpec
 
 
@@ -41,12 +42,21 @@ def _gathers(model, label):
     """The argument lists of every gather the model makes for jump ``label``:
     G~, the gradient operator (with lambda) and, with the Lamb shift, H~_LS,
     whose left factor is A~ itself."""
-    a_eig = model._jump_eig(model.jump(label))
+    a_eig = model.jump(label).blocks.eig
     f = model.sd.bohr_map
     yield a_eig.conj().T, f.T, a_eig, f, model._pair_weight
     yield a_eig.conj().T, f.T, a_eig, f, model._pair_weight, model.sd.eigenvalues
     if model.include_lamb_shift:
         yield a_eig, f, a_eig, f, model._lamb_weight
+
+
+def _entry_args(left, f_left, right, f_right, weight, lam=None):
+    """The arguments of ``lindblad._gather`` for two dense d x d factors
+    with their Bohr-index maps."""
+    la, li = np.nonzero(left)
+    ri, rb = np.nonzero(right)
+    return ((la, li, left[la, li]), f_left[la, li], (ri, rb, right[ri, rb]), f_right[ri, rb],
+            weight, right.shape[1], lam)
 
 
 CASES = [
@@ -70,7 +80,7 @@ def test_gather_matches_row_loop(name, davies, oracle_system, row_loop_gather, m
         monkeypatch.setattr(lindblad, "GATHER_BLOCK", block)
         for label in model.jump_labels:
             for args in _gathers(model, label):
-                got = lindblad._gathered_product(*args)
+                got = ops.from_entries(lindblad._gather(*_entry_args(*args)), model.dim)
                 want = row_loop_gather(*args)
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want), initial=0.0)
 
@@ -78,7 +88,7 @@ def test_gather_matches_row_loop(name, davies, oracle_system, row_loop_gather, m
 @pytest.mark.parametrize("davies", [False, True])
 def test_zero_rows_and_a_jump_without_blocks(davies):
     model = _two_level_jump(davies)
-    a_eig = model._jump_eig(model.jump("F"))
+    a_eig = model.jump("F").blocks.eig
     assert not np.any(a_eig[2:]) and not np.any(a_eig[:, 2:])
     zero = model.jump("O").blocks
     assert len(zero.freq_indices) == 0 and len(zero.mats) == 0
@@ -92,8 +102,7 @@ def test_jump_eig_is_the_stored_masked_matrix(name, davies, oracle_system):
     model = _model(name, davies, oracle_system)
     v = model.sd.eigenvectors
     for jump in model.jumps:
-        a_eig = model._jump_eig(jump)
-        assert a_eig is jump.blocks.eig
+        a_eig = jump.blocks.eig
         assert not a_eig.flags.writeable
         kept = np.isin(model.sd.bohr_map, jump.blocks.freq_indices)
         np.testing.assert_array_equal(a_eig, np.where(kept, v.conj().T @ jump.matrix @ v, 0.0))

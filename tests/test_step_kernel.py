@@ -61,19 +61,21 @@ def test_vec_kernel_descent_matches_parent_evolve(case, oracle_system, parent_ve
     assert np.max(np.abs(trace.terminal_state - ref_rho)) <= 1e-12
 
 
-def test_vec_kernel_step_matches_parent_evolve(oracle_system, parent_vec_path):
+def test_vec_kernel_step_matches_parent_evolve(oracle_system, parent_vec_path, pair_sums):
     _, parent_evolve, _ = parent_vec_path
+    superop = pair_sums[3]
     ham, jumps, spec = oracle_system("generic_n3")
     model = tl.build_model(ham, jumps, bath=spec)
     rng = np.random.default_rng(5)
     psi = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
     rho = psi @ psi.conj().T
     rho /= np.trace(rho).real
-    for index, label in enumerate(model.jump_labels):
-        gen, bound = lindblad._jump_step_data(model, index)
+    for label in model.jump_labels:
+        unit = tl.weight_vector(model, label=label)
+        gen = superop(model, label)
         for s in (1e-4, 0.3, 2.5):
-            got = lindblad._evolve_vec(gen, bound, rho.reshape(-1), s, 8).reshape(8, 8)
-            assert np.max(np.abs(got - parent_evolve(model, label, rho, s))) <= 1e-12
+            got = tl.evolve(model, unit, rho, s)
+            assert np.max(np.abs(got - parent_evolve(model, label, rho, s, gen))) <= 1e-12
 
 
 def test_vec_kernel_keeps_the_floor(parent_vec_path):
@@ -95,11 +97,10 @@ def test_vec_kernel_keeps_the_floor(parent_vec_path):
         lindblad._finish_vec(np.array([0.6, 0.1, 0.0, 0.5], dtype=complex), 2)
 
 
-@pytest.mark.parametrize("coherent", [False, True])
-def test_real_sector_generators_match_their_complex_form(coherent):
-    model = ising_model(include_coherent=coherent)
-    sector = zero_frequency_sector(model)
-    assert sector.size == sum((sl.stop - sl.start) ** 2 for sl in model.sd.group_slices)
+def _check_real_generators(model, sector, size):
+    """Each real sector generator acts on coordinates as generator_apply
+    does on the state, with the model's coherent setting."""
+    assert sector.size == size
     rng = np.random.default_rng(2)
     for index, label in enumerate(model.jump_labels):
         gen, _, leak = sector.generators[index]
@@ -111,9 +112,58 @@ def test_real_sector_generators_match_their_complex_form(coherent):
             x = rng.standard_normal(sector.size)
             rho = sector.density(x)
             assert np.max(np.abs(sector.coords(rho) - x)) <= 1e-12
-            img = sector.coords(tl.generator_apply(model, unit, rho, coherent))
+            img = sector.coords(tl.generator_apply(model, unit, rho, model.include_coherent))
             assert img is not None
             assert np.linalg.norm(gen @ x - img) <= 1e-12 * np.linalg.norm(img)
+
+
+@pytest.mark.parametrize("coherent", [False, True])
+def test_real_sector_generators_match_their_complex_form(coherent):
+    model = ising_model(include_coherent=coherent)
+    sector = zero_frequency_sector(model)
+    _check_real_generators(model, sector,
+                           sum((sl.stop - sl.start) ** 2 for sl in model.sd.group_slices))
+
+
+@pytest.mark.parametrize("case", ["generic_n3", "ising_coherent"])
+def test_one_group_generators_match_their_complex_form(case, oracle_system):
+    """One group of all d levels: a finite-tau model with the Lamb shift,
+    and the coherent Davies Ising ring from a start outside its energy-group
+    sector."""
+    if case == "generic_n3":
+        ham, jumps, spec = oracle_system("generic_n3")
+        model = tl.build_model(ham, jumps, bath=spec)
+        assert model.include_lamb_shift and zero_frequency_sector(model) is None
+    else:
+        model = ising_model(include_coherent=True)
+    d = model.dim
+    plus = np.full((d, d), 1.0 / d, dtype=complex)
+    grouped = zero_frequency_sector(model)
+    assert grouped is None or grouped.coords(plus) is None
+    sector = zero_frequency_sector(model, plus)
+    _check_real_generators(model, sector, d * d)
+
+
+def test_anti_hermitian_start_descends_from_its_hermitian_part(oracle_system, parent_vec_path):
+    """A start with an anti-Hermitian part of 1e-11 relative, which
+    check_density_matrix accepts and which an energy-group sector's
+    SECTOR_TOL would reject: the one-group sector descends from its
+    Hermitian part with the vec(rho) oracle's records."""
+    _, _, parent_descent = parent_vec_path
+    model, rho, cfg = _vec_case("generic_n3", oracle_system)
+    rho = rho.copy()
+    rho[0, 1], rho[1, 0] = 1e-11, -1e-11
+    tl.check_density_matrix(rho)
+    assert np.linalg.norm(rho - rho.conj().T) > lindblad.SECTOR_TOL
+    assert zero_frequency_sector(model, rho).size == model.dim**2
+    trace = _descend(model, rho, cfg)
+    ref_steps, ref_rho = parent_descent(model, rho, cfg)
+    assert len(ref_steps) > 10
+    assert [st.jump for st in trace.steps] == [label for label, _, _ in ref_steps]
+    for st, (_, e_before, e_after) in zip(trace.steps, ref_steps):
+        assert abs(st.e_before - e_before) <= 1e-12
+        assert abs(st.e_after - e_after) <= 1e-12
+    assert np.max(np.abs(trace.terminal_state - ref_rho)) <= 1e-12
 
 
 def test_real_form_check_rejects_anti_hermitian_images():
