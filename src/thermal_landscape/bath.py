@@ -147,6 +147,26 @@ def _refine_edges(edges):
     return np.unique(np.concatenate([edges, mids]))
 
 
+def _refined_pass(one_pass, edges, abs_tol, name):
+    """(table, error estimate) of the panel quadrature ``one_pass(edges)``.
+
+    The pass runs on ``edges`` and on their refinement; when the two differ
+    by more than ``abs_tol`` somewhere, the edges are refined once more and
+    the last two passes compared.  The last pass is returned with its
+    difference from the one before; a second failure raises
+    :class:`QuadratureFailure` naming the table.
+    """
+    prev = one_pass(edges)
+    for _ in range(2):
+        edges = _refine_edges(edges)
+        table = one_pass(edges)
+        err = float(np.max(np.abs(prev - table)))
+        if err <= abs_tol:
+            return table, err
+        prev = table
+    raise QuadratureFailure(f"{name} error estimate {err:.3e} exceeds {abs_tol:.3e}")
+
+
 def _gamma_support_radius(spec: BathSpec, tiny):
     """Radius beyond which the Gaussian envelope of gamma is below ``tiny``."""
     pref = glauber_prefactor(spec.beta, spec.lambda0)
@@ -168,6 +188,7 @@ def _freq_panel_width(spec: BathSpec, rate):
 
 
 C_BETA_BLOCK = 2**20  # entries of one time-by-panel temporary in _c_beta_pass
+C_BETA_GRID_POINTS = 4096  # spline knots of BathCorrelation on [-t_max, t_max]
 
 
 def _c_beta_pass(t_abs, spec: BathSpec, w_rad, n_panels):
@@ -254,13 +275,13 @@ class BathCorrelation:
     midpoints, measured at construction by one more quadrature pass.
     """
 
-    def __init__(self, spec: BathSpec, abs_tol=1e-10, grid_points=4096):
+    def __init__(self, spec: BathSpec, abs_tol=1e-10):
         self.spec = spec
         self.abs_tol = abs_tol
         t_decay = 12.0 * spec.beta + 10.0 / spec.lambda0 + 5.0
         self.t_max = min(spec.tau, t_decay)
         self._decay_limited = t_decay < spec.tau
-        grid = np.linspace(-self.t_max, self.t_max, grid_points)
+        grid = np.linspace(-self.t_max, self.t_max, C_BETA_GRID_POINTS)
         panels = _c_beta_panels(np.unique(np.abs(grid)), spec, abs_tol)
         vals = _c_beta_direct(grid, spec, abs_tol, panels)
         self._re = CubicSpline(grid, vals.real)
@@ -337,21 +358,9 @@ def _overlap_matrix(freqs, spec: BathSpec, secular_mu, abs_tol):
         for nu in freqs:
             forced.extend((nu - secular_mu, nu + secular_mu))
     h = min(_freq_panel_width(spec, spec.tau), (b - a) / 8)
-    edges = _make_edges(a, b, h, forced)
-    c1 = _overlap_once(freqs, spec, secular_mu, edges)
-    edges = _refine_edges(edges)
-    c2 = _overlap_once(freqs, spec, secular_mu, edges)
-    err = float(np.max(np.abs(c1 - c2)))
-    if err > abs_tol:
-        edges = _refine_edges(edges)
-        c3 = _overlap_once(freqs, spec, secular_mu, edges)
-        err = float(np.max(np.abs(c2 - c3)))
-        c2 = c3
-        if err > abs_tol:
-            raise QuadratureFailure(
-                f"overlap kernel error estimate {err:.3e} exceeds {abs_tol:.3e}"
-            )
-    return c2.astype(complex), err
+    c_mat, err = _refined_pass(lambda edges: _overlap_once(freqs, spec, secular_mu, edges),
+                               _make_edges(a, b, h, forced), abs_tol, "overlap kernel")
+    return c_mat.astype(complex), err
 
 
 def overlap_kernel(nu_prime, nu, spec: BathSpec, secular_mu=None, abs_tol=1e-10):
@@ -361,11 +370,9 @@ def overlap_kernel(nu_prime, nu, spec: BathSpec, secular_mu=None, abs_tol=1e-10)
     |w - nu| < mu before integrating.
     """
     freqs = np.array([float(nu_prime), float(nu)])
-    if freqs[0] == freqs[1]:
-        mat, _ = _overlap_matrix(freqs[:1], spec, secular_mu, abs_tol)
-        return complex(mat[0, 0])
-    mat, _ = _overlap_matrix(freqs, spec, secular_mu, abs_tol)
-    return complex(mat[0, 1])
+    distinct = int(freqs[0] != freqs[1])  # equal frequencies: a 1 x 1 table
+    mat, _ = _overlap_matrix(freqs[: 1 + distinct], spec, secular_mu, abs_tol)
+    return complex(mat[0, distinct])
 
 
 # ---------------------------------------------------------------------------
@@ -474,21 +481,8 @@ def _lamb_matrix(freqs, spec: BathSpec, corr: BathCorrelation, abs_tol):
         0.35 / max(spec.beta, 1.0),
         u_max / 8,
     )
-    edges = _make_edges(-u_max, u_max, h, forced=(0.0,))
-    k1 = _lamb_once(freqs, spec, corr, edges)
-    edges = _refine_edges(edges)
-    k2 = _lamb_once(freqs, spec, corr, edges)
-    err = float(np.max(np.abs(k1 - k2)))
-    if err > abs_tol:
-        edges = _refine_edges(edges)
-        k3 = _lamb_once(freqs, spec, corr, edges)
-        err = float(np.max(np.abs(k2 - k3)))
-        k2 = k3
-        if err > abs_tol:
-            raise QuadratureFailure(
-                f"Lamb kernel error estimate {err:.3e} exceeds {abs_tol:.3e}"
-            )
-    return k2, err
+    return _refined_pass(lambda edges: _lamb_once(freqs, spec, corr, edges),
+                         _make_edges(-u_max, u_max, h, forced=(0.0,)), abs_tol, "Lamb kernel")
 
 
 def lamb_kernel(nu2, nu1, spec: BathSpec, cache: BathCorrelation | None = None,
@@ -501,11 +495,9 @@ def lamb_kernel(nu2, nu1, spec: BathSpec, cache: BathCorrelation | None = None,
     """
     corr = cache if cache is not None else BathCorrelation(spec)
     freqs = np.array([float(nu2), float(nu1)])
-    if freqs[0] == freqs[1]:
-        mat, _ = _lamb_matrix(freqs[:1], spec, corr, abs_tol)
-        return complex(mat[0, 0])
-    mat, _ = _lamb_matrix(freqs, spec, corr, abs_tol)
-    return complex(mat[0, 1])
+    distinct = int(freqs[0] != freqs[1])  # equal frequencies: a 1 x 1 table
+    mat, _ = _lamb_matrix(freqs[: 1 + distinct], spec, corr, abs_tol)
+    return complex(mat[0, distinct])
 
 
 def build_kernel_table(bohr_freqs, spec: BathSpec, include_lamb=False,

@@ -55,54 +55,54 @@ class CircuitSpec:
         mat, _ = self.gates[t - 1]
         return ops.operator_norm(mat - np.eye(mat.shape[0])) > 1e-12
 
+    def _action_times(self):
+        """Per qubit, the times at which it is acted on non-trivially, in order."""
+        times = [[] for _ in range(self.n)]
+        for t in range(1, self.total_gates + 1):
+            if self._acts_nontrivially(t):
+                for j in self.gates[t - 1][1]:
+                    times[j].append(t)
+        return times
+
     def first_action_times(self):
         """t_j per qubit: first time qubit j is acted on non-trivially.
 
         Qubits never acted on default to t0 + 1, the first slot after the
         initial identity padding.
         """
-        t_first = [self.t0 + 1] * self.n
-        seen = [False] * self.n
-        for t in range(1, self.total_gates + 1):
-            if not self._acts_nontrivially(t):
-                continue
-            _, sites = self.gates[t - 1]
-            for j in sites:
-                if not seen[j]:
-                    seen[j] = True
-                    t_first[j] = t
-        return t_first
+        return [ts[0] if ts else self.t0 + 1 for ts in self._action_times()]
 
     def last_action_times(self):
         """T_j per qubit: last time qubit j is acted on non-trivially (0 if never)."""
-        t_last = [0] * self.n
-        for t in range(1, self.total_gates + 1):
-            if not self._acts_nontrivially(t):
-                continue
-            _, sites = self.gates[t - 1]
-            for j in sites:
-                t_last[j] = t
-        return t_last
+        return [ts[-1] if ts else 0 for ts in self._action_times()]
 
 
 @dataclass(frozen=True)
 class ClockHamiltonian:
-    """H_C = H_clock + H_in + H_prop on n + T qubits, with its couplings."""
+    """H_C = H_clock + H_in + H_prop on n + T qubits, with its couplings.
+
+    ``local`` is H_C assembled from the three term lists; the dense H_clock,
+    H_in and H_prop are assembled from their terms on each read, and
+    ``h_total`` is ``local.dense``.
+    """
 
     circuit: CircuitSpec
     j_in: float
     j_prop: float
-    h_clock: np.ndarray
-    h_in: np.ndarray
-    h_prop: np.ndarray
-    h_total: np.ndarray
     local: LocalHamiltonian
+    clock_terms: tuple  # of (matrix, sites)
+    in_terms: tuple
+    prop_terms: tuple
     f: np.ndarray  # f_t = (T - t)/T, t = 1..T-1
     g: np.ndarray  # g_j = 1/xi_{t_j - 1}
     h_couplings: np.ndarray  # h_t = sqrt(t (T - t + 1)), t = 1..T
     xi: np.ndarray
 
     j_clock = 1.0
+    h_clock = property(lambda self: assemble(self.clock_terms, self.local.n).dense)
+    h_in = property(lambda self: assemble(self.in_terms, self.local.n).dense)
+    h_prop = property(lambda self: assemble(self.prop_terms, self.local.n).dense)
+    h_total = property(lambda self: self.local.dense)
 
 
 def make_circuit(n, t0, gates) -> CircuitSpec:
@@ -223,7 +223,8 @@ def _prop_term(cs: CircuitSpec, t, j_prop):
 
 
 def build_clock_hamiltonian(cs: CircuitSpec, j_in, j_prop) -> ClockHamiltonian:
-    """Assemble H_clock, H_in, H_prop and their sum on n + T qubits."""
+    """The terms of H_clock, H_in and H_prop on n + T qubits, and their sum
+    assembled once."""
     if j_in <= 0 or j_prop <= 0:
         raise ValueError("J_in and J_prop must be positive")
     t_count = cs.total_gates
@@ -240,30 +241,23 @@ def build_clock_hamiltonian(cs: CircuitSpec, j_in, j_prop) -> ClockHamiltonian:
     t_first = cs.first_action_times()
     g = np.array([1.0 / xi[tj - 1] for tj in t_first])
 
-    clock_terms = [
+    clock_terms = tuple(
         (f[t - 1] * _P01, (_clock_site(cs, t), _clock_site(cs, t + 1)))
         for t in range(1, t_count)
-    ]
-    in_terms = []
-    for j, tj in enumerate(t_first):
-        op = j_in * g[j] * np.kron(_P1, _P10)
-        sites = (j, _clock_site(cs, tj - 1), _clock_site(cs, tj))
-        in_terms.append((op, sites))
-    prop_terms = [_prop_term(cs, t, j_prop) for t in range(1, t_count + 1)]
-
-    h_clock = assemble(clock_terms, n_total).dense
-    h_in = assemble(in_terms, n_total).dense
-    local = assemble(clock_terms + in_terms + prop_terms, n_total)
-    h_prop = local.dense - h_clock - h_in
+    )
+    in_terms = tuple(
+        (j_in * g[j] * np.kron(_P1, _P10), (j, _clock_site(cs, tj - 1), _clock_site(cs, tj)))
+        for j, tj in enumerate(t_first)
+    )
+    prop_terms = tuple(_prop_term(cs, t, j_prop) for t in range(1, t_count + 1))
     return ClockHamiltonian(
         circuit=cs,
         j_in=float(j_in),
         j_prop=float(j_prop),
-        h_clock=h_clock,
-        h_in=h_in,
-        h_prop=h_prop,
-        h_total=local.dense,
-        local=local,
+        local=assemble(clock_terms + in_terms + prop_terms, n_total),
+        clock_terms=clock_terms,
+        in_terms=in_terms,
+        prop_terms=prop_terms,
         f=f,
         g=g,
         h_couplings=h_couplings,
@@ -283,21 +277,13 @@ def _partial_states(cs: CircuitSpec, bits):
 
 
 def history_state(cs: CircuitSpec, bits: str | None = None):
-    """|eta_x> = sum_t sqrt(xi_t) (U_t ... U_1 |x>) tensor |C_t>."""
+    """|eta_x> = sum_t sqrt(xi_t) (U_t ... U_1 |x>) tensor |C_t>, the columns
+    of :func:`_time_basis` weighted by sqrt(xi_t)."""
     if bits is None:
         bits = "0" * cs.n
     if len(bits) != cs.n:
         raise DimensionMismatch(f"input bits {bits!r} do not match n={cs.n}")
-    t_count = cs.total_gates
-    xi = binomial_weights(t_count)
-    states = _partial_states(cs, bits)
-    vec = np.zeros(2 ** (cs.n + t_count), dtype=complex)
-    clock_dim = 2**t_count
-    for t in range(t_count + 1):
-        idx = _clock_basis_index(t, t_count)
-        # system index s occupies vec[s * clock_dim + idx]
-        vec[np.arange(2**cs.n) * clock_dim + idx] += math.sqrt(xi[t]) * states[t]
-    return vec
+    return _time_basis(cs, bits) @ np.sqrt(binomial_weights(cs.total_gates))
 
 
 def _time_basis(cs: CircuitSpec, bits):
@@ -318,18 +304,21 @@ def effective_prop_block(cs: CircuitSpec, bits, j_prop):
     """The (T+1) x (T+1) block <eta_{x,t'}| H_prop |eta_{x,t}>.
 
     Equals the tridiagonal J_prop (T/2 I - L_x) with spectrum
-    J_prop {0, ..., T}; the sandwich is verified against the explicit
-    tridiagonal within 1e-9.
+    J_prop {0, ..., T}; the sandwich, with H_prop assembled from its terms
+    alone, is verified against the explicit tridiagonal within 1e-9.
     """
+    if j_prop <= 0:
+        raise ValueError("J_prop must be positive")
     t_count = cs.total_gates
     tri = np.zeros((t_count + 1, t_count + 1))
     np.fill_diagonal(tri, j_prop * t_count / 2.0)
     for t in range(1, t_count + 1):
         h_t = math.sqrt(t * (t_count - t + 1))
         tri[t - 1, t] = tri[t, t - 1] = -0.5 * j_prop * h_t
-    ch = build_clock_hamiltonian(cs, j_in=1.0, j_prop=j_prop)
+    h_prop = assemble([_prop_term(cs, t, j_prop) for t in range(1, t_count + 1)],
+                      cs.n + t_count).dense
     basis = _time_basis(cs, bits)
-    sandwich = basis.conj().T @ ch.h_prop @ basis
+    sandwich = basis.conj().T @ h_prop @ basis
     if np.max(np.abs(sandwich - tri)) > 1e-9:
         raise AssertionError(
             "effective propagation block deviates from the tridiagonal form"

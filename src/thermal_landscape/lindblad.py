@@ -53,7 +53,9 @@ MAX_TAYLOR_TERMS = 60
 SECTOR_TOL = 1e-12  # off-sector Frobenius mass still counted as in the sector
 SECTOR_MAX_ENTRIES = 2**20  # largest sum_g d_g^2 * d^2 for which a sector is built
 REAL_FORM_TOL = 1e-12  # anti-Hermitian image of a real sector generator, relative
-GATHER_BLOCK = 2**20  # terms, and entries of the result, one chunk of _gather reaches
+# terms of one _gather chunk of whole rows, or of one longer row alone, which has
+# at most nnz(right) terms; also the pairs of one chunk of D~_a's jump part
+GATHER_BLOCK = 2**20
 _SQRT_HALF = math.sqrt(0.5)
 
 _coherent_sentinel = object()
@@ -101,17 +103,14 @@ class LindbladModel:
 
     @property
     def dim(self):
-        return self.ham.dense.shape[0]
+        return self.sd.dim
 
     @property
     def jump_labels(self):
         return [j.label for j in self.jumps]
 
     def jump(self, label) -> Jump:
-        for j in self.jumps:
-            if j.label == label:
-                return j
-        raise UnknownJump(f"no jump labelled {label!r}")
+        return self.jumps[self.jump_index(label)]
 
     def jump_index(self, label) -> int:
         for i, j in enumerate(self.jumps):
@@ -261,70 +260,46 @@ def _gather(left, f_left, right, f_right, weight, d, lam=None):
     values) of two d x d matrices, and ``f_left``, ``f_right`` their Bohr
     indices; ``weight`` maps two arrays of Bohr indices to the kernel entries.
     Each entry (a, i) of ``left`` is paired with each entry (i, b) of
-    ``right``, in chunks of at most ``GATHER_BLOCK`` terms (or one entry of
-    ``left``) taken in order.  A chunk's terms are summed over their
-    distinct keys a d + b by ``np.bincount``, the real and imaginary parts
-    apart, in term order from 0.0; a key that an earlier chunk reached
-    carries its running sum into its first term of the chunk.  So each value
-    is the sum of its terms in order, whatever the chunk size.
+    ``right``, in chunks of whole rows a: as many rows as fit in
+    ``GATHER_BLOCK`` terms, or one row alone when it is longer.  The entries
+    of one row of ``left`` have distinct columns i, so a row has at most
+    nnz(``right``) terms, and a chunk at most max(``GATHER_BLOCK``,
+    nnz(``right``)).  No key a d + b spans two chunks: ``np.bincount`` sums
+    each key's terms, the real and imaginary parts apart, in term order from
+    0.0, so each value is the sum of its terms in order, whatever the chunk
+    size, and the chunks come out row-major.
     """
     la, li, lval = left
     ri, rb, rval = right
     count = np.bincount(ri, minlength=d)
     first = np.cumsum(count) - count  # row i of right is rb[first[i]:][:count[i]]
     per = count[li]  # terms of each entry of left
-    ends = np.cumsum(per)
-    starts = ends - per
+    cum = np.concatenate(([0], np.cumsum(per)))  # terms before each entry of left
+    row_at = np.searchsorted(la, np.arange(d + 1))  # the first entry of each row a
+    before = cum[row_at]  # terms before each row a
     keys, sums = [], []
-    # the keys of row la[start], which the chunk from ``start`` on may reach again
-    open_keys, open_sums = np.zeros(0, dtype=np.intp), np.zeros(0, dtype=complex)
-    start = 0
-    while start < len(la):
-        stop = max(int(np.searchsorted(ends, starts[start] + GATHER_BLOCK, side="right")),
-                   start + 1)
-        owner = np.repeat(np.arange(start, stop), per[start:stop])
-        # term t of the chunk is term t + starts[start] - starts[owner] of its owner
-        pos = first[li[owner]] + np.arange(len(owner)) + (starts[start] - starts[owner])
+    a0 = 0
+    while a0 < d:
+        a1 = max(int(np.searchsorted(before, before[a0] + GATHER_BLOCK, side="right")) - 1,
+                 a0 + 1)
+        lo, hi = row_at[a0], row_at[a1]
+        owner = np.repeat(np.arange(lo, hi), per[lo:hi])
+        # term t of the chunk is term t + cum[lo] - cum[owner] of its owner
+        pos = first[li[owner]] + np.arange(cum[lo], cum[hi]) - cum[owner]
         a, i, b = la[owner], li[owner], rb[pos]
         w = weight(f_left[owner], f_right[pos])
         if lam is not None:
             w = w * (lam[i] - 0.5 * (lam[a] + lam[b]))
-        flat = a * d + b
-        key, at = np.unique(flat, return_inverse=True)
+        key, at = np.unique(a * d + b, return_inverse=True)
         terms = lval[owner] * (rval[pos] * w)
-        if len(open_keys):
-            # the open keys' terms come first: those of the chunk's first row
-            head_keys, head = np.unique(flat[:np.searchsorted(a, la[start], side="right")],
-                                        return_index=True)
-            carried = np.isin(open_keys, head_keys)
-            terms[head[np.searchsorted(head_keys, open_keys[carried])]] += open_sums[carried]
-        key_sums = _key_sums(at, terms, len(key))
-        if len(open_keys):  # the open keys this chunk does not reach stay open
-            key = np.concatenate((open_keys[~carried], key))
-            order = np.argsort(key, kind="stable")
-            key, key_sums = key[order], np.concatenate((open_sums[~carried], key_sums))[order]
-        # rows before the next chunk's first row are complete
-        done = len(key) if stop == len(la) else np.searchsorted(key, la[stop] * d)
-        keys.append(key[:done])
-        sums.append(key_sums[:done])
-        open_keys, open_sums = key[done:], key_sums[done:]
-        start = stop
-    if not keys:
-        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0, dtype=complex)
-    if len(keys) > 1:
-        key = np.concatenate(keys)
-        order = np.argsort(key, kind="stable")
-        key, sums = key[order], [np.concatenate(sums)[order]]
-    rows, cols = divmod(key, d)
-    return rows, cols, sums[0]
-
-
-def _key_sums(at, terms, size):
-    """The sums of ``terms`` over their compressed keys ``at``, each in term order from 0.0."""
-    out = np.empty(size, dtype=complex)
-    out.real = np.bincount(at, terms.real, size)
-    out.imag = np.bincount(at, terms.imag, size)
-    return out
+        key_sums = np.empty(len(key), dtype=complex)
+        key_sums.real = np.bincount(at, terms.real, len(key))
+        key_sums.imag = np.bincount(at, terms.imag, len(key))
+        keys.append(key)
+        sums.append(key_sums)
+        a0 = a1
+    rows, cols = divmod(np.concatenate(keys), d)
+    return rows, cols, np.concatenate(sums)
 
 
 def _adjoint(entries, bohr):
@@ -483,8 +458,6 @@ def build_model(
     include_lamb_shift: bool | None = None,
     include_coherent: bool = False,
     group_tol: float | None = None,
-    kernel_abs_tol: float = 1e-10,
-    lamb_abs_tol: float = 1e-8,
 ) -> LindbladModel:
     """Assemble a :class:`LindbladModel` from a Hamiltonian and jumps.
 
@@ -524,14 +497,8 @@ def build_model(
             raise ValueError("finite-beta Davies mode needs a BathSpec for beta")
     else:
         corr = BathCorrelation(bath) if include_lamb_shift else None
-        kernels = build_kernel_table(
-            sd.bohr_freqs,
-            bath,
-            include_lamb=include_lamb_shift,
-            abs_tol=kernel_abs_tol,
-            lamb_abs_tol=lamb_abs_tol,
-            corr=corr,
-        )
+        kernels = build_kernel_table(sd.bohr_freqs, bath, include_lamb=include_lamb_shift,
+                                     corr=corr)
         beta = bath.beta
         lam = bath.lambda0
 
@@ -633,15 +600,15 @@ def generator_apply(model: LindbladModel, w, rho, include_coherent=_coherent_sen
 
 
 def _generator_norm_bound(model: LindbladModel, w, include_coherent):
-    """Upper bound on the 1->1 norm of the weighted generator."""
+    """Upper bound on the 1->1 norm of the weighted generator, with ||H||_2
+    read as max |lambda| from the spectrum."""
     bound = 3.0 * sum(wa * j.aa_norm for wa, j in zip(w, model.jumps))
     if include_coherent:
-        bound += 2.0 * ops.operator_norm(model.ham.dense)
+        bound += 2.0 * float(np.max(np.abs(model.sd.eigenvalues)))
     return bound
 
 
-def evolve(model: LindbladModel, w, rho, s, include_coherent=_coherent_sentinel,
-           taylor_tol=TAYLOR_TOL, max_terms=MAX_TAYLOR_TERMS):
+def evolve(model: LindbladModel, w, rho, s, include_coherent=_coherent_sentinel):
     """rho(s) = exp(s sum_a w_a L_a)[rho] by substepped truncated Taylor.
 
     Substeps keep ||h L||_{1-1} <= 1 per step.  They run on vec(V^dag rho V)
@@ -666,8 +633,7 @@ def evolve(model: LindbladModel, w, rho, s, include_coherent=_coherent_sentinel,
     bound = _generator_norm_bound(model, w, include_coherent)
     nsub = max(1, int(math.ceil(s * bound)))
     x = _taylor_substeps(_eig_generator(model, w, include_coherent),
-                         sd.to_eig(rho).reshape(-1), s / nsub, nsub, taylor_tol / nsub,
-                         bound, d, max_terms)
+                         sd.to_eig(rho).reshape(-1), s / nsub, nsub, bound, d)
     return _finish_vec(sd.from_eig(x.reshape(d, d)).reshape(-1), d).reshape(d, d)
 
 
@@ -697,18 +663,20 @@ def _vec_layout(d):
             np.eye(d, dtype=complex).reshape(-1))
 
 
-def _taylor_substeps(gen, state, h, nsub, tol, bound, d, max_terms):
-    """Apply exp(h gen) ``nsub`` times to ``state`` by truncated Taylor series.
+def _taylor_substeps(gen, state, h, nsub, bound, d):
+    """Apply exp(h gen) ``nsub`` times to ``state`` by truncated Taylor series,
+    each substep within ``TAYLOR_TOL`` / ``nsub`` in trace norm.
 
     ``bound`` bounds the 1->1 norm of ``gen`` and ``d`` is the Hilbert
     dimension, so sqrt(d) times the Frobenius norm bounds the trace norm.
     """
+    tol = TAYLOR_TOL / nsub
     h_bound = h * max(bound, 1e-300)
     sqrt_d = math.sqrt(d)
     for _ in range(nsub):
         term = state
         acc = state.copy()
-        for k in range(1, max_terms + 1):
+        for k in range(1, MAX_TAYLOR_TERMS + 1):
             term = gen.dot(term)  # dot: far less call overhead than @
             term *= h / k
             acc += term
@@ -949,8 +917,7 @@ class ZeroFrequencySector:
         herm = (self._sqrt_d * a * math.sqrt(x.dot(x)) / (1.0 - a)
                 if a < 1.0 else math.inf)
         nsub = max(1, int(math.ceil(s * bound)))
-        x = _taylor_substeps(gen, x, s / nsub, nsub, TAYLOR_TOL / nsub, bound,
-                             self.dim, MAX_TAYLOR_TERMS)
+        x = _taylor_substeps(gen, x, s / nsub, nsub, bound, self.dim)
         z = self._post.dot(np.concatenate((x, np.abs(x)))).tolist()
         trace = z[0]
         _check_defect(herm, abs(trace - 1.0))

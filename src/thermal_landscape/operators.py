@@ -170,7 +170,7 @@ def hermiticity_defect(m):
     return operator_norm(m - dagger(m))
 
 
-def herm_eig(m, tol_herm=None):
+def herm_eig(m):
     """Eigendecomposition of a Hermitian matrix.
 
     Returns ``(w, V)`` with eigenvalues ascending and columns of ``V``
@@ -180,21 +180,21 @@ def herm_eig(m, tol_herm=None):
     so equal eigenvalues keep the diagonal's order, not ``eigh``'s
     (:func:`herm_eig_basis` returns that V as the permutation itself).
     """
-    w, v = herm_eig_basis(m, tol_herm)
+    w, v = herm_eig_basis(m)
     if v.ndim == 1:
         p, v = v, np.zeros((len(w), len(w)), dtype=complex)
         v[p, np.arange(len(w))] = 1.0
     return w, v
 
 
-def herm_eig_basis(m, tol_herm=None):
+def herm_eig_basis(m):
     """:func:`herm_eig`, with the V of a diagonal Hermitian part returned as
     the permutation p, V[p[j], j] = 1, not as a d x d matrix.  The defect
-    ||m - m^dag||_2 is checked against ``tol_herm`` (default 1e-10 ||m||_2)
-    only when m - m^dag has a nonzero entry, which is read from the nonzero
-    entries of m: an exactly Hermitian ``m`` costs no SVD, and if it is
-    diagonal as well no d x d array is formed.  An input or Hermitian part
-    that is not finite raises :class:`NonFiniteValue`.
+    ||m - m^dag||_2 is checked against 1e-10 ||m||_2 only when m - m^dag
+    has a nonzero entry, which is read from the nonzero entries of m: an
+    exactly Hermitian ``m`` costs no SVD, and if it is diagonal as well no
+    d x d array is formed.  An input or Hermitian part that is not finite
+    raises :class:`NonFiniteValue`.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -204,8 +204,7 @@ def herm_eig_basis(m, tol_herm=None):
     rows, cols, vals = entries(m)
     if np.any(m[cols, rows] != vals.conj()):  # m - m^dag has a nonzero entry
         skew = m - dagger(m)
-        if tol_herm is None:
-            tol_herm = 1e-10 * operator_norm(m)
+        tol_herm = 1e-10 * operator_norm(m)
         defect = operator_norm(skew) if np.all(np.isfinite(skew)) else math.inf
         if defect > max(tol_herm, 1e-300):
             raise NotHermitian(
@@ -254,22 +253,23 @@ def expectation(obs, rho):
     return float(val.real)
 
 
-def check_density_matrix(rho, herm_factor=1e-10, trace_tol=1e-10, psd_floor=-1e-9):
-    """Validate Hermiticity, unit trace and numerical positivity of a state."""
+def check_density_matrix(rho):
+    """Validate Hermiticity (defect within 1e-10 ||rho||_2), unit trace
+    (within 1e-10) and numerical positivity (eigenvalues >= -1e-9) of a state."""
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise InvalidDensityMatrix(f"state has shape {rho.shape}")
     if not np.all(np.isfinite(rho)):
         raise InvalidDensityMatrix("state contains non-finite entries")
     scale = max(operator_norm(rho), 1e-300)
-    if hermiticity_defect(rho) > herm_factor * scale:
+    if hermiticity_defect(rho) > 1e-10 * scale:
         raise InvalidDensityMatrix("state is not Hermitian")
     tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > trace_tol:
+    if abs(tr - 1.0) > 1e-10:
         raise InvalidDensityMatrix(f"trace is {tr} instead of 1")
     lo = float(np.linalg.eigvalsh(0.5 * (rho + dagger(rho)))[0])
-    if lo < psd_floor:
-        raise InvalidDensityMatrix(f"minimum eigenvalue {lo:.3e} below {psd_floor}")
+    if lo < -1e-9:
+        raise InvalidDensityMatrix(f"minimum eigenvalue {lo:.3e} below -1e-09")
     return rho
 
 

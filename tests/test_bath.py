@@ -324,3 +324,28 @@ def test_lamb_pass_small_sigma_matches_pair_loop(freqs, loop_lamb_once):
     got = B._lamb_once(freqs, spec, corr, edges)
     want = loop_lamb_once(freqs, spec, corr, edges)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("diffs, passes", [([0.5e-10], 2), ([1.0, 0.5e-10], 3), ([1.0, 1.0], None)],
+                         ids=["refined-once", "refined-twice", "fails"])
+def test_refinement_driver_refines_at_most_twice(diffs, passes):
+    """Both kernel tables run one pass, a refined pass and at most one more
+    refinement: the last pass comes back with its difference from the one
+    before, and a second difference above the tolerance raises, naming the
+    table.  Pass k returns sum(diffs[:k]), so it differs from pass k - 1 by
+    diffs[k - 1]."""
+    edges = []
+
+    def one_pass(e):
+        edges.append(len(e))
+        return np.array([sum(diffs[:len(edges) - 1])])
+
+    if passes is None:
+        with pytest.raises(tl.errors.QuadratureFailure, match="toy table error estimate"):
+            B._refined_pass(one_pass, np.linspace(0.0, 1.0, 9), 1e-10, "toy table")
+        passes = 3
+    else:
+        table, err = B._refined_pass(one_pass, np.linspace(0.0, 1.0, 9), 1e-10, "toy table")
+        assert table.tolist() == [sum(diffs[:passes - 1])]
+        assert err == abs(sum(diffs[:passes - 1]) - sum(diffs[:passes - 2]))
+    assert edges == [9, 17, 33][:passes]  # each refinement halves every panel

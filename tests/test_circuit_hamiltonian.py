@@ -80,6 +80,54 @@ def test_effective_prop_block_spectrum():
     assert np.linalg.norm(ground - np.sqrt(circ.binomial_weights(3))) < 1e-9
 
 
+def test_effective_prop_block_assembles_only_the_propagation_terms(monkeypatch):
+    cs = x_circuit()
+    calls = []
+    assemble = circ.assemble
+
+    def spy(terms, n):
+        calls.append(len(terms))
+        return assemble(terms, n)
+
+    monkeypatch.setattr(circ, "assemble", spy)
+    circ.effective_prop_block(cs, "0", 0.25)
+    assert calls == [cs.total_gates]
+
+
+@pytest.mark.parametrize("j_prop", [0.0, -0.25])
+def test_effective_prop_block_rejects_a_nonpositive_coupling(j_prop):
+    with pytest.raises(ValueError, match="J_prop"):
+        circ.effective_prop_block(x_circuit(), "0", j_prop)
+
+
+def test_clock_hamiltonian_keeps_its_terms_not_dense_copies():
+    cs = x_circuit()
+    ch = circ.build_clock_hamiltonian(cs, 0.2, 0.3)
+    d = 2 ** ch.local.n
+    assert not [k for k, v in vars(ch).items()
+                if isinstance(v, np.ndarray) and v.shape == (d, d)]
+    assert ch.h_total is ch.local.dense
+    parts = ch.clock_terms + ch.in_terms + ch.prop_terms
+    assert [sites for _, sites in ch.local.terms] == [sites for _, sites in parts]
+    assert (len(ch.clock_terms), len(ch.in_terms), len(ch.prop_terms)) == (2, 1, 3)
+    total = ch.h_clock + ch.h_in + ch.h_prop
+    assert np.max(np.abs(total - ch.h_total)) <= 1e-15 * np.max(np.abs(ch.h_total))
+
+
+def test_history_state_weights_the_time_basis():
+    """|eta_x> is the sum over t of sqrt(xi_t) U_t ... U_1 |x> (x) |C_t>, each
+    entry one product, as a loop over t writes it."""
+    cs = circ.make_circuit(2, 1, [(I2, (0,)), (circ.GATES["CNOT"], (0, 1)), (I2, (0,))])
+    xi = circ.binomial_weights(cs.total_gates)
+    clock_dim = 2**cs.total_gates
+    for bits in ("00", "01", "10", "11"):
+        want = np.zeros(2 ** (cs.n + cs.total_gates), dtype=complex)
+        for t, psi in enumerate(circ._partial_states(cs, bits)):
+            idx = circ._clock_basis_index(t, cs.total_gates)
+            want[np.arange(2**cs.n) * clock_dim + idx] += math.sqrt(xi[t]) * psi
+        assert circ.history_state(cs, bits).tobytes() == want.tobytes()
+
+
 def test_effective_prop_block_input_independence():
     cs = x_circuit()
     a = circ.effective_prop_block(cs, "0", 0.25)

@@ -70,8 +70,10 @@ def test_entry_gather_matches_the_row_loop(name, davies, oracle_system, row_loop
 
 @pytest.mark.parametrize("name, davies", GATHER_CASES)
 def test_entry_gather_sums_in_order_at_every_block(name, davies, oracle_system, monkeypatch):
-    """A key whose terms span chunks carries its running sum from chunk to
-    chunk, so every block size gives the in-order sum byte for byte."""
+    """Chunks end between rows of the result, so no key spans two of them,
+    every block size gives the in-order sum byte for byte, and a chunk holds
+    at most max(block, nnz(right)) terms; a block of 1 takes each row alone,
+    rows longer than the block among them."""
     if name.startswith("ising_n8"):
         model = _ising_davies(8, float(name[-1]))
     else:
@@ -79,9 +81,20 @@ def test_entry_gather_sums_in_order_at_every_block(name, davies, oracle_system, 
     for label in model.jump_labels:
         for args in _gathers(model, label):
             in_order = _in_order_sum(*args) + 0.0
-            for block in (7, 40):
+            entry_args = list(_entry_args(*args))
+            weight, chunks = entry_args[4], []
+
+            def counted(f_left, f_right):
+                chunks.append(len(f_left))
+                return weight(f_left, f_right)
+
+            entry_args[4] = counted
+            nnz_right = len(entry_args[2][0])
+            for block in (1, 7, 40):
                 monkeypatch.setattr(lindblad, "GATHER_BLOCK", block)
-                rows, cols, vals = lindblad._gather(*_entry_args(*args))
+                chunks.clear()
+                rows, cols, vals = lindblad._gather(*entry_args)
+                assert chunks and max(chunks) <= max(block, nnz_right)
                 assert np.all(np.diff(rows * len(args[2]) + cols) > 0)  # once each, row-major
                 got = np.zeros(args[2].shape, dtype=complex)
                 got[rows, cols] = vals

@@ -498,3 +498,27 @@ def test_eigenbasis_gathers_match_pair_sums(name, davies, oracle_system, pair_su
         unit = tl.weight_vector(model, label=label)
         assert_close(tl.generator_apply(model, unit, rho, False).reshape(-1),
                      superop(model, label) @ rho.reshape(-1))
+
+
+@pytest.mark.parametrize("name", ["ising_n4_h1", "generic_n3"])
+def test_model_reads_its_size_and_norm_from_the_spectrum(name, oracle_system):
+    """dim is the spectrum's, and the coherent norm bound reads ||H||_2 as
+    max |lambda|, which agrees with the SVD of H; neither reads the dense H."""
+    if name == "generic_n3":
+        ham, jumps, spec = oracle_system(name)
+        model = tl.build_model(ham, jumps, bath=spec, include_coherent=True)
+    else:
+        ham = tl.build_ising_chain(4, 1.0)
+        jumps = [(f"X{j}", tl.kron_embed(tl.PAULI["X"], [j], 4)) for j in range(4)]
+        model = tl.build_model(ham, jumps, bath=BathSpec(beta=5.0, tau=1.0, lambda0=4.0),
+                               davies=True, include_coherent=True)
+    d = ham.dense.shape[0]
+    w = np.linspace(0.2, 1.0, len(model.jumps))
+    want = 3.0 * sum(wa * j.aa_norm for wa, j in zip(w, model.jumps)) \
+        + 2.0 * ops.operator_norm(ham.dense)
+    assert abs(L._generator_norm_bound(model, w, True) - want) <= 1e-12 * want
+    rho = tl.maximally_mixed(int(np.log2(d)))
+    out = tl.evolve(model, w, rho, 0.5)
+    model.ham = type(ham)(n=ham.n, terms=ham.terms, dense=None, norm_bound=ham.norm_bound)
+    assert model.dim == d
+    assert tl.evolve(model, w, rho, 0.5).tobytes() == out.tobytes()
