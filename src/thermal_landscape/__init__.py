@@ -5,7 +5,6 @@ from .bath import (
     BathCorrelation,
     BathSpec,
     KernelTable,
-    bath_correlation,
     build_kernel_table,
     gamma,
     gamma_zero_temperature,

@@ -35,10 +35,10 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
 class BathSpec:
     """Bath parameters: inverse temperature, time scale and Gaussian cutoff.
 
-    Infinite beta or tau are never represented here; the Davies limit has
-    its own code path in the lindblad module.  ``weight`` selects the
-    transition-weight family; "flat" (gamma = 1) exists as a test
-    surrogate only.
+    Infinite beta or tau are never represented here: the Davies limit reads
+    :func:`gamma` (no tau) or :func:`gamma_zero_temperature` at the Bohr
+    frequencies.  ``weight`` selects the transition-weight family; "flat"
+    (gamma = 1) exists as a test surrogate only.
     """
 
     beta: float
@@ -189,6 +189,7 @@ def _freq_panel_width(spec: BathSpec, rate):
 
 C_BETA_BLOCK = 2**20  # entries of one time-by-panel temporary in _c_beta_pass
 C_BETA_GRID_POINTS = 4096  # spline knots of BathCorrelation on [-t_max, t_max]
+C_BETA_ABS_TOL = 1e-10  # quadrature tolerance of BathCorrelation's knots
 
 
 def _c_beta_pass(t_abs, spec: BathSpec, w_rad, n_panels):
@@ -254,7 +255,7 @@ def _c_beta_direct(t_values, spec: BathSpec, abs_tol, panels=None):
     batch; by default :func:`_c_beta_panels` chooses it for this one.
     """
     if spec.weight != "glauber":
-        raise ValueError("bath_correlation is defined for the glauber weight")
+        raise ValueError("c_beta is defined for the glauber weight")
     t_values = np.atleast_1d(np.asarray(t_values, dtype=float))
     t_abs, inverse = np.unique(np.abs(t_values), return_inverse=True)
     if panels is None:
@@ -270,54 +271,40 @@ class BathCorrelation:
     interpolation.  The grid covers [-t_max, t_max] where t_max is the
     smaller of tau and the decay range of c_beta (the logistic factor
     gives an exp(-pi t / beta)-type tail, the Gaussian cutoff a 1/lambda0
-    scale); outside the grid, values are obtained by direct quadrature.
-    ``interp_error`` is the largest |spline - direct| over the grid
-    midpoints, measured at construction by one more quadrature pass.
+    scale); a time outside it, where the spline would extrapolate, raises
+    ValueError (the Lamb kernel reads none).  The knots are within
+    ``C_BETA_ABS_TOL``.  ``interp_error`` is the largest |spline - direct|
+    over the grid midpoints, measured at construction by one more pass.
     """
 
-    def __init__(self, spec: BathSpec, abs_tol=1e-10):
+    def __init__(self, spec: BathSpec):
         self.spec = spec
-        self.abs_tol = abs_tol
-        t_decay = 12.0 * spec.beta + 10.0 / spec.lambda0 + 5.0
-        self.t_max = min(spec.tau, t_decay)
-        self._decay_limited = t_decay < spec.tau
+        self.t_max = min(spec.tau, 12.0 * spec.beta + 10.0 / spec.lambda0 + 5.0)
         grid = np.linspace(-self.t_max, self.t_max, C_BETA_GRID_POINTS)
-        panels = _c_beta_panels(np.unique(np.abs(grid)), spec, abs_tol)
-        vals = _c_beta_direct(grid, spec, abs_tol, panels)
+        panels = _c_beta_panels(np.unique(np.abs(grid)), spec, C_BETA_ABS_TOL)
+        vals = _c_beta_direct(grid, spec, C_BETA_ABS_TOL, panels)
         self._re = CubicSpline(grid, vals.real)
         self._im = CubicSpline(grid, vals.imag)
         mids = 0.5 * (grid[1:] + grid[:-1])
-        direct = _c_beta_direct(mids, spec, abs_tol, panels)
+        direct = _c_beta_direct(mids, spec, C_BETA_ABS_TOL, panels)
         self.interp_error = float(np.max(np.abs(self(mids) - direct)))
         logger.debug("c_beta spline error %.3e at beta=%g, tau=%g, lambda0=%g",
                      self.interp_error, spec.beta, spec.tau, spec.lambda0)
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        scalar = t.ndim == 0
-        t = np.atleast_1d(t)
-        out = np.empty(t.shape, dtype=complex)
-        inside = np.abs(t) <= self.t_max
-        out[inside] = self._re(t[inside]) + 1j * self._im(t[inside])
-        if np.any(~inside):
-            if self._decay_limited:
-                out[~inside] = 0.0  # beyond the decay range, |c| < abs_tol
-            else:
-                out[~inside] = _c_beta_direct(t[~inside], self.spec, self.abs_tol)
-        return complex(out[0]) if scalar else out
-
-
-def bath_correlation(t, spec: BathSpec, cache: BathCorrelation | None = None):
-    """c_beta(t) = (2 pi)^{-1/2} integral gamma(omega) e^{+i omega t} domega."""
-    if cache is not None:
-        return cache(t)
-    vals = _c_beta_direct(np.atleast_1d(t), spec, abs_tol=1e-10)
-    return complex(vals[0]) if np.ndim(t) == 0 else vals
+        if np.any(np.abs(t) > self.t_max):
+            raise ValueError(f"c_beta is read only on its grid [-{self.t_max}, {self.t_max}]")
+        out = self._re(t) + 1j * self._im(t)
+        return complex(out) if t.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
 # overlap kernel C(nu', nu)
 # ---------------------------------------------------------------------------
+
+
+KERNEL_ABS_TOL = 1e-10  # quadrature tolerance of a kernel table's C, and overlap_kernel's default
 
 
 def _overlap_interval(freqs, spec: BathSpec, abs_tol):
@@ -363,7 +350,7 @@ def _overlap_matrix(freqs, spec: BathSpec, secular_mu, abs_tol):
     return c_mat.astype(complex), err
 
 
-def overlap_kernel(nu_prime, nu, spec: BathSpec, secular_mu=None, abs_tol=1e-10):
+def overlap_kernel(nu_prime, nu, spec: BathSpec, secular_mu=None, abs_tol=KERNEL_ABS_TOL):
     """C(nu', nu) = integral gamma(w) fhat*(w - nu') fhat(w - nu) dw.
 
     With ``secular_mu`` set, both window factors are truncated to
@@ -380,6 +367,7 @@ def overlap_kernel(nu_prime, nu, spec: BathSpec, secular_mu=None, abs_tol=1e-10)
 # ---------------------------------------------------------------------------
 
 
+LAMB_ABS_TOL = 1e-8  # quadrature tolerance of a kernel table's K, and lamb_kernel's default
 LAMB_BLOCK = 2**17  # entries of one node-by-frequency temporary in _lamb_once
 LAMB_SERIES_TERMS = 14  # terms of the small-sigma series in _lamb_once
 
@@ -486,7 +474,7 @@ def _lamb_matrix(freqs, spec: BathSpec, corr: BathCorrelation, abs_tol):
 
 
 def lamb_kernel(nu2, nu1, spec: BathSpec, cache: BathCorrelation | None = None,
-                abs_tol=1e-8):
+                abs_tol=LAMB_ABS_TOL):
     """Lamb-shift kernel K(nu2, nu1).
 
     Defined by the double time integral of sgn(t1 - t2) c_beta(t2 - t1)
@@ -501,21 +489,21 @@ def lamb_kernel(nu2, nu1, spec: BathSpec, cache: BathCorrelation | None = None,
 
 
 def build_kernel_table(bohr_freqs, spec: BathSpec, include_lamb=False,
-                       secular_mu=None, abs_tol=1e-10, lamb_abs_tol=1e-8,
                        corr: BathCorrelation | None = None) -> KernelTable:
-    """Evaluate the overlap (and optionally Lamb) kernel on a Bohr set."""
+    """Evaluate the overlap (and optionally Lamb) kernel on a Bohr set,
+    within ``KERNEL_ABS_TOL`` and ``LAMB_ABS_TOL``; the Lamb kernel reads
+    c_beta from ``corr``, built here when None."""
     freqs = np.asarray(bohr_freqs, dtype=float)
-    c_mat, c_err = _overlap_matrix(freqs, spec, secular_mu, abs_tol)
+    c_mat, err = _overlap_matrix(freqs, spec, None, KERNEL_ABS_TOL)
     k_mat = None
-    err = c_err
     if include_lamb:
         if corr is None:
-            corr = BathCorrelation(spec, abs_tol=min(abs_tol, 1e-10))
-        k_mat, k_err = _lamb_matrix(freqs, spec, corr, lamb_abs_tol)
+            corr = BathCorrelation(spec)
+        k_mat, k_err = _lamb_matrix(freqs, spec, corr, LAMB_ABS_TOL)
         err = max(err, k_err)
     return KernelTable(
         bohr_freqs=freqs,
         C=c_mat,
         K=k_mat,
-        quad_report=QuadReport(abs_tol=abs_tol, max_estimated_error=err),
+        quad_report=QuadReport(abs_tol=KERNEL_ABS_TOL, max_estimated_error=err),
     )

@@ -581,8 +581,7 @@ def _scenario_plateau(cfg, model_unused, clock, echo, seed):
 
 def _scenario_kernels(cfg, model, clock, echo, seed):
     if model.davies:
-        freqs = model.sd.bohr_freqs
-        values = model.davies_gamma(freqs)
+        freqs, values = model.sd.bohr_freqs, model.davies_weights
         rows = [(float(nu), float(nu), float(v), 0.0) for nu, v in zip(freqs, values)]
         return {
             "bohr_freqs": freqs,

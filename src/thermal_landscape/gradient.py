@@ -62,22 +62,10 @@ def gradient_operator(model: LindbladModel, label):
     return model._gradient_ops[label]
 
 
-def _layout(op):
-    """conj(op^T), row-major, viewed as float64: Re Tr(op rho) is its dot product with rho's."""
-    return np.ascontiguousarray(op.T.conj()).reshape(-1).view(np.float64)
-
-
-def _layout_parts(lay, idx=None):
-    """Float positions and values of the entries of the float64 layout ``lay``, of
-    complex entries at flat indices ``idx`` (all when None), whose bits are not a zero's."""
-    parts = lay.reshape(-1, 2)  # a zero of conj(X^T), X Hermitized, is (+0.0, -0.0)
-    at, part = np.nonzero(parts.view(np.uint64) != np.array([0.0, -0.0]).view(np.uint64))
-    return 2 * (at if idx is None else idx[at]) + part, parts[at, part]
-
-
 def _transposed_parts(op):
-    """:func:`_layout_parts` of :func:`_layout` of ``op``, read from the bits of op itself, with
-    no d x d copy: conj(op^T)[a, b] is op[b, a] with its imaginary part negated."""
+    """Float positions and values of the entries of the layout of ``op``: conj(op^T),
+    row-major, viewed as float64.  Read from the bits of op itself, with no d x d copy:
+    conj(op^T)[a, b] is op[b, a] with its imaginary part negated."""
     d = len(op)
     floats = np.ascontiguousarray(op).view(np.float64).reshape(d, d, 2)
     b, a, part = np.nonzero(floats.view(np.uint64))
@@ -86,8 +74,8 @@ def _transposed_parts(op):
 
 
 def _indexed_layout(g, p):
-    """:func:`_layout_parts` of conj(X^T), X = P g P^T Hermitized, P of ``p``, from the
-    nonzero entries ``g`` = (rows, cols, values) of g."""
+    """:func:`_transposed_parts` of X = P g P^T Hermitized, P of ``p``, from the nonzero
+    entries ``g`` = (rows, cols, values) of g, with no d x d array."""
     d = len(p)
     a, b, vals = g
     u = np.union1d(a * d + b, b * d + a)  # closed under transposition
@@ -95,7 +83,9 @@ def _indexed_layout(g, p):
     x = np.zeros(len(u), dtype=complex)
     x[np.searchsorted(u, a * d + b)] = vals + 0.0  # X at u, as from_eig writes it
     herm = 0.5 * (x + x[np.searchsorted(u, ub * d + ua)].conj())  # as gradient_operator does
-    return _layout_parts(herm.conj().view(np.float64), p[ub] * d + p[ua])
+    parts = herm.conj().view(np.float64).reshape(-1, 2)  # a zero of conj(X^T) is (+0.0, -0.0)
+    at, part = np.nonzero(parts.view(np.uint64) != np.array([0.0, -0.0]).view(np.uint64))
+    return 2 * (p[ub] * d + p[ua])[at] + part, parts[at, part]
 
 
 class GradientScan:
@@ -106,24 +96,21 @@ class GradientScan:
     and rho, both row-major and viewed as float64, for any complex rho.
     ``rows`` keeps ``support``, the union of the rows' nonzero columns: d of
     the 2 d^2 for the diagonal operators of the Ising chain under X jumps,
-    where a basis-state certificate is one column.  With a permutation
-    eigenbasis no operator is formed: each one's entries are found by index
-    from the entries of its eigenbasis form.  Obtain one with :func:`gradient_scan`.
+    where a basis-state certificate is one column.  Each row is read from
+    the entries of its cached operator or, with a permutation eigenbasis,
+    where no operator is formed, found by index from those of its eigenbasis
+    form.  Obtain one with :func:`gradient_scan`.
     """
 
     def __init__(self, model: LindbladModel):
         self.dim = d = model.dim
         labels, p = model.jump_labels, model.sd.permutation
-        nonzero = np.zeros(2 * d * d, dtype=bool)
-        if p is None:  # the cached operators, laid out one at a time, never stacked
-            mats = [gradient_operator(model, label) for label in labels] + [model.ham.dense]
-            for m in mats:
-                nonzero |= _layout(m) != 0.0
-            self.support = np.flatnonzero(nonzero)
-            self.rows = np.array([_layout(m)[self.support] for m in mats])
-            return
-        entries = [_indexed_layout(model._gradient_entries(label), p) for label in labels]
+        if p is None:
+            entries = [_transposed_parts(gradient_operator(model, label)) for label in labels]
+        else:
+            entries = [_indexed_layout(model._gradient_entries(label), p) for label in labels]
         entries.append(_transposed_parts(model.ham.dense))
+        nonzero = np.zeros(2 * d * d, dtype=bool)
         for pos, vals in entries:
             nonzero[pos[vals != 0]] = True
         self.support = np.flatnonzero(nonzero)
@@ -187,7 +174,7 @@ def certify_local_min(model: LindbladModel, rho, epsilon) -> CertificateResult:
     undecided by the two conditions and reported as inconclusive.  A
     gradient that is NaN or infinite raises :class:`NonFiniteValue`.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:  # NaN too
         raise ValueError("epsilon must be positive")
     report = gradient_vector(model, rho)
     if not np.all(np.isfinite(report.g)):
@@ -239,7 +226,7 @@ def negative_gradient_condition(model: LindbladModel, alpha_hat, ground_projecto
     condition holds iff slack >= -1e-9.
     """
     alpha_hat = ngc_weights(model, alpha_hat)
-    if r < 0 or epsilon < 0:
+    if not (r >= 0 and epsilon >= 0):  # NaN too
         raise ValueError("r and epsilon must be nonnegative")
     p_g = np.asarray(ground_projector, dtype=complex)
     if ops.operator_norm(p_g @ p_g - p_g) > 1e-9:

@@ -13,6 +13,7 @@ from . import operators as ops
 from .errors import DimensionMismatch, GroupingUnstable, NotHermitian, SizeLimit
 
 DEFAULT_GROUP_TOL_FACTOR = 1e-8
+DROP_FACTOR = 1e-12  # a Bohr block with ||A_nu||_2 <= DROP_FACTOR ||A||_2 is left out
 
 
 @dataclass(frozen=True)
@@ -142,13 +143,13 @@ class SpectralData:
         out += 0.0
         return out
 
-    def from_eig(self, x, conj=False):
-        """V x V^dag over the last two axes of ``x``; conj(V) x V^T with
-        ``conj``.  For a permutation V, the scatter matching :meth:`to_eig`."""
+    def from_eig(self, x):
+        """V x V^dag over the last two axes of ``x``.  For a permutation V,
+        the scatter matching :meth:`to_eig`."""
         p = self.permutation
         if p is None:
             v = self.eigenvectors
-            return v.conj() @ x @ v.T if conj else v @ x @ v.conj().T
+            return v @ x @ v.conj().T
         out = np.empty_like(x)
         out[..., p[:, None], p] = x
         out += 0.0
@@ -166,7 +167,7 @@ class BohrBlocks:
     V (A~ o M_nu) V^dag.  ``eig`` is that masked A~ as a dense read-only
     d x d array, formed on first read.  The kept blocks are at ``freqs[p]`` =
     ``bohr_freqs[freq_indices[p]]``, indices ascending; blocks with
-    ||A_nu||_2 <= drop_factor ||A||_2 are left out (see
+    ||A_nu||_2 <= ``DROP_FACTOR`` ||A||_2 are left out (see
     :func:`bohr_decompose`).  ``mats[p]`` is the dense A_nu, formed when it
     is read; it is kept only while a reader holds it, so readers that hold
     it share one array.
@@ -346,8 +347,7 @@ def _compact_block(a_eig, rows, cols, dim):
     return block, r, c
 
 
-def bohr_decompose(a_mat, sd: SpectralData, label: str = "", drop_factor=1e-12,
-                   norm=None, entries=None):
+def bohr_decompose(a_mat, sd: SpectralData, label: str = "", norm=None, entries=None):
     """Decompose ``a_mat`` into blocks A_nu = sum_{E2-E1=nu} P_{E2} A P_{E1}.
 
     The blocks are kept in the eigenbasis V of ``sd``: with A~ = V^dag A V
@@ -360,7 +360,7 @@ def bohr_decompose(a_mat, sd: SpectralData, label: str = "", drop_factor=1e-12,
     be ``scipy.sparse``) are mapped through the inverse of p and no d x d
     array is formed; otherwise A~ is the dense product.
 
-    A block is kept when ||A_nu||_2 > drop_factor * ||A||_2.  The spectral
+    A block is kept when ||A_nu||_2 > ``DROP_FACTOR`` ||A||_2.  The spectral
     norm is unitarily invariant, so it is that of the masked A~, and it lies
     between ||A_nu||_F / sqrt(d) and ||A_nu||_F.  Every block's Frobenius
     norm is one ``np.bincount`` of |A~|^2 over the Bohr map F at A~'s
@@ -380,13 +380,12 @@ def bohr_decompose(a_mat, sd: SpectralData, label: str = "", drop_factor=1e-12,
         )
     if norm is None:
         norm = ops.operator_norm(ops.as_dense(a_mat))
-    cutoff = drop_factor * max(norm, 1e-300)
+    cutoff = DROP_FACTOR * max(norm, 1e-300)
     p = sd.permutation
     if p is None:
         a_eig = sd.to_eig(ops.as_dense(a_mat))
         keys = np.flatnonzero(a_eig != 0)  # row-major flat indices of the nonzeros
         vals = a_eig.ravel()[keys]
-        f = sd.bohr_map.ravel()[keys]
     else:
         inv = np.empty_like(p)
         inv[p] = np.arange(dim)
@@ -394,7 +393,7 @@ def bohr_decompose(a_mat, sd: SpectralData, label: str = "", drop_factor=1e-12,
         keys = inv[a_rows] * dim + inv[a_cols]
         order = np.argsort(keys)
         keys, vals = keys[order], a_vals[order] + 0.0  # as to_eig writes it
-        f = sd.bohr_at(*divmod(keys, dim))
+    f = sd.bohr_at(*divmod(keys, dim))
     fro = np.sqrt(np.bincount(f, vals.real**2 + vals.imag**2, len(sd.bohr_freqs)))
     keep = fro > math.sqrt(dim) * cutoff * (1.0 + ops.NORM_BAND_SLACK)
     for k in np.flatnonzero(~keep & (fro > cutoff * (1.0 - ops.NORM_BAND_SLACK))).tolist():

@@ -79,21 +79,17 @@ class Jump:
 
 @dataclass
 class LindbladModel:
-    """A Hamiltonian with jump operators and cached kernel data."""
+    """A Hamiltonian with jump operators and their weights: the kernel table
+    ``kernels`` at finite tau, or in the Davies limit ``davies_weights``, gamma
+    at every Bohr frequency of ``sd`` (the other is None), and cached data."""
 
     ham: LocalHamiltonian
     sd: SpectralData
-    bath: BathSpec | None
     jumps: list
     kernels: KernelTable | None
-    davies: bool
-    beta: float
-    lambda0: float
-    beta_infinite: bool
-    beta_cap: float
+    davies_weights: np.ndarray | None
     include_lamb_shift: bool
     include_coherent: bool
-    corr: BathCorrelation | None = None
     _dissipators: dict = field(default_factory=dict, repr=False)
     _lamb_ops: dict = field(default_factory=dict, repr=False)
     _gradient_ops: dict = field(default_factory=dict, repr=False)
@@ -104,6 +100,10 @@ class LindbladModel:
     @property
     def dim(self):
         return self.sd.dim
+
+    @property
+    def davies(self):
+        return self.davies_weights is not None
 
     @property
     def jump_labels(self):
@@ -118,26 +118,12 @@ class LindbladModel:
                 return i
         raise UnknownJump(f"no jump labelled {label!r}")
 
-    def davies_gamma(self, freqs):
-        """Transition weight at exact Bohr frequencies (Davies limit)."""
-        if self.beta_infinite:
-            return np.atleast_1d(
-                bath_mod.gamma_zero_temperature(freqs, self.lambda0, self.beta_cap)
-            )
-        spec = BathSpec(beta=self.beta, tau=1.0, lambda0=self.lambda0)
-        return np.atleast_1d(bath_mod.gamma(freqs, spec))
-
     def energy(self, rho):
         """Re Tr(H rho), read through the model's gradient scan (which the
         first call builds); ``rho`` may be a bit string, for |bits><bits|."""
         from .gradient import gradient_scan  # the gradient module imports this one
 
         return float(gradient_scan(self)(rho)[-1])
-
-    @cached_property
-    def _davies_weights(self):
-        """gamma at every Bohr frequency, for a Davies model."""
-        return self.davies_gamma(self.sd.bohr_freqs)
 
     @cached_property
     def _overlap_cutoff(self):
@@ -155,7 +141,7 @@ class LindbladModel:
         looked up as needed, so no m x m table is formed for it.
         """
         if self.davies:
-            w = self._davies_weights[left]
+            w = self.davies_weights[left]
             keep = (left == right) & (np.abs(w) > PAIR_DROP)
         else:
             w = self.kernels.C[left, right]
@@ -454,7 +440,6 @@ def build_model(
     davies: bool = False,
     beta_infinite: bool = False,
     beta_cap: float = 1e6,
-    lambda0: float | None = None,
     include_lamb_shift: bool | None = None,
     include_coherent: bool = False,
     group_tol: float | None = None,
@@ -465,7 +450,9 @@ def build_model(
     ``scipy.sparse`` (kept as its entries); the set must be closed under
     Hermitian conjugation and each jump must satisfy ``||A^dag A|| <= 1``.
     With ``davies=True`` (or ``beta_infinite``) the exact Bohr-frequency
-    limit is used and no kernel table is built.
+    limit is used: no kernel table is built, and gamma of ``bath`` (at
+    beta = infinity :func:`bath.gamma_zero_temperature` with ``beta_cap``) is
+    evaluated once at every Bohr frequency.
     """
     if beta_infinite:
         davies = True
@@ -483,39 +470,29 @@ def build_model(
         for (label, mat), (norm, aa), ent in zip(jump_list, norms, entries)
     ]
 
-    if include_lamb_shift is None:
+    if include_lamb_shift is None or davies:
         include_lamb_shift = not davies
-    if davies:
-        include_lamb_shift = False
-        kernels = None
-        corr = None
-        beta = bath.beta if bath is not None else 0.0
-        lam = lambda0 if lambda0 is not None else (
-            bath.lambda0 if bath is not None else 1.0
-        )
-        if not beta_infinite and bath is None:
+    kernels = weights = None
+    if beta_infinite:
+        lambda0 = bath.lambda0 if bath is not None else 1.0
+        weights = bath_mod.gamma_zero_temperature(sd.bohr_freqs, lambda0, beta_cap)
+    elif davies:
+        if bath is None:
             raise ValueError("finite-beta Davies mode needs a BathSpec for beta")
+        weights = bath_mod.gamma(sd.bohr_freqs, bath)
     else:
         corr = BathCorrelation(bath) if include_lamb_shift else None
         kernels = build_kernel_table(sd.bohr_freqs, bath, include_lamb=include_lamb_shift,
                                      corr=corr)
-        beta = bath.beta
-        lam = bath.lambda0
 
     return LindbladModel(
         ham=ham,
         sd=sd,
-        bath=bath,
         jumps=jump_objs,
         kernels=kernels,
-        davies=davies,
-        beta=beta,
-        lambda0=lam,
-        beta_infinite=beta_infinite,
-        beta_cap=beta_cap,
+        davies_weights=weights,
         include_lamb_shift=include_lamb_shift,
         include_coherent=include_coherent,
-        corr=corr,
     )
 
 
@@ -608,6 +585,16 @@ def _generator_norm_bound(model: LindbladModel, w, include_coherent):
     return bound
 
 
+def _time_guard(s, w_norm):
+    """Both evolve paths' guards on s, for weights of 1-norm ``w_norm``: s >= 0 and
+    s ||w||_1 <= 10.  True when s = 0, where the state is returned as a copy."""
+    if s < 0:
+        raise NegativeTime(f"evolution time must be nonnegative, got {s}")
+    if s * w_norm > 10.0 + 1e-12:
+        raise ValueError("guard: s * ||w||_1 must not exceed 10")
+    return s == 0.0
+
+
 def evolve(model: LindbladModel, w, rho, s, include_coherent=_coherent_sentinel):
     """rho(s) = exp(s sum_a w_a L_a)[rho] by substepped truncated Taylor.
 
@@ -618,15 +605,11 @@ def evolve(model: LindbladModel, w, rho, s, include_coherent=_coherent_sentinel)
     :class:`EvolutionDefect` and a minimum eigenvalue below -1e-6 raises
     :class:`PositivityDefect`.
     """
-    if s < 0:
-        raise NegativeTime(f"evolution time must be nonnegative, got {s}")
     w = weight_vector(model, w)
     if include_coherent is _coherent_sentinel:
         include_coherent = model.include_coherent
-    if s * float(np.sum(w)) > 10.0 + 1e-12:
-        raise ValueError("guard: s * ||w||_1 must not exceed 10")
     rho = _square(rho, model.dim)
-    if s == 0.0:
+    if _time_guard(s, float(np.sum(w))):
         return rho.copy()
 
     d, sd = model.dim, model.sd
@@ -906,11 +889,7 @@ class ZeroFrequencySector:
           gathered from x.  The trace and the Gershgorin bounds come from
           one matvec.
         """
-        if s < 0:  # evolve()'s time guards for a unit weight vector
-            raise NegativeTime(f"evolution time must be nonnegative, got {s}")
-        if s > 10.0 + 1e-12:
-            raise ValueError("guard: s * ||w||_1 must not exceed 10")
-        if s == 0.0:
+        if _time_guard(s, 1.0):
             return x.copy()
         gen, bound, leak = self.generators[index]
         a = leak * s

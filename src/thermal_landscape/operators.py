@@ -46,10 +46,6 @@ def dagger(m):
     return m.conj().T
 
 
-def commutator(a, b):
-    return a @ b - b @ a
-
-
 def operator_norm(m):
     """Spectral norm (largest singular value)."""
     if m.size == 0:

@@ -191,7 +191,7 @@ def _pair_lists(model, label):
     blocks = model.jump(label).blocks
     coeffs, rights, lefts_dag = [], [], []
     if model.davies:
-        for w, mat in zip(model.davies_gamma(blocks.freqs), blocks.mats):
+        for w, mat in zip(model.davies_weights[blocks.freq_indices], blocks.mats):
             if abs(w) > PAIR_DROP:
                 coeffs.append(w)
                 rights.append(mat)
@@ -306,7 +306,7 @@ def _loop_davies_adjoint(model, label, obs):
     obs = np.asarray(obs, dtype=complex)
     out = np.zeros_like(obs)
     decay = np.zeros_like(obs)
-    for w, mat in zip(model.davies_gamma(jump.blocks.freqs), jump.blocks.mats):
+    for w, mat in zip(model.davies_weights[jump.blocks.freq_indices], jump.blocks.mats):
         md = mat.conj().T
         out += w * (md @ obs @ mat)
         decay += w * (md @ mat)

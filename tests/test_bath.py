@@ -146,8 +146,22 @@ def test_c_beta_spline_error_bounded_by_measured_interp_error(beta, tau):
     corr = B.BathCorrelation(spec)
     assert 0.0 < corr.interp_error < 1e-6
     t = np.random.default_rng(5).uniform(-corr.t_max, corr.t_max, 2000)
-    actual = float(np.max(np.abs(corr(t) - B._c_beta_direct(t, spec, corr.abs_tol))))
+    actual = float(np.max(np.abs(corr(t) - B._c_beta_direct(t, spec, B.C_BETA_ABS_TOL))))
     assert actual <= 2.0 * corr.interp_error
+
+
+@pytest.mark.parametrize("beta, tau", [(2.0, 25.0), (0.5, 100.0)])
+def test_c_beta_is_read_only_on_its_grid(beta, tau):
+    # t_max is tau at (2, 25) and the decay range 21 at (0.5, 100)
+    spec = BathSpec(beta=beta, tau=tau)
+    corr = B.BathCorrelation(spec)
+    assert corr.t_max == min(tau, 12.0 * beta + 10.0 / spec.lambda0 + 5.0)
+    edge = corr(np.array([-corr.t_max, corr.t_max]))
+    assert abs(edge[0] - np.conj(edge[1])) < 1e-12
+    assert isinstance(corr(corr.t_max), complex)
+    for t in (np.nextafter(corr.t_max, np.inf), -1.01 * corr.t_max, [0.0, 2.0 * corr.t_max]):
+        with pytest.raises(ValueError, match="only on its grid"):
+            corr(t)
 
 
 def test_overlap_kernel_flat_weight_parseval_oracle():

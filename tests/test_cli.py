@@ -5,7 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import thermal_landscape as tl
 from thermal_landscape import cli
+from thermal_landscape.bath import BathSpec
 from thermal_landscape.errors import NonRealExpectation
 
 
@@ -201,25 +203,39 @@ def test_ising_scenario_certified_set(tmp_path):
 
 
 def test_kernels_scenario_round_trip(tmp_path):
-    cfg = {
-        "schema_version": 1,
-        "scenario": "kernels",
-        "hamiltonian": qubit_hamiltonian_section(),
-        "bath": {"beta": 2.0, "tau": 20.0},
-        "jumps": {"preset": "pauli_x_all"},
-        "include_lamb_shift": True,
-        "seed": 0,
-        "output": str(tmp_path / "kern.json"),
-        "csv_output": str(tmp_path / "kern.csv"),
-    }
-    code, result = cli.run("kernels", write_config(tmp_path, cfg))
-    assert code == 0
-    obj = json.loads((tmp_path / "kern.json").read_text())
-    freqs = obj["result"]["bohr_freqs"]
-    assert freqs == [-1.0, 0.0, 1.0]
-    assert "K" in obj["result"]
-    header = (tmp_path / "kern.csv").read_text().splitlines()[0]
-    assert header == "nu_prime,nu,re,im"
+    # finite tau, then the Davies limit at beta = 2 and at beta = infinity,
+    # whose gamma are the model's weights at the Bohr frequencies
+    spec = BathSpec(beta=2.0, tau=20.0, lambda0=1.5)
+    for extra in ({}, {"davies": True}, {"beta_infinite": True, "beta_cap": 1e4}):
+        cfg = {
+            "schema_version": 1,
+            "scenario": "kernels",
+            "hamiltonian": qubit_hamiltonian_section(),
+            "bath": {"beta": 2.0, "tau": 20.0, "lambda0": 1.5, **extra},
+            "jumps": {"preset": "pauli_x_all"},
+            "include_lamb_shift": True,
+            "seed": 0,
+            "output": str(tmp_path / "kern.json"),
+            "csv_output": str(tmp_path / "kern.csv"),
+        }
+        code, result = cli.run("kernels", write_config(tmp_path, cfg))
+        assert code == 0
+        obj = json.loads((tmp_path / "kern.json").read_text())
+        freqs = obj["result"]["bohr_freqs"]
+        assert freqs == [-1.0, 0.0, 1.0]
+        assert obj["result"]["davies"] is bool(extra)
+        lines = (tmp_path / "kern.csv").read_text().splitlines()
+        assert lines[0] == "nu_prime,nu,re,im"
+        if not extra:
+            assert "K" in obj["result"]
+            assert len(lines) == 1 + 9
+            continue
+        if "davies" in extra:
+            want = tl.gamma(np.array(freqs), spec)
+        else:
+            want = tl.gamma_zero_temperature(np.array(freqs), 1.5, 1e4)
+        assert obj["result"]["gamma"] == want.tolist()
+        assert "K" not in obj["result"] and len(lines) == 1 + 3
 
 
 def test_plateau_scenario_csv(tmp_path):

@@ -258,10 +258,11 @@ def test_clock_sector_is_smaller_than_vec_rho():
     assert zero_frequency_sector(model).size == 20 < model.dim**2
 
 
-def test_state_outside_sector_takes_full_path():
+def test_state_outside_sector_takes_one_group_sector():
     model = qubit_model()
     plus = tl.projector(np.array([1.0, 1.0]) / np.sqrt(2.0))
     assert zero_frequency_sector(model).coords(plus) is None
+    assert zero_frequency_sector(model, plus).size == model.dim**2  # one group of both levels
     cfg = tl.DescentConfig(epsilon=1e-2, norm_bound=1.0)
     trace = tl.thermal_gradient_descent(model, plus, cfg)
     ref_steps, ref_rho = _reference_descent(model, plus, cfg)

@@ -111,6 +111,22 @@ def test_certify_boundary_inconclusive():
     assert cert.kind == "inconclusive"
 
 
+@pytest.mark.parametrize("epsilon", [0.0, -1e-3, float("nan")])
+def test_certify_rejects_a_nonpositive_or_nan_epsilon(epsilon):
+    model = qubit_davies(beta=10.0)
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        tl.certify_local_min(model, model.sd.ground_projector, epsilon)
+
+
+@pytest.mark.parametrize("r, epsilon", [(float("nan"), 0.1), (0.1, float("nan")),
+                                        (-0.1, 0.1), (0.1, -0.1)])
+def test_negative_gradient_condition_rejects_a_negative_or_nan_parameter(r, epsilon):
+    model = qubit_davies(beta=10.0)
+    p_g = np.diag([1.0, 0.0]).astype(complex)
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        tl.negative_gradient_condition(model, [1.0], p_g, r=r, epsilon=epsilon)
+
+
 def test_ngc_params_mapping():
     r, shift = tl.ngc_params(0.02, 0.1)
     assert r == pytest.approx(0.4)

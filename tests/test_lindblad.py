@@ -163,7 +163,7 @@ def test_davies_adjoint_gradient_identity():
     model = tl.build_model(ham, [("A", m)], bath=BathSpec(beta=3.0, tau=1.0),
                            davies=True)
     jump = model.jump("A")
-    weights = model.davies_gamma(jump.blocks.freqs)
+    weights = model.davies_weights[jump.blocks.freq_indices]
     expected = np.zeros((8, 8), dtype=complex)
     for nu, w, mat in zip(jump.blocks.freqs, weights, jump.blocks.mats):
         expected += nu * w * (mat.conj().T @ mat)
@@ -175,6 +175,19 @@ def test_davies_adjoint_identity_observable():
     model = qubit_davies_model()
     out = tl.davies_adjoint(model, "X0", np.eye(2, dtype=complex))
     assert np.linalg.norm(out, 2) < 1e-12
+
+
+@pytest.mark.parametrize("weight", ["glauber", "flat"])
+def test_davies_weights_are_gamma_at_the_bohr_frequencies(weight):
+    # a flat Davies model weighs every jump block by 1, as the finite-tau path does
+    spec = BathSpec(beta=10.0, tau=1.0, weight=weight)
+    model = tl.build_model(qubit_ham(), [("X0", tl.PAULI["X"].copy())], bath=spec, davies=True)
+    want = tl.gamma(model.sd.bohr_freqs, spec)
+    assert model.davies and model.kernels is None
+    assert model.davies_weights.tobytes() == want.tobytes()
+    if weight == "flat":
+        assert np.all(model.davies_weights == 1.0)
+        assert np.allclose(tl.gradient_operator(model, "X0"), np.diag([1.0, -1.0]), atol=1e-12)
 
 
 def test_davies_beta_infinite_no_heating():
@@ -357,6 +370,17 @@ def test_evolve_guards():
         tl.evolve(model, [1.0], rho, -0.1)
     with pytest.raises(ValueError):
         tl.evolve(model, [2.0], rho, 6.0)  # s * ||w||_1 > 10
+    out = tl.evolve(model, [1.0], rho, 0.0)
+    assert out is not rho and np.array_equal(out, rho)
+    # the sector step keeps the same guards, for a unit weight vector
+    sector = L.zero_frequency_sector(model)
+    x = sector.coords(rho)
+    with pytest.raises(NegativeTime):
+        sector.evolve(x, 0, -0.1)
+    with pytest.raises(ValueError):
+        sector.evolve(x, 0, 10.5)
+    out = sector.evolve(x, 0, 0.0)
+    assert out is not x and np.array_equal(out, x)
 
 
 def test_evolve_matrix_free_path_matches_superop(pair_sums):
