@@ -9,6 +9,10 @@ logs.  Cases:
 
 - ``clock_cool``: the benchmark workload (T = 3 clock, beta = 30,
   epsilon = 1.5e-2, B = 2.43), to termination;
+- ``clock_pure``: the same model and config from two Haar-random pure
+  starts (normalized complex Gaussian vectors drawn in turn from seed 1),
+  each to termination.  A pure start is not block-diagonal by energy
+  group, so it descends in the one group of all 16 levels;
 - ``criterion11``: ``configs/clock_cooling_t3.json`` (epsilon = 8e-4),
   capped at 200,000 steps;
 - ``ising4_eps1e-2``: Ising ring n = 4, h = 1.5, epsilon = 1e-2, capped at
@@ -53,6 +57,17 @@ def clock_cool():
     return model, np.eye(16, dtype=complex) / 16, tl.DescentConfig(epsilon=1.5e-2, norm_bound=2.43)
 
 
+def clock_pure():
+    model, _, cfg = clock_cool()
+    rng = np.random.default_rng(1)
+    problems = []
+    for _ in range(2):
+        psi = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+        psi /= np.linalg.norm(psi)
+        problems.append((model, np.outer(psi, psi.conj()), cfg))
+    return problems
+
+
 def criterion11():
     cfg = load_config()
     ham, clock, _ = cli._resolve_hamiltonian(cfg)
@@ -91,6 +106,7 @@ def finite_tau_lamb():
 
 CASES = {
     "clock_cool": clock_cool,
+    "clock_pure": clock_pure,
     "criterion11": criterion11,
     "ising4_eps1e-2": lambda: ising(4, 1.5, 1e-2, CAP),
     "ising4_eps0.1": lambda: ising(4, 1.0, 0.1),
@@ -122,24 +138,33 @@ def main():
         parser.error(f"unknown case {', '.join(unknown)}")
     log = logging.getLogger("thermal_landscape.descent")
     log.setLevel(logging.DEBUG)
-    for name in args.cases or CASES:
-        model, rho, cfg = CASES[name]()
-        handler = _Runs()
-        log.addHandler(handler)
-        start = time.perf_counter()
-        try:
-            tl.thermal_gradient_descent(model, rho, cfg)
-            end = "terminated"
-        except MaxStepsExceeded:
-            end = f"capped at {cfg.max_steps}"
-        wall = time.perf_counter() - start
-        log.removeHandler(handler)
-        steps = sum(run[1] for run in handler.runs)
-        blocked = sum(run[2] for run in handler.runs)
-        print(f"{name}: {steps} steps ({end}), {len(handler.runs)} runs, "
-              f"{sum(run[3] for run in handler.runs)} blocks tried, "
-              f"{blocked / max(steps, 1):.1%} in blocks, "
-              f"{sum(run[4] for run in handler.runs)} Picard sweeps, {wall:.2f} s")
+    for case in args.cases or CASES:
+        problems = CASES[case]()
+        if isinstance(problems, tuple):
+            problems = [problems]
+        for k, problem in enumerate(problems):
+            name = f"{case}[{k}]" if len(problems) > 1 else case
+            _report(log, name, *problem)
+
+
+def _report(log, name, model, rho, cfg):
+    """Run one descent and print its line."""
+    handler = _Runs()
+    log.addHandler(handler)
+    start = time.perf_counter()
+    try:
+        tl.thermal_gradient_descent(model, rho, cfg)
+        end = "terminated"
+    except MaxStepsExceeded:
+        end = f"capped at {cfg.max_steps}"
+    wall = time.perf_counter() - start
+    log.removeHandler(handler)
+    steps = sum(run[1] for run in handler.runs)
+    blocked = sum(run[2] for run in handler.runs)
+    print(f"{name}: {steps} steps ({end}), {len(handler.runs)} runs, "
+          f"{sum(run[3] for run in handler.runs)} blocks tried, "
+          f"{blocked / max(steps, 1):.1%} in blocks, "
+          f"{sum(run[4] for run in handler.runs)} Picard sweeps, {wall:.2f} s")
 
 
 if __name__ == "__main__":

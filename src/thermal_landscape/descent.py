@@ -216,8 +216,12 @@ class _RunBlocks:
     **Rules.**  One pass over the block's states then evaluates each rule of
     the one-step path: the jump choice, the step size, a single Taylor
     substep (s bound <= 1), the Taylor degree k_v, the Hermiticity bound and
-    the trace defect against 1e-7, and the Gershgorin screen.  A pass whose
-    degrees differ from those assumed is redone with them, at most
+    the trace defect against 1e-7, and the -1e-6 positivity floor: the
+    Gershgorin screen, and for the states that fail it (near-pure ones fail
+    it at every step) the exact check of
+    :meth:`ZeroFrequencySector.below_floor`, one batched Cholesky for all
+    of them, with eigenvalues only when it fails.  A pass whose degrees
+    differ from those assumed is redone with them, at most
     ``DEGREE_PASSES`` times.  The block keeps its steps up to the first in
     which a rule differs or a guard fails; the caller runs that step through
     :meth:`ZeroFrequencySector.evolve`, so that every guard raises as it
@@ -345,10 +349,16 @@ class _RunBlocks:
         both[:, :n] = raw[1:]
         np.abs(raw[1:], out=both[:, n:])
         screen = both.dot(self._post.T)
-        ok &= screen[:, 1:].min(axis=1) >= -1e-6 * screen[:, 0]
+        screened = screen[:, 1:].min(axis=1) >= -1e-6 * screen[:, 0]
         reach = np.cumsum(s) * r  # S r of the block up to each step
         ok &= reach <= 1.0
         count = size if ok.all() else int(np.argmin(ok))
+        # the exact floor, for the states before count that the screen fails
+        exact = np.flatnonzero(~screened[:count])
+        if exact.size:
+            below = self._sector.below_floor(states[1 + exact])
+            if below.any():
+                count = int(exact[np.argmax(below)])
         while count and _alias_bound(reach[count - 1]) > ALIAS_TOL:
             count -= 1
         return count, degrees, before[:, a], states, values
@@ -456,13 +466,15 @@ def thermal_gradient_descent(model: LindbladModel, rho0, cfg: DescentConfig) -> 
     group) the state is vec(rho).  Each step reads every gradient and the
     energy from one fused matvec.  In a sector and without noise, a run that
     has taken ``RUN_WARMUP`` steps along one jump goes on in blocks of as
-    many steps as it has taken, at most ``BLOCK_MAX`` (:class:`_RunBlocks`).
-    The step at which a block stops is taken one at a time; after a block
-    that keeps no step, ``RUN_WARMUP`` steps are, doubling with each such
-    block in a row up to the run's length so far.  A block's size never
-    depends on ``cfg.max_steps`` or ``cfg.record_stride``, so a cap only
-    cuts what is committed.  Each run's steps, block steps, blocks and
-    Picard sweeps are logged at DEBUG level when the run ends.
+    many steps as it has taken, at most ``BLOCK_MAX`` (:class:`_RunBlocks`),
+    whatever the state's rank: a block checks the positivity floor of all
+    its states at once.  The step at which a block stops is taken one at a
+    time; after a block that keeps no step, ``RUN_WARMUP`` steps are,
+    doubling with each such block in a row up to the run's length so far.
+    A block's size never depends on ``cfg.max_steps`` or
+    ``cfg.record_stride``, so a cap only cuts what is committed.  Each run's
+    steps, block steps, blocks and Picard sweeps are logged at DEBUG level
+    when the run ends.
 
     The trace keeps step 1 (whose ``e_before`` is the starting energy),
     every ``cfg.record_stride``-th step, and the final step.

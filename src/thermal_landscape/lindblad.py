@@ -481,6 +481,9 @@ def build_model(
             raise ValueError("finite-beta Davies mode needs a BathSpec for beta")
         weights = bath_mod.gamma(sd.bohr_freqs, bath)
     else:
+        if include_lamb_shift and bath.weight == "flat":
+            raise ValueError("the flat weight has no Lamb shift (its c_beta is a delta "
+                             "function): pass include_lamb_shift=False")
         corr = BathCorrelation(bath) if include_lamb_shift else None
         kernels = build_kernel_table(sd.bohr_freqs, bath, include_lamb=include_lamb_shift,
                                      corr=corr)
@@ -687,25 +690,38 @@ def _floor_shift(k):
     return 1e-6 * np.eye(k, dtype=complex)
 
 
-def _check_floor(blocks):
-    """Raise unless every Hermitian block in the (n, k, k) stack is >= -1e-6.
+def _floor_minima(blocks):
+    """The -1e-6 positivity floor on a (..., k, k) stack of Hermitian blocks:
+    None when it holds for every block, else each block's minimum eigenvalue.
 
-    A Cholesky of block + 1e-6 I (LAPACK ``zpotrf``, called directly: the
-    numpy wrapper costs more than the factorization at these sizes)
-    succeeds exactly when the floor holds, and is cheaper than an
-    eigendecomposition, which decides when it fails.
+    A Cholesky of block + 1e-6 I succeeds exactly when the floor holds, and
+    is cheaper than an eigendecomposition, which decides when it fails.  One
+    state's (n, k, k) stack calls LAPACK ``zpotrf`` block by block (the numpy
+    wrapper costs more than the factorization at these sizes); a deeper
+    stack, the blocks of many states, takes numpy's batched Cholesky, which
+    calls the same ``zpotrf``.
     """
     k = blocks.shape[-1]
     if k == 1:
-        lo = float(np.min(blocks.real))
+        return blocks.real[..., 0, 0]
+    shifted = blocks + _floor_shift(k)
+    if blocks.ndim == 3:
+        if not any(_zpotrf(block, lower=1, clean=0)[1] for block in shifted):
+            return None
     else:
-        shift = _floor_shift(k)
-        for block in blocks:
-            if _zpotrf(block + shift, lower=1, clean=0)[1]:
-                break
-        else:
-            return
-        lo = float(np.min(np.linalg.eigvalsh(blocks)[..., 0]))
+        try:
+            np.linalg.cholesky(shifted)
+            return None
+        except np.linalg.LinAlgError:
+            pass
+    return np.linalg.eigvalsh(blocks)[..., 0]
+
+
+def _check_floor(blocks):
+    """Raise unless every Hermitian block in the (n, k, k) stack is >= -1e-6
+    (:func:`_floor_minima`)."""
+    lows = _floor_minima(blocks)
+    lo = math.inf if lows is None else float(np.min(lows))
     if lo < -1e-6:
         raise PositivityDefect(f"minimum eigenvalue {lo:.3e} below -1e-6")
 
@@ -887,7 +903,8 @@ class ZeroFrequencySector:
           Gershgorin, with |Re t_ij| + |Im t_ij| >= |t_ij| in the radii,
           or else by the exact check of :func:`_check_floor` on the blocks
           gathered from x.  The trace and the Gershgorin bounds come from
-          one matvec.
+          one matvec.  Run blocks settle the same floor for many states at
+          once (:meth:`below_floor`).
         """
         if _time_guard(s, 1.0):
             return x.copy()
@@ -905,6 +922,17 @@ class ZeroFrequencySector:
             for src, scale in self._blocks:
                 _check_floor((x[src] * scale).view(complex)[..., 0])
         return x
+
+    def below_floor(self, xs):
+        """Whether each row of ``xs``, the coordinates of a state of trace
+        one, fails the -1e-6 floor: the rule of :func:`_check_floor` for
+        every state's group blocks, in one stack per group size."""
+        below = np.zeros(len(xs), dtype=bool)
+        for src, scale in self._blocks:
+            lows = _floor_minima((np.take(xs, src, axis=1) * scale).view(complex)[..., 0])
+            if lows is not None:
+                below |= (lows < -1e-6).any(axis=1)
+        return below
 
 
 def zero_frequency_sector(model: LindbladModel, rho=None):

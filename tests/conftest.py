@@ -463,7 +463,7 @@ def _sector_step_descent(model, rho, cfg, records=None):
     keeps the steps before a raising one) and returns them with the terminal
     density; stops when no jump triggers or after ``cfg.max_steps`` steps.
     Noise-free configs only."""
-    sector = lindblad.zero_frequency_sector(model)
+    sector = lindblad.zero_frequency_sector(model, rho)
     x = sector.coords(rho)
     labels = model.jump_labels
     scan = np.array([sector.row(tl.gradient_operator(model, label)) for label in labels]

@@ -190,6 +190,15 @@ def test_davies_weights_are_gamma_at_the_bohr_frequencies(weight):
         assert np.allclose(tl.gradient_operator(model, "X0"), np.diag([1.0, -1.0]), atol=1e-12)
 
 
+@pytest.mark.parametrize("lamb", [None, True])
+def test_flat_weight_with_the_lamb_shift_is_rejected_up_front(lamb):
+    # the flat surrogate's c_beta is a delta function: build_model names the way out
+    spec = BathSpec(beta=1.0, tau=2.0, weight="flat")
+    with pytest.raises(ValueError, match="pass include_lamb_shift=False"):
+        tl.build_model(qubit_ham(), [("X0", tl.PAULI["X"].copy())], bath=spec,
+                       include_lamb_shift=lamb)
+
+
 def test_davies_beta_infinite_no_heating():
     rng = np.random.default_rng(5)
     for _ in range(5):
