@@ -64,7 +64,6 @@ from .landscape_unitary import (
 from .lindblad import (
     LindbladModel,
     build_model,
-    davies_adjoint,
     dissipative_adjoint,
     evolve,
     generator_apply,

@@ -305,9 +305,17 @@ class BathCorrelation:
 
 
 KERNEL_ABS_TOL = 1e-10  # quadrature tolerance of a kernel table's C, and overlap_kernel's default
+FLAT_MAX_PANELS = 2**16  # panels of a flat-weight overlap's first pass at most (its last has 4x)
 
 
 def _overlap_interval(freqs, spec: BathSpec, abs_tol):
+    """The overlap kernel's integration range [a, b].  For the flat weight
+    only the 1/omega^2 window tails decay: the range reaches max(50,
+    8 / (pi tau abs_tol)) beyond the frequencies, where the tail left is
+    below abs_tol / 2, and takes (b - a) tau / (4 pi) panels, some
+    0.4 / abs_tol at any tau when the second term is the larger.  More than
+    ``FLAT_MAX_PANELS`` (abs_tol < 6e-6) raise :class:`QuadratureFailure`
+    before any node is allocated."""
     if spec.weight == "glauber":
         # gamma's Gaussian envelope bounds the integrand; pick the radius so
         # the truncated tail stays far below abs_tol.
@@ -315,50 +323,36 @@ def _overlap_interval(freqs, spec: BathSpec, abs_tol):
         tiny = abs_tol / (100.0 * max(peak, 1.0))
         w_rad = _gamma_support_radius(spec, tiny)
         return -w_rad, w_rad
-    # flat weight: only the 1/omega^2 window tails decay; truncate where the
-    # remaining tail is below abs_tol / 2.
     radius = max(50.0, 8.0 / (math.pi * spec.tau * abs_tol))
-    if radius > 5e6:
+    a, b = float(np.min(freqs) - radius), float(np.max(freqs) + radius)
+    panels = (b - a) / _freq_panel_width(spec, spec.tau)
+    if panels > FLAT_MAX_PANELS:
         raise QuadratureFailure(
-            "flat-weight overlap kernel needs an impractical integration range; "
-            "loosen abs_tol"
+            f"flat-weight overlap kernel at abs_tol {abs_tol:.1e} needs {panels:.3g} "
+            f"panels, more than {FLAT_MAX_PANELS}; loosen abs_tol"
         )
-    return float(np.min(freqs) - radius), float(np.max(freqs) + radius)
+    return a, b
 
 
-def _overlap_once(freqs, spec, secular_mu, edges):
-    nodes, wts = _panel_nodes(edges)
-    f_mat = window_hat(nodes[:, None] - freqs[None, :], spec.tau)
-    if secular_mu is not None:
-        f_mat = f_mat * (np.abs(nodes[:, None] - freqs[None, :]) < secular_mu)
-    g = gamma(nodes, spec) * wts
-    return f_mat.T @ (f_mat * g[:, None])
-
-
-def _overlap_matrix(freqs, spec: BathSpec, secular_mu, abs_tol):
+def _overlap_matrix(freqs, spec: BathSpec, abs_tol):
     freqs = np.asarray(freqs, dtype=float)
     a, b = _overlap_interval(freqs, spec, abs_tol)
-    forced = []
-    if secular_mu is not None:
-        if secular_mu <= 0:
-            raise ValueError("secular_mu must be positive")
-        for nu in freqs:
-            forced.extend((nu - secular_mu, nu + secular_mu))
     h = min(_freq_panel_width(spec, spec.tau), (b - a) / 8)
-    c_mat, err = _refined_pass(lambda edges: _overlap_once(freqs, spec, secular_mu, edges),
-                               _make_edges(a, b, h, forced), abs_tol, "overlap kernel")
+
+    def one_pass(edges):
+        nodes, wts = _panel_nodes(edges)
+        f_mat = window_hat(nodes[:, None] - freqs[None, :], spec.tau)
+        return f_mat.T @ (f_mat * (gamma(nodes, spec) * wts)[:, None])
+
+    c_mat, err = _refined_pass(one_pass, _make_edges(a, b, h), abs_tol, "overlap kernel")
     return c_mat.astype(complex), err
 
 
-def overlap_kernel(nu_prime, nu, spec: BathSpec, secular_mu=None, abs_tol=KERNEL_ABS_TOL):
-    """C(nu', nu) = integral gamma(w) fhat*(w - nu') fhat(w - nu) dw.
-
-    With ``secular_mu`` set, both window factors are truncated to
-    |w - nu| < mu before integrating.
-    """
+def overlap_kernel(nu_prime, nu, spec: BathSpec, abs_tol=KERNEL_ABS_TOL):
+    """C(nu', nu) = integral gamma(w) fhat*(w - nu') fhat(w - nu) dw."""
     freqs = np.array([float(nu_prime), float(nu)])
     distinct = int(freqs[0] != freqs[1])  # equal frequencies: a 1 x 1 table
-    mat, _ = _overlap_matrix(freqs[: 1 + distinct], spec, secular_mu, abs_tol)
+    mat, _ = _overlap_matrix(freqs[: 1 + distinct], spec, abs_tol)
     return complex(mat[0, distinct])
 
 
@@ -494,7 +488,7 @@ def build_kernel_table(bohr_freqs, spec: BathSpec, include_lamb=False,
     within ``KERNEL_ABS_TOL`` and ``LAMB_ABS_TOL``; the Lamb kernel reads
     c_beta from ``corr``, built here when None."""
     freqs = np.asarray(bohr_freqs, dtype=float)
-    c_mat, err = _overlap_matrix(freqs, spec, None, KERNEL_ABS_TOL)
+    c_mat, err = _overlap_matrix(freqs, spec, KERNEL_ABS_TOL)
     k_mat = None
     if include_lamb:
         if corr is None:

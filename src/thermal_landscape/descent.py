@@ -24,7 +24,11 @@ from . import operators as ops
 from .errors import MaxStepsExceeded, TriggerNotMet
 from .gradient import CertificateResult, certify_local_min, gradient_operator, gradient_scan
 from .lindblad import (
+    DEFECT_TOL,
+    FLOOR,
     MAX_TAYLOR_TERMS,
+    MAX_TIME,
+    TAYLOR_STOP,
     TAYLOR_TOL,
     LindbladModel,
     evolve,
@@ -216,7 +220,7 @@ class _RunBlocks:
     **Rules.**  One pass over the block's states then evaluates each rule of
     the one-step path: the jump choice, the step size, a single Taylor
     substep (s bound <= 1), the Taylor degree k_v, the Hermiticity bound and
-    the trace defect against 1e-7, and the -1e-6 positivity floor: the
+    the trace defect against ``DEFECT_TOL``, and the positivity ``FLOOR``: the
     Gershgorin screen, and for the states that fail it (near-pure ones fail
     it at every step) the exact check of
     :meth:`ZeroFrequencySector.below_floor`, one batched Cholesky for all
@@ -332,8 +336,8 @@ class _RunBlocks:
         triggered = before[:, :a + 1] < self._trigger
         ok = triggered[:, a] & ~triggered[:, :a].any(axis=1)
         ok[1:] &= ~moved
-        # one Taylor substep, and evolve()'s time guard
-        ok &= (s * bound <= 1.0) & (s > 0.0) & (s <= 10.0)
+        # one Taylor substep, and evolve()'s time guard less its rounding margin
+        ok &= (s * bound <= 1.0) & (s > 0.0) & (s <= MAX_TIME)
         degrees = self._degrees(coef[:-1] / trace[:-1, None], s, krylov, bound,
                                 int(deg.max()) + 1)
         ok &= degrees == deg
@@ -341,7 +345,7 @@ class _RunBlocks:
         leak = self._sector.generators[a][2] * s
         norms = np.sqrt(np.einsum("ij,ij->i", states[:-1], states[:-1]))
         herm = self._sqrt_d * leak * norms / np.where(leak < 1.0, 1.0 - leak, np.nan)
-        ok &= np.maximum(herm, np.abs(trace[1:] / trace[:-1] - 1.0)) <= 1e-7
+        ok &= np.maximum(herm, np.abs(trace[1:] / trace[:-1] - 1.0)) <= DEFECT_TOL
         # the Gershgorin screen, over (x, |x|); scale-free, so read on the
         # unnormalized states
         n = raw.shape[1]
@@ -349,7 +353,7 @@ class _RunBlocks:
         both[:, :n] = raw[1:]
         np.abs(raw[1:], out=both[:, n:])
         screen = both.dot(self._post.T)
-        screened = screen[:, 1:].min(axis=1) >= -1e-6 * screen[:, 0]
+        screened = screen[:, 1:].min(axis=1) >= FLOOR * screen[:, 0]
         reach = np.cumsum(s) * r  # S r of the block up to each step
         ok &= reach <= 1.0
         count = size if ok.all() else int(np.argmin(ok))
@@ -367,7 +371,7 @@ class _RunBlocks:
         """The Taylor degree that _taylor_substeps picks for one substep of
         size s_v from the state with Krylov coefficients coef[v]: the first k
         whose next-term bound sqrt(d) ||(s_v G)^k x / k!|| s_v bound / (k + 1)
-        falls below a tenth of the budget, read for k <= ``top`` at once and
+        falls below ``TAYLOR_STOP`` of the budget, read for k <= ``top`` at once and
         then one k at a time."""
         size, n = len(s), krylov.dim
         top = min(top, MAX_TAYLOR_TERMS)
@@ -378,7 +382,7 @@ class _RunBlocks:
         # sqrt(d) s_v bound (s_v r)^k / (k! (k + 1)), times ||(G / r)^k x_v||
         scale = np.cumprod(np.outer(s * krylov.radius, 1.0 / ks), axis=1)
         scale *= np.outer(self._sqrt_d * s * max(bound, 1e-300), 1.0 / (ks + 1))
-        stop = scale * norms < 0.1 * TAYLOR_TOL
+        stop = scale * norms < TAYLOR_STOP * TAYLOR_TOL
         first = stop.argmax(axis=1)
         open_ = ~stop[np.arange(size), first]
         degrees = first + 1
@@ -390,7 +394,7 @@ class _RunBlocks:
             factor = factor * (s * krylov.radius) / k
             terms = coef.dot(krylov.vectors(k))
             norms = np.sqrt(np.einsum("ij,ij->i", terms, terms))
-            done = open_ & (factor * norms / (k + 1) < 0.1 * TAYLOR_TOL)
+            done = open_ & (factor * norms / (k + 1) < TAYLOR_STOP * TAYLOR_TOL)
             degrees[done] = k
             open_ &= ~done
         return degrees

@@ -11,12 +11,12 @@ of A~ = V^dag A V, masked to the jump's kept Bohr blocks as set-up stores
 them, their Bohr indices F and the kernel table indexed by F, one
 expression per operator covers every pair of Bohr blocks at once.  A
 Davies model takes diag(gamma(nu)) as its table, so both share that code.  Each jump has one
-sparse eigenbasis dissipator D~_a (:meth:`LindbladModel._dissipator_eig`);
-the dissipator and its adjoint, the generator, the sector generators and
-``evolve`` all read it, adding the Lamb and coherent commutators where they
-need them.  Descent runs in real Hermitian coordinates in the eigenbasis
-(:class:`ZeroFrequencySector`): by energy group for a Davies model started
-block-diagonal, else as one group of all d levels.
+sparse eigenbasis dissipator D~_a (:meth:`LindbladModel._dissipator_eig`), read by one
+apply (:func:`_eig_apply`) with the commutator of M~ = -i sum_a w_a H~_LS,a - i Lambda,
+and by the sector generators' column gather.  Descent runs in real Hermitian
+coordinates in the eigenbasis (:class:`ZeroFrequencySector`): by energy
+group for a Davies model started block-diagonal, else as one group of all
+d levels.
 """
 
 import logging
@@ -49,7 +49,11 @@ logger = logging.getLogger(__name__)
 
 PAIR_DROP = 1e-14
 TAYLOR_TOL = 1e-9  # trace-norm budget of one evolve() call
+TAYLOR_STOP = 0.1  # a series stops once its next-term bound is below this share of the budget
 MAX_TAYLOR_TERMS = 60
+FLOOR = -1e-6  # the least eigenvalue an evolved state may have
+DEFECT_TOL = 1e-7  # the Hermiticity or trace defect an evolved state may have
+MAX_TIME = 10.0  # the largest s ||w||_1 of one evolve() call
 SECTOR_TOL = 1e-12  # off-sector Frobenius mass still counted as in the sector
 SECTOR_MAX_ENTRIES = 2**20  # largest sum_g d_g^2 * d^2 for which a sector is built
 REAL_FORM_TOL = 1e-12  # anti-Hermitian image of a real sector generator, relative
@@ -57,8 +61,6 @@ REAL_FORM_TOL = 1e-12  # anti-Hermitian image of a real sector generator, relati
 # at most nnz(right) terms; also the pairs of one chunk of D~_a's jump part
 GATHER_BLOCK = 2**20
 _SQRT_HALF = math.sqrt(0.5)
-
-_coherent_sentinel = object()
 
 
 @dataclass
@@ -92,8 +94,8 @@ class LindbladModel:
     include_coherent: bool
     _dissipators: dict = field(default_factory=dict, repr=False)
     _lamb_ops: dict = field(default_factory=dict, repr=False)
+    _lamb_eigs: dict = field(default_factory=dict, repr=False)
     _gradient_ops: dict = field(default_factory=dict, repr=False)
-    _generators: dict = field(default_factory=dict, repr=False)
     _sectors: dict = field(default_factory=dict, repr=False)
     _scan: object = field(default=None, repr=False)
 
@@ -161,8 +163,11 @@ class LindbladModel:
         return _gather(*_adjoint(a, f), a, f, self._pair_weight, self.dim)
 
     def _lamb_eig(self, label):
-        """V^dag H_LS,a V: the Lamb shift of jump ``label`` in the eigenbasis."""
-        return self.sd.to_eig(lamb_shift_operator(self, label))
+        """V^dag H_LS,a V: the Lamb shift of jump ``label`` in the eigenbasis,
+        cached per jump."""
+        if label not in self._lamb_eigs:
+            self._lamb_eigs[label] = self.sd.to_eig(lamb_shift_operator(self, label))
+        return self._lamb_eigs[label]
 
     def _gradient_eig(self, label):
         """L^dag_a[H] in the eigenbasis, before Hermitization.
@@ -208,8 +213,10 @@ class LindbladModel:
         which is sum C(nu', nu) A_nu (.) A_nu'^dag - {G, .}/2 there.  The
         jump part pairs every two stored nonzeros of A~, ``GATHER_BLOCK``
         pairs at a time, and keeps those of nonzero weight (for a Davies
-        model, F[i, k] = F[j, l]); the decay part is :func:`_kron_terms` of
-        -G~/2, from :meth:`_decay_entries`.
+        model, F[i, k] = F[j, l]); the decay part places each nonzero
+        -G~[i, k]/2 at ((i, j), (k, j)) and its conjugate at ((j, i), (j, k))
+        for every j; entries at one position are summed.  It is read only by
+        :func:`_eig_apply` and the sector's column gather.
         """
         if label not in self._dissipators:
             d = self.dim
@@ -218,7 +225,12 @@ class LindbladModel:
             g_rows, g_cols, g_vals = self._decay_entries(blocks)
             g_vals = -0.5 * g_vals
             hit = g_vals != 0
-            terms = [_kron_terms(g_rows[hit], g_cols[hit], g_vals[hit], d)]
+            i, k = g_rows[hit], g_cols[hit]
+            g_vals = np.broadcast_to(g_vals[hit], (d, len(i)))
+            j = np.arange(d)[:, None]
+            terms = [(np.concatenate(((i * d + j).ravel(), (j * d + i).ravel())),
+                      np.concatenate(((k * d + j).ravel(), (j * d + k).ravel())),
+                      np.concatenate((g_vals.ravel(), g_vals.conj().ravel())))]
             step = max(1, GATHER_BLOCK // max(len(vals), 1))
             for start in range(0, len(vals), step):
                 ik = slice(start, start + step)  # these nonzeros (i, k), paired with every (j, l)
@@ -226,15 +238,16 @@ class LindbladModel:
                 keep = w != 0
                 terms.append(((row[ik, None] * d + row)[keep], (col[ik, None] * d + col)[keep],
                               (w * vals[ik, None] * vals.conj())[keep]))
-            self._dissipators[label] = _csr(terms, d)
+            rows, cols, vals = (np.concatenate(part) for part in zip(*terms))
+            self._dissipators[label] = sp.csr_array((vals, (rows, cols)), shape=(d * d, d * d))
         return self._dissipators[label]
 
     def _dissipator(self, label):
         """D_a of jump ``label``, its ``apply`` and ``apply_adjoint`` read
-        through D~_a."""
-        mat = self._dissipator_eig(label)
-        return SimpleNamespace(apply=partial(_apply_eig, self.sd, mat),
-                               apply_adjoint=partial(_apply_eig, self.sd, mat, adjoint=True))
+        through :func:`_eig_apply` with neither commutator."""
+        terms = _eig_terms(self, weight_vector(self, label=label), False, False)
+        return SimpleNamespace(apply=partial(_apply_dense, self.sd, terms, adjoint=False),
+                               apply_adjoint=partial(_apply_dense, self.sd, terms, adjoint=True))
 
 
 def _gather(left, f_left, right, f_right, weight, d, lam=None):
@@ -295,61 +308,42 @@ def _adjoint(entries, bohr):
     return (cols[order], rows[order], vals[order].conj()), bohr[order]
 
 
-def _eig_generator(model: LindbladModel, w, include_coherent):
-    """sum_a w_a L~_a in the eigenbasis, plus -i[Lambda, .] when coherent
-    (Lambda = diag(lambda) is H there), CSR over row-major vec: L~_a is D~_a
-    plus :func:`_kron_terms` of M~ = -i H~_LS,a (:meth:`LindbladModel._lamb_eig`),
-    every M~ summed first.  One unit-weight jump without either is D~_a.
-
-    The generator of one unit-weight jump is cached on the model for each
-    coherent setting.  When it is not D~_a itself it holds D~_a's entries,
-    so D~_a stays cached only if it already was."""
-    active = np.flatnonzero(w)
-    unit = len(active) == 1 and w[active[0]] == 1.0
-    key = (int(active[0]), bool(include_coherent)) if unit else None
-    if key in model._generators:
-        return model._generators[key]
-    label = model.jumps[active[0]].label if unit else None
-    held = label in model._dissipators
-    d = model.dim
-    parts = []
-    m_eig = np.zeros((d, d), dtype=complex)
-    for wa, jump in zip(w, model.jumps):
-        if wa == 0.0:
-            continue
-        dis = model._dissipator_eig(jump.label)
-        parts.append(dis if wa == 1.0 else dis * float(wa))
-        if model.include_lamb_shift:
-            m_eig -= (1j * wa) * model._lamb_eig(jump.label)
-    if include_coherent:
-        m_eig[np.diag_indices(d)] -= 1j * model.sd.eigenvalues
-    if m_eig.any() or not parts:
-        parts.append(_csr([_kron_terms(*ops.entries(m_eig), d)], d))
-    gen = sum(parts[1:], start=parts[0])
-    if unit:
-        model._generators[key] = gen
-        if not held and gen is not model._dissipators[label]:
-            del model._dissipators[label]
-    return gen
+def _eig_terms(model: LindbladModel, w, lamb, coherent):
+    """The terms of sum_a w_a L~_a for :func:`_eig_apply`: the (w_a, D~_a) of
+    the nonzero weights, M~'s Lamb part -i sum_a w_a H~_LS,a (with ``lamb``,
+    on a model with the Lamb shift; else None), and for its coherent part
+    -i Lambda (with ``coherent``; else None) the -i (lambda_i - lambda_j) by
+    which it multiplies X~[i, j], Lambda = diag(lambda) being H there."""
+    active = [(float(wa), jump.label) for wa, jump in zip(w, model.jumps) if wa != 0.0]
+    m = None
+    if lamb and model.include_lamb_shift and active:
+        m = np.zeros((model.dim, model.dim), dtype=complex)
+        for wa, label in active:
+            m -= (1j * wa) * model._lamb_eig(label)
+    lam = model.sd.eigenvalues
+    return ([(wa, model._dissipator_eig(label)) for wa, label in active], m,
+            -1j * (lam[:, None] - lam) if coherent else None)
 
 
-def _kron_terms(i, k, vals, d):
-    """(rows, cols, values) of M (x) I + I (x) conj(M), which is X -> M X +
-    X M^dag on row-major vec, for the d x d M with the nonzero entries
-    M[i, k] = ``vals``, row-major: ((i, j), (k, j)) and ((j, i), (j, k))
-    for each of them."""
-    j = np.arange(d)[:, None]
-    vals = np.broadcast_to(vals, (d, len(i)))
-    return (np.concatenate(((i * d + j).ravel(), (j * d + i).ravel())),
-            np.concatenate(((k * d + j).ravel(), (j * d + k).ravel())),
-            np.concatenate((vals.ravel(), vals.conj().ravel())))
-
-
-def _csr(terms, d):
-    """The d^2 x d^2 CSR matrix of a list of (rows, cols, values), entries
-    at one position summed."""
-    rows, cols, vals = (np.concatenate(part) for part in zip(*terms))
-    return sp.csr_array((vals, (rows, cols)), shape=(d * d, d * d))
+def _eig_apply(terms, x, adjoint):
+    """X~ -> sum_a w_a D~_a X~ + M~ X~ + X~ M~^dag for the row-major vec
+    ``x`` of a d x d eigenbasis matrix X~ and the :func:`_eig_terms` of
+    sum_a w_a L~_a, or with ``adjoint`` its adjoint, X~ -> sum_a w_a
+    D~_a^dag X~ + M~^dag X~ + X~ M~.  It is the one reader of every D~_a but
+    the sector's column gather."""
+    dissipators, m, phase = terms
+    out = np.zeros_like(x)
+    for wa, mat in dissipators:
+        y = mat.T.dot(x.conj()).conj() if adjoint else mat.dot(x)
+        out += y if wa == 1.0 else wa * y
+    d = math.isqrt(len(x))
+    x_mat, out_mat = x.reshape(d, d), out.reshape(d, d)
+    if m is not None:
+        left = m.conj().T if adjoint else m
+        out_mat += left @ x_mat + x_mat @ left.conj().T
+    if phase is not None:
+        out_mat += (phase.conj() if adjoint else phase) * x_mat
+    return out
 
 
 def _square(x, d):
@@ -360,13 +354,12 @@ def _square(x, d):
     return x
 
 
-def _apply_eig(sd, mat, x, adjoint=False):
-    """V X~ V^dag with vec(X~) = mat vec(V^dag x V) (mat^dag with ``adjoint``),
-    for a d^2 x d^2 eigenbasis ``mat``; ``x`` must be d x d."""
+def _apply_dense(sd, terms, x, adjoint):
+    """:func:`_eig_apply` of ``terms`` on the d x d matrix ``x``: V X~ V^dag
+    with X~ the apply's image of V^dag x V."""
     d = sd.dim
     vec = sd.to_eig(_square(x, d)).reshape(-1)
-    out = mat.T.dot(vec.conj()).conj() if adjoint else mat.dot(vec)
-    return sd.from_eig(out.reshape(d, d))
+    return sd.from_eig(_eig_apply(terms, vec, adjoint=adjoint).reshape(d, d))
 
 
 def _as_jump_list(jumps):
@@ -481,9 +474,10 @@ def build_model(
             raise ValueError("finite-beta Davies mode needs a BathSpec for beta")
         weights = bath_mod.gamma(sd.bohr_freqs, bath)
     else:
-        if include_lamb_shift and bath.weight == "flat":
-            raise ValueError("the flat weight has no Lamb shift (its c_beta is a delta "
-                             "function): pass include_lamb_shift=False")
+        if bath.weight == "flat":
+            raise ValueError("the flat weight has no finite-tau kernel table: its overlap "
+                             "quadrature needs about 0.4 / KERNEL_ABS_TOL panels and its "
+                             "c_beta is a delta function; use it with davies=True")
         corr = BathCorrelation(bath) if include_lamb_shift else None
         kernels = build_kernel_table(sd.bohr_freqs, bath, include_lamb=include_lamb_shift,
                                      corr=corr)
@@ -517,18 +511,12 @@ def weight_vector(model: LindbladModel, values=None, label=None) -> np.ndarray:
 
 
 def dissipative_adjoint(model: LindbladModel, label, obs):
-    """Heisenberg-picture dissipative part D^dag_a[obs], Hermitized: D~_a^dag
-    in the eigenbasis, for finite (beta, tau) and Davies models alike."""
-    out = _apply_eig(model.sd, model._dissipator_eig(label), obs, adjoint=True)
+    """Heisenberg-picture dissipative part D^dag_a[obs], Hermitized: the
+    adjoint :func:`_eig_apply` of D~_a alone, at finite (beta, tau) and in
+    the Davies limit (gamma at the exact Bohr frequencies) alike."""
+    terms = _eig_terms(model, weight_vector(model, label=label), False, False)
+    out = _apply_dense(model.sd, terms, obs, adjoint=True)
     return 0.5 * (out + out.conj().T)
-
-
-def davies_adjoint(model: LindbladModel, label, obs):
-    """Exact Davies-limit D^dag_a[obs] using gamma at exact Bohr frequencies:
-    :func:`dissipative_adjoint` of a Davies model, which it requires."""
-    if not model.davies:
-        raise ValueError("model is not in the Davies limit; use dissipative_adjoint")
-    return dissipative_adjoint(model, label, obs)
 
 
 def lamb_shift_operator(model: LindbladModel, label):
@@ -563,20 +551,18 @@ def lamb_shift_operator(model: LindbladModel, label):
 
 
 def lindblad_adjoint(model: LindbladModel, label, obs):
-    """Full energy-gradient-style adjoint L^dag_a[obs], Lamb commutator
-    included, Hermitized: L~_a^dag in the eigenbasis."""
-    gen = _eig_generator(model, weight_vector(model, label=label), False)
-    out = _apply_eig(model.sd, gen, obs, adjoint=True)
+    """Energy-gradient-style adjoint L^dag_a[obs] with the Lamb commutator and
+    without the coherent part, Hermitized: the adjoint :func:`_eig_apply`."""
+    terms = _eig_terms(model, weight_vector(model, label=label), True, False)
+    out = _apply_dense(model.sd, terms, obs, adjoint=True)
     return 0.5 * (out + out.conj().T)
 
 
-def generator_apply(model: LindbladModel, w, rho, include_coherent=_coherent_sentinel):
-    """d rho / dt under sum_a w_a L_a (plus -i[H, rho] when coherent), read
-    through :func:`_eig_generator`."""
-    w = weight_vector(model, w)
-    if include_coherent is _coherent_sentinel:
-        include_coherent = model.include_coherent
-    return _apply_eig(model.sd, _eig_generator(model, w, include_coherent), rho)
+def generator_apply(model: LindbladModel, w, rho):
+    """d rho / dt under sum_a w_a L_a, plus -i[H, rho] on a coherent model:
+    :func:`_eig_apply`."""
+    terms = _eig_terms(model, weight_vector(model, w), True, model.include_coherent)
+    return _apply_dense(model.sd, terms, rho, adjoint=False)
 
 
 def _generator_norm_bound(model: LindbladModel, w, include_coherent):
@@ -589,37 +575,36 @@ def _generator_norm_bound(model: LindbladModel, w, include_coherent):
 
 
 def _time_guard(s, w_norm):
-    """Both evolve paths' guards on s, for weights of 1-norm ``w_norm``: s >= 0 and
-    s ||w||_1 <= 10.  True when s = 0, where the state is returned as a copy."""
+    """Both evolve paths' guards s >= 0 and s ``w_norm`` <= ``MAX_TIME`` (plus 1e-12
+    for the rounding of ||w||_1).  True when s = 0, where the state is returned as a copy."""
     if s < 0:
         raise NegativeTime(f"evolution time must be nonnegative, got {s}")
-    if s * w_norm > 10.0 + 1e-12:
-        raise ValueError("guard: s * ||w||_1 must not exceed 10")
+    if s * w_norm > MAX_TIME + 1e-12:
+        raise ValueError(f"guard: s * ||w||_1 must not exceed {MAX_TIME:g}")
     return s == 0.0
 
 
-def evolve(model: LindbladModel, w, rho, s, include_coherent=_coherent_sentinel):
-    """rho(s) = exp(s sum_a w_a L_a)[rho] by substepped truncated Taylor.
+def evolve(model: LindbladModel, w, rho, s):
+    """rho(s) = exp(s sum_a w_a L_a)[rho] by substepped truncated Taylor,
+    -i[H, .] in L_a on a coherent model.
 
     Substeps keep ||h L||_{1-1} <= 1 per step.  They run on vec(V^dag rho V)
-    under the sparse :func:`_eig_generator`, and the result leaves the
-    eigenbasis before :func:`_finish_vec`: it is re-Hermitized and
-    trace-renormalized; a Hermiticity/trace defect above 1e-7 raises
-    :class:`EvolutionDefect` and a minimum eigenvalue below -1e-6 raises
-    :class:`PositivityDefect`.
+    under :func:`_eig_apply`, and the result leaves the eigenbasis before
+    :func:`_finish_vec`: it is re-Hermitized and trace-renormalized; a
+    Hermiticity/trace defect above ``DEFECT_TOL`` raises :class:`EvolutionDefect`
+    and a minimum eigenvalue below ``FLOOR`` :class:`PositivityDefect`.
     """
     w = weight_vector(model, w)
-    if include_coherent is _coherent_sentinel:
-        include_coherent = model.include_coherent
     rho = _square(rho, model.dim)
     if _time_guard(s, float(np.sum(w))):
         return rho.copy()
 
     d, sd = model.dim, model.sd
-    bound = _generator_norm_bound(model, w, include_coherent)
+    bound = _generator_norm_bound(model, w, model.include_coherent)
     nsub = max(1, int(math.ceil(s * bound)))
-    x = _taylor_substeps(_eig_generator(model, w, include_coherent),
-                         sd.to_eig(rho).reshape(-1), s / nsub, nsub, bound, d)
+    apply = partial(_eig_apply, _eig_terms(model, w, True, model.include_coherent),
+                    adjoint=False)
+    x = _taylor_substeps(apply, sd.to_eig(rho).reshape(-1), s / nsub, nsub, bound, d)
     return _finish_vec(sd.from_eig(x.reshape(d, d)).reshape(-1), d).reshape(d, d)
 
 
@@ -627,9 +612,9 @@ def _finish_vec(x, d):
     """Guard, Hermitize and trace-renormalize an evolved row-major vec(rho).
 
     A Hermiticity defect (Frobenius norm of rho - rho^dag, which bounds the
-    spectral one) or trace defect above 1e-7 raises
-    :class:`EvolutionDefect`; the result is then checked against the -1e-6
-    positivity floor.
+    spectral one) or trace defect above ``DEFECT_TOL`` raises
+    :class:`EvolutionDefect`; the result is then checked against the
+    positivity ``FLOOR``.
     """
     transpose, identity = _vec_layout(d)
     adj = x[transpose].conj()  # vec(rho^dag)
@@ -649,11 +634,11 @@ def _vec_layout(d):
             np.eye(d, dtype=complex).reshape(-1))
 
 
-def _taylor_substeps(gen, state, h, nsub, bound, d):
-    """Apply exp(h gen) ``nsub`` times to ``state`` by truncated Taylor series,
-    each substep within ``TAYLOR_TOL`` / ``nsub`` in trace norm.
+def _taylor_substeps(apply, state, h, nsub, bound, d):
+    """Apply exp(h G) ``nsub`` times to ``state`` by truncated Taylor series,
+    each substep within ``TAYLOR_TOL`` / ``nsub`` in trace norm; ``apply(v)`` is a new G v.
 
-    ``bound`` bounds the 1->1 norm of ``gen`` and ``d`` is the Hilbert
+    ``bound`` bounds the 1->1 norm of G and ``d`` is the Hilbert
     dimension, so sqrt(d) times the Frobenius norm bounds the trace norm.
     """
     tol = TAYLOR_TOL / nsub
@@ -663,38 +648,38 @@ def _taylor_substeps(gen, state, h, nsub, bound, d):
         term = state
         acc = state.copy()
         for k in range(1, MAX_TAYLOR_TERMS + 1):
-            term = gen.dot(term)  # dot: far less call overhead than @
+            term = apply(term)
             term *= h / k
             acc += term
             # ||term_{k+1}||_tr <= ||term_k||_tr h ||L|| / (k+1); stop as
             # soon as that bound falls below the budget
             norm = math.sqrt(np.vdot(term, term).real)
             next_bound = sqrt_d * norm * h_bound / (k + 1)
-            if next_bound < 0.1 * tol:
+            if next_bound < TAYLOR_STOP * tol:
                 break
         state = acc
     return state
 
 
 def _check_defect(herm_defect, trace_defect):
-    """Raise when an evolved state's Hermiticity or trace defect exceeds 1e-7."""
+    """Raise when an evolved state's Hermiticity or trace defect exceeds ``DEFECT_TOL``."""
     defect = max(herm_defect, trace_defect)
-    if defect > 1e-7:
+    if defect > DEFECT_TOL:
         raise EvolutionDefect(
-            f"evolved state has Hermiticity/trace defect {defect:.3e} > 1e-7"
+            f"evolved state has Hermiticity/trace defect {defect:.3e} > {DEFECT_TOL:g}"
         )
 
 
 @lru_cache(maxsize=None)
 def _floor_shift(k):
-    return 1e-6 * np.eye(k, dtype=complex)
+    return -FLOOR * np.eye(k, dtype=complex)
 
 
 def _floor_minima(blocks):
-    """The -1e-6 positivity floor on a (..., k, k) stack of Hermitian blocks:
+    """The positivity ``FLOOR`` on a (..., k, k) stack of Hermitian blocks:
     None when it holds for every block, else each block's minimum eigenvalue.
 
-    A Cholesky of block + 1e-6 I succeeds exactly when the floor holds, and
+    A Cholesky of block - ``FLOOR`` I succeeds exactly when the floor holds, and
     is cheaper than an eigendecomposition, which decides when it fails.  One
     state's (n, k, k) stack calls LAPACK ``zpotrf`` block by block (the numpy
     wrapper costs more than the factorization at these sizes); a deeper
@@ -718,12 +703,12 @@ def _floor_minima(blocks):
 
 
 def _check_floor(blocks):
-    """Raise unless every Hermitian block in the (n, k, k) stack is >= -1e-6
+    """Raise unless every Hermitian block in the (n, k, k) stack is >= ``FLOOR``
     (:func:`_floor_minima`)."""
     lows = _floor_minima(blocks)
     lo = math.inf if lows is None else float(np.min(lows))
-    if lo < -1e-6:
-        raise PositivityDefect(f"minimum eigenvalue {lo:.3e} below -1e-6")
+    if lo < FLOOR:
+        raise PositivityDefect(f"minimum eigenvalue {lo:.3e} below {FLOOR:g}")
 
 
 class ZeroFrequencySector:
@@ -777,7 +762,7 @@ class ZeroFrequencySector:
             post[[[1 + i], [1 + j]], [n + d + 2 * p, n + d + 2 * p + 1]] = -_SQRT_HALF
         self._post = post
         self._sqrt_d = math.sqrt(d)
-        self.generators = self._jump_generators(model)
+        self.generators = self._jump_generators(model, groups)
 
     def _block_gather(self, pos):
         """(src, scale) with c[pos] = x[src] * scale read as complex (real
@@ -788,28 +773,44 @@ class ZeroFrequencySector:
         scale = (np.where(off, _SQRT_HALF, 1.0), (off - 2 * odd) * _SQRT_HALF)
         return np.stack((re, re + off), axis=-1), np.stack(scale, axis=-1)
 
-    def _jump_generators(self, model):
+    def _jump_generators(self, model, groups):
         """Per jump: the real sector matrix of L_a with the model's coherent
         setting, the norm bound evolve() uses and sqrt(d) delta, with delta
         from :meth:`_real_generator`.  None if any jump leaves the sector or
         fails the real-form check.
 
         Column q of a complex generator holds the coordinates of its image
-        of E_q = V |r_q><c_q| V^dag: the column of the unit-weight
-        :func:`_eig_generator` at that position, on the sector's rows.  The
-        column's other rows are the image that leaks out.
+        of E_q = V |r_q><c_q| V^dag: D~_a's column there, on the sector's
+        rows, plus the commutator of :func:`_eig_terms`' M~, at position p
+        M~[r_p, r_q] delta(c_p, c_q) + delta(r_p, r_q) conj M~[c_p, c_q] (the
+        coherent -i (lambda_r - lambda_c) at p = q).  The leak test bounds
+        what leaks out by the norm of D~_a's column on the other rows plus
+        that of the commutator's M~[i, r_q] at (i, c_q) and conj M~[j, c_q]
+        at (r_q, j), i and j outside the group of r_q and c_q: zero exactly
+        when M~ is block-diagonal over the groups.
         """
-        vec = self._rows * self.dim + self._cols
-        off_sector = np.ones(self.dim**2, dtype=bool)
+        d, rows, cols = self.dim, self._rows, self._cols
+        vec = rows * d + cols
+        off_sector = np.ones(d * d, dtype=bool)
         off_sector[vec] = False
+        off_group = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
+        off_group = off_group[:, None] != off_group
         out = []
         for jump in model.jumps:
             unit = weight_vector(model, label=jump.label)
-            images = _eig_generator(model, unit, model.include_coherent)[:, vec]
+            images = model._dissipator_eig(jump.label)[:, vec]
             gen = images[vec].toarray()
-            leak = math.sqrt(np.max(abs(images[off_sector]).power(2).sum(axis=0), initial=0.0))
+            leak = np.sqrt(abs(images[off_sector]).power(2).sum(axis=0))
+            _, m, phase = _eig_terms(model, unit, True, model.include_coherent)
+            if m is not None:
+                gen += (m[rows[:, None], rows] * (cols[:, None] == cols)
+                        + (rows[:, None] == rows) * m.conj()[cols[:, None], cols])
+                outside = (abs(m) ** 2 * off_group).sum(axis=0)  # by column of M~
+                leak = leak + np.sqrt(outside[rows] + outside[cols])
+            if phase is not None:
+                gen[np.diag_indices(len(vec))] += phase[rows, cols]
             real = None
-            if leak <= SECTOR_TOL * max(float(np.linalg.norm(gen)), 1e-300):
+            if np.max(leak, initial=0.0) <= SECTOR_TOL * max(float(np.linalg.norm(gen)), 1e-300):
                 real = self._real_generator(gen)
             if real is None:
                 logger.debug("jump %s leaves the sector", jump.label)
@@ -896,10 +897,10 @@ class ZeroFrequencySector:
           ||exp(t G)||_{F->F} <= sqrt(d), and ||e(s)||_F <=
           d delta s ||x||_2 / (1 - sqrt(d) delta s), with delta <=
           ``REAL_FORM_TOL`` ||G||_F fixed at build.  That bound, evaluated
-          for each step, is the Hermiticity defect checked against 1e-7.
-        - Trace.  A trace defect above 1e-7 raises
+          for each step, is the Hermiticity defect checked (``DEFECT_TOL``).
+        - Trace.  A trace defect above ``DEFECT_TOL`` raises
           :class:`EvolutionDefect`; the state is then renormalized.
-        - Positivity.  Each group block passes the -1e-6 floor by
+        - Positivity.  Each group block passes the ``FLOOR`` by
           Gershgorin, with |Re t_ij| + |Im t_ij| >= |t_ij| in the radii,
           or else by the exact check of :func:`_check_floor` on the blocks
           gathered from x.  The trace and the Gershgorin bounds come from
@@ -913,25 +914,26 @@ class ZeroFrequencySector:
         herm = (self._sqrt_d * a * math.sqrt(x.dot(x)) / (1.0 - a)
                 if a < 1.0 else math.inf)
         nsub = max(1, int(math.ceil(s * bound)))
-        x = _taylor_substeps(gen, x, s / nsub, nsub, bound, self.dim)
+        # gen.dot: far less call overhead than @
+        x = _taylor_substeps(gen.dot, x, s / nsub, nsub, bound, self.dim)
         z = self._post.dot(np.concatenate((x, np.abs(x)))).tolist()
         trace = z[0]
         _check_defect(herm, abs(trace - 1.0))
         x = (1.0 / trace) * x
-        if min(z[1:]) < -1e-6 * trace:
+        if min(z[1:]) < FLOOR * trace:
             for src, scale in self._blocks:
                 _check_floor((x[src] * scale).view(complex)[..., 0])
         return x
 
     def below_floor(self, xs):
         """Whether each row of ``xs``, the coordinates of a state of trace
-        one, fails the -1e-6 floor: the rule of :func:`_check_floor` for
+        one, fails the positivity ``FLOOR``: the rule of :func:`_check_floor` for
         every state's group blocks, in one stack per group size."""
         below = np.zeros(len(xs), dtype=bool)
         for src, scale in self._blocks:
             lows = _floor_minima((np.take(xs, src, axis=1) * scale).view(complex)[..., 0])
             if lows is not None:
-                below |= (lows < -1e-6).any(axis=1)
+                below |= (lows < FLOOR).any(axis=1)
         return below
 
 

@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from scipy.integrate import quad
 import thermal_landscape as tl
 from thermal_landscape import bath as B
 from thermal_landscape.bath import BathSpec
+from thermal_landscape.errors import QuadratureFailure
 
 
 def test_gamma_infinite_temperature_value():
@@ -210,14 +212,19 @@ def test_overlap_kernel_davies_trend():
     assert errs[0] > errs[1] > errs[2]
 
 
-def test_overlap_kernel_secular_truncation():
-    # with a tight secular window, off-diagonal kernels of well-separated
-    # frequencies vanish identically (disjoint supports)
-    spec = BathSpec(beta=1.0, tau=50.0)
-    val = tl.overlap_kernel(-1.0, 1.0, spec, secular_mu=0.5)
-    assert abs(val) < 1e-14
-    near = tl.overlap_kernel(-1.0, 1.0, spec)
-    assert abs(near) > 0.0
+@pytest.mark.parametrize("tau", [2.0, 25.0, 100.0, 1e4])
+def test_flat_overlap_kernel_refuses_by_panel_count_before_allocating(tau):
+    # at KERNEL_ABS_TOL the flat range needs about 0.4 / 1e-10 = 4e9 panels at
+    # any tau (at tau = 1e4, 30 GiB of edges); it is refused before any node
+    spec = BathSpec(beta=1.0, tau=tau, weight="flat")
+    tracemalloc.start()
+    try:
+        with pytest.raises(QuadratureFailure, match="panels, more than 65536"):
+            tl.overlap_kernel(0.3, -0.2, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_lamb_kernel_against_2d_trapezoid():

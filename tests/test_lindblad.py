@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -10,6 +12,7 @@ from thermal_landscape.errors import (
     DimensionMismatch,
     JumpNotNormalized,
     JumpSetNotClosed,
+    LambHermiticityDefect,
     NegativeTime,
     UnknownJump,
 )
@@ -50,11 +53,11 @@ def random_model(rng, n=2, beta=2.0, tau=20.0, include_lamb=True,
     )
 
 
-def ising_davies_model(n, h=1.0, beta=5.0):
+def ising_davies_model(n, h=1.0, beta=5.0, coherent=False):
     ham = tl.build_ising_chain(n, h)
     jumps = [(f"X{j}", tl.kron_embed(tl.PAULI["X"], [j], n)) for j in range(n)]
     return tl.build_model(ham, jumps, bath=BathSpec(beta=beta, tau=1.0, lambda0=4.0),
-                          davies=True)
+                          davies=True, include_coherent=coherent)
 
 
 def hermitian_probe(rng, dim):
@@ -147,7 +150,7 @@ def test_davies_adjoint_qubit_closed_form():
     model = qubit_davies_model(beta=10.0)
     spec = BathSpec(beta=10.0, tau=1.0)
     gm, gp = tl.gamma(-1.0, spec), tl.gamma(1.0, spec)
-    out = tl.davies_adjoint(model, "X0", model.ham.dense)
+    out = tl.dissipative_adjoint(model, "X0", model.ham.dense)
     expected = -gm * np.diag([0.0, 1.0]) + gp * np.diag([1.0, 0.0])
     assert np.linalg.norm(out - expected, 2) < 1e-12
     assert gm == pytest.approx(0.13790758, abs=5e-7)
@@ -167,13 +170,13 @@ def test_davies_adjoint_gradient_identity():
     expected = np.zeros((8, 8), dtype=complex)
     for nu, w, mat in zip(jump.blocks.freqs, weights, jump.blocks.mats):
         expected += nu * w * (mat.conj().T @ mat)
-    out = tl.davies_adjoint(model, "A", ham.dense)
+    out = tl.dissipative_adjoint(model, "A", ham.dense)
     assert np.linalg.norm(out - expected, 2) < 1e-10
 
 
 def test_davies_adjoint_identity_observable():
     model = qubit_davies_model()
-    out = tl.davies_adjoint(model, "X0", np.eye(2, dtype=complex))
+    out = tl.dissipative_adjoint(model, "X0", np.eye(2, dtype=complex))
     assert np.linalg.norm(out, 2) < 1e-12
 
 
@@ -194,7 +197,19 @@ def test_davies_weights_are_gamma_at_the_bohr_frequencies(weight):
 def test_flat_weight_with_the_lamb_shift_is_rejected_up_front(lamb):
     # the flat surrogate's c_beta is a delta function: build_model names the way out
     spec = BathSpec(beta=1.0, tau=2.0, weight="flat")
-    with pytest.raises(ValueError, match="pass include_lamb_shift=False"):
+    with pytest.raises(ValueError, match="use it with davies=True"):
+        tl.build_model(qubit_ham(), [("X0", tl.PAULI["X"].copy())], bath=spec,
+                       include_lamb_shift=lamb)
+
+
+@pytest.mark.parametrize("tau", [2.0, 25.0, 100.0, 1e4])
+@pytest.mark.parametrize("lamb", [None, False, True])
+def test_flat_weight_at_finite_tau_is_rejected_up_front(tau, lamb):
+    # no finite-tau flat model can be built (its overlap quadrature would need
+    # some 4e9 panels at KERNEL_ABS_TOL): one ValueError, with or without the
+    # Lamb shift, before any kernel is computed
+    spec = BathSpec(beta=1.0, tau=tau, weight="flat")
+    with pytest.raises(ValueError, match="no finite-tau kernel table"):
         tl.build_model(qubit_ham(), [("X0", tl.PAULI["X"].copy())], bath=spec,
                        include_lamb_shift=lamb)
 
@@ -208,7 +223,7 @@ def test_davies_beta_infinite_no_heating():
         m = m + m.conj().T
         m /= np.linalg.norm(m, 2)
         model = tl.build_model(ham, [("A", m)], beta_infinite=True)
-        grad = tl.davies_adjoint(model, "A", ham.dense)
+        grad = tl.dissipative_adjoint(model, "A", ham.dense)
         assert np.linalg.eigvalsh(grad)[-1] <= 1e-10
 
 
@@ -233,14 +248,8 @@ def test_dissipative_adjoint_davies_cross_check():
     davies = qubit_davies_model(beta=10.0)
     obs = ham.dense
     a = tl.dissipative_adjoint(fine, "X0", obs)
-    b = tl.davies_adjoint(davies, "X0", obs)
+    b = tl.dissipative_adjoint(davies, "X0", obs)
     assert np.linalg.norm(a - b, 2) < 0.02
-
-
-def test_davies_adjoint_rejects_a_finite_tau_model():
-    model = random_model(np.random.default_rng(2))
-    with pytest.raises(ValueError):
-        tl.davies_adjoint(model, "J0", model.ham.dense)
 
 
 def test_dissipative_adjoint_reads_a_davies_model(loop_davies_adjoint):
@@ -250,7 +259,6 @@ def test_dissipative_adjoint_reads_a_davies_model(loop_davies_adjoint):
         want = loop_davies_adjoint(model, label, obs)
         got = tl.dissipative_adjoint(model, label, obs)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-        np.testing.assert_array_equal(tl.davies_adjoint(model, label, obs), got)
 
 
 @pytest.mark.parametrize("shape", [(2, 8), (3, 3), (16,)])
@@ -264,7 +272,7 @@ def test_adjoints_reject_observables_of_the_wrong_shape(shape):
     with pytest.raises(DimensionMismatch):
         tl.lindblad_adjoint(model, "J0", obs)
     with pytest.raises(DimensionMismatch):
-        tl.davies_adjoint(davies, "X0", obs)
+        tl.dissipative_adjoint(davies, "X0", obs)
 
 
 def test_gradient_norm_bound():
@@ -407,10 +415,11 @@ def test_evolve_matrix_free_path_matches_superop(pair_sums):
 
 
 def test_large_davies_generator_and_evolve_match_block_loop(loop_davies_adjoint):
-    # at d = 64, generator_apply and evolve in the eigenbasis are both
-    # checked by duality, Tr(O L[rho]) = Tr(L^dag[O] rho), against
-    # the block loop, evolve through the Heisenberg series of that loop
-    model = ising_davies_model(6)
+    # at d = 64, generator_apply and evolve of a coherent model in the
+    # eigenbasis are both checked by duality, Tr(O L[rho]) = Tr(L^dag[O] rho),
+    # against the block loop plus i[H, O], evolve through the Heisenberg
+    # series of that sum
+    model = ising_davies_model(6, coherent=True)
     d = model.dim
     rng = np.random.default_rng(21)
     rho = random_state(rng, d)
@@ -421,15 +430,16 @@ def test_large_davies_generator_and_evolve_match_block_loop(loop_davies_adjoint)
     ham = model.ham.dense
     want = np.trace((sum(wa * adj for wa, adj in zip(w, adjoints))
                      + 1j * (ham @ obs - obs @ ham)) @ rho)
-    got = np.trace(obs @ tl.generator_apply(model, w, rho, include_coherent=True))
+    got = np.trace(obs @ tl.generator_apply(model, w, rho))
     assert abs(got - want) <= 1e-12 * scale * (np.sum(w) + np.linalg.norm(ham, 2))
     s = 0.3
     for index, label in enumerate(model.jump_labels[:2]):
-        got = tl.davies_adjoint(model, label, obs)
+        got = tl.dissipative_adjoint(model, label, obs)
         assert np.max(np.abs(got - adjoints[index])) <= 1e-12 * np.max(np.abs(adjoints[index]))
         heis, term = obs.copy(), obs
         for k in range(1, 40):
-            term = (s / k) * loop_davies_adjoint(model, label, term)
+            term = (s / k) * (loop_davies_adjoint(model, label, term)
+                              + 1j * (ham @ term - term @ ham))
             heis += term
         out = tl.evolve(model, tl.weight_vector(model, label=label), rho, s)
         assert abs(np.trace(obs @ out) - np.trace(heis @ rho)) <= 1e-8 * scale
@@ -473,7 +483,7 @@ def test_davies_recovery_superoperator_trend():
         worst = max(
             np.linalg.norm(
                 tl.dissipative_adjoint(fine, "X0", p)
-                - tl.davies_adjoint(davies, "X0", p), 2)
+                - tl.dissipative_adjoint(davies, "X0", p), 2)
             for p in probes
         )
         dists.append(worst)
@@ -529,7 +539,7 @@ def test_eigenbasis_gathers_match_pair_sums(name, davies, oracle_system, pair_su
         if not davies:
             assert_close(tl.lamb_shift_operator(model, label), lamb_shift(model, label))
         unit = tl.weight_vector(model, label=label)
-        assert_close(tl.generator_apply(model, unit, rho, False).reshape(-1),
+        assert_close(tl.generator_apply(model, unit, rho).reshape(-1),
                      superop(model, label) @ rho.reshape(-1))
 
 
@@ -555,3 +565,126 @@ def test_model_reads_its_size_and_norm_from_the_spectrum(name, oracle_system):
     model.ham = type(ham)(n=ham.n, terms=ham.terms, dense=None, norm_bound=ham.norm_bound)
     assert model.dim == d
     assert tl.evolve(model, w, rho, 0.5).tobytes() == out.tobytes()
+
+
+def _apply_case(name):
+    """A model of the one-apply oracle: ``generic`` is the generic 3-qubit
+    Pauli chain at beta 2, tau 25 (non-degenerate), ``ising`` the Davies
+    Ising ring n = 3 at h = 0.5 (degenerate energy groups); the suffixes
+    ``lamb``, ``coherent`` and ``csr`` add the Lamb shift (generic only),
+    the coherent part and CSR jumps."""
+    n = 3
+    embed = tl.kron_embed_csr if "csr" in name else tl.kron_embed
+    coherent = "coherent" in name
+    if name.startswith("ising"):
+        jumps = [(f"X{j}", embed(tl.PAULI["X"], [j], n)) for j in range(n)]
+        return tl.build_model(tl.build_ising_chain(n, 0.5), jumps,
+                              bath=BathSpec(beta=2.0, tau=1.0, lambda0=2.0), davies=True,
+                              include_coherent=coherent)
+    rng = np.random.default_rng(0)
+    local = [(tl.PAULI[p], (j,)) for j in range(n) for p in "XYZ"]
+    local += [(np.kron(tl.PAULI[p], tl.PAULI[q]), (j, j + 1))
+              for j in range(n - 1) for p in "XYZ" for q in "XYZ"]
+    ham = tl.assemble([(c * op, sites) for c, (op, sites)
+                       in zip(rng.normal(size=len(local)) / 4.0, local)], n)
+    jumps = [(f"{p}{j}", embed(tl.PAULI[p], [j], n)) for j in range(n) for p in "XZ"]
+    return tl.build_model(ham, jumps, bath=BathSpec(beta=2.0, tau=25.0),
+                          include_lamb_shift="lamb" in name, include_coherent=coherent)
+
+
+def _eig_superop(model, w, superops):
+    """sum_a w_a L_a, plus -i[H, .] on a coherent model, as the Kronecker-sum
+    superoperator over row-major vec, rotated into the eigenbasis:
+    (V^dag (x) V^T) S (V (x) conj V); ``superops`` are the L_a of the
+    ``pair_sums`` oracle."""
+    d, v = model.dim, model.sd.eigenvectors
+    gen = sum(wa * op for wa, op in zip(w, superops) if wa)
+    if model.include_coherent:
+        ham, eye = model.ham.dense, np.eye(d)
+        gen = gen - 1j * (np.kron(ham, eye) - np.kron(eye, ham.T))
+    return np.kron(v.conj().T, v.T) @ gen @ np.kron(v, v.conj())
+
+
+@pytest.mark.parametrize("name", ["generic_lamb", "generic_lamb_coherent_csr", "generic_csr",
+                                  "generic_coherent", "ising_csr", "ising_coherent"])
+def test_one_apply_matches_the_kronecker_sum(name, pair_sums):
+    """The one eigenbasis apply, forward and adjoint, at unit and mixed
+    weights, against the Kronecker-sum superoperator within 1e-12 relative;
+    each sector's real generators against that superoperator restricted to
+    the sector's coordinates."""
+    model = _apply_case(name)
+    d, m = model.dim, len(model.jumps)
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    rho = random_state(rng, d)
+    vec = model.sd.to_eig(x).reshape(-1)
+    superops = [pair_sums[3](model, label) for label in model.jump_labels]
+    weights = [tl.weight_vector(model, label=label) for label in model.jump_labels]
+    for w in weights + [np.linspace(0.2, 1.0, m)]:
+        want = _eig_superop(model, w, superops)
+        terms = L._eig_terms(model, w, True, model.include_coherent)
+        for adjoint, oracle in ((False, want), (True, want.conj().T)):
+            got, ref = L._eig_apply(terms, vec, adjoint), oracle @ vec
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+    sectors = [L.zero_frequency_sector(model, rho)]
+    if model.davies:  # and its energy groups
+        sectors.append(L.zero_frequency_sector(model))
+        assert sectors[-1] is not None and sectors[-1].size < d * d
+    assert sectors[0] is not None
+    for sector in sectors:
+        pos = sector._rows * d + sector._cols
+        for w, (gen, _, _) in zip(weights, sector.generators):
+            want = sector._real_generator(_eig_superop(model, w, superops)[np.ix_(pos, pos)])[0]
+            assert np.max(np.abs(gen - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("blocked", [True, False])
+def test_sector_leak_test_reads_the_commutator(blocked, pair_sums):
+    """An energy-group sector keeps a jump whose M~ = -i H~_LS is
+    block-diagonal over the groups, with the generator of the Kronecker
+    sum, and drops one whose M~ reaches across groups, whose commutator
+    then leaks out of the sector: here a Davies model given a Lamb part."""
+    model = _apply_case("ising_csr")
+    d, groups = model.dim, model.sd.group_slices
+    assert len(groups) > 1
+    label = model.jump_labels[0]
+    v = model.sd.eigenvectors
+    dissipator = np.kron(v.conj().T, v.T) @ pair_sums[3](model, label) @ np.kron(v, v.conj())
+    group = np.repeat(np.arange(len(groups)), [sl.stop - sl.start for sl in groups])
+    h = hermitian_probe(np.random.default_rng(6), d)
+    if blocked:
+        h = h * (group[:, None] == group)
+    model.include_lamb_shift = True
+    model._lamb_eigs.update({lab: h for lab in model.jump_labels})
+    sector = L.ZeroFrequencySector(model, groups)
+    if not blocked:
+        assert sector.generators is None
+        return
+    m, eye = -1j * h, np.eye(d)
+    full = dissipator + np.kron(m, eye) + np.kron(eye, m.conj())
+    pos = sector._rows * d + sector._cols
+    want = sector._real_generator(full[np.ix_(pos, pos)])[0]
+    assert np.max(np.abs(sector.generators[0][0] - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_jump_of_the_wrong_shape_is_rejected():
+    ham = tl.build_ising_chain(2, 1.0)
+    with pytest.raises(DimensionMismatch, match=r"jump 'X0' has shape \(2, 2\), expected \(4, 4\)"):
+        tl.build_model(ham, [("X0", tl.PAULI["X"].copy())], bath=BathSpec(beta=1.0, tau=1.0),
+                       davies=True)
+
+
+@pytest.mark.parametrize("shift", [3e-7, 1e-6])
+def test_lamb_shift_with_a_hermiticity_defect_raises(shift):
+    """A Lamb kernel K whose H_LS,a is not Hermitian within 1e-6 ||A^dag A||
+    raises rather than being Hermitized.  K plus i ``shift`` on every entry
+    gives this jump (A Hermitian, ||A|| = 1) the defect 2 ``shift``: 6e-7
+    is Hermitized, 2e-6 raises."""
+    model = random_model(np.random.default_rng(3), include_lamb=True)
+    model.kernels = dataclasses.replace(model.kernels, K=model.kernels.K + 1j * shift)
+    if 2.0 * shift < 1e-6:
+        h_ls = tl.lamb_shift_operator(model, "J0")
+        assert np.array_equal(h_ls, h_ls.conj().T)
+        return
+    with pytest.raises(LambHermiticityDefect, match="Lamb shift of jump 'J0' has Hermiticity"):
+        tl.lamb_shift_operator(model, "J0")

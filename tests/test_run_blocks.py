@@ -5,6 +5,7 @@ as it ran before blocks, one ``ZeroFrequencySector.evolve`` per step.
 """
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -332,7 +333,7 @@ def test_block_degrees_match_the_one_step_rule():
         want = []
         for step in s:
             counted = _CountedGenerator(gen)
-            lindblad._taylor_substeps(counted, x, step, 1, bound, model.dim)
+            lindblad._taylor_substeps(counted.dot, x, step, 1, bound, model.dim)
             want.append(counted.products)
         assert got.tolist() == want and max(want) >= 5
 
@@ -349,3 +350,23 @@ def test_guessed_sizes_continue_lines_and_cubics():
     cubic = 1e-3 + 2e-5 * v - 3e-7 * v**2 + 1e-9 * v**3
     got = descent._guess_sizes(cubic[12], cubic[:12].tolist(), 64)
     assert np.allclose(got, cubic[12:], rtol=1e-12, atol=0)
+
+
+def test_each_run_logs_its_steps_at_debug_level(caplog):
+    """The DEBUG line of each run, which scripts/descent_runs.py parses: its
+    block steps plus its one-at-a-time steps are its steps, and the runs'
+    steps add up to the last step of a capped clock_cool descent."""
+    model, rho, cfg = _case("clock_cool")
+    cfg = dataclasses.replace(cfg, max_steps=3000)
+    with caplog.at_level("DEBUG", logger="thermal_landscape.descent"):
+        with pytest.raises(MaxStepsExceeded) as exc:
+            tl.thermal_gradient_descent(model, rho, cfg)
+    pattern = re.compile(r"run along (\S+): (\d+) steps, (\d+) in (\d+) blocks "
+                         r"\((\d+) Picard sweeps\), (\d+) one at a time")
+    runs = [pattern.fullmatch(r.getMessage()) for r in caplog.records
+            if r.name == "thermal_landscape.descent" and r.getMessage().startswith("run along")]
+    assert len(runs) >= 2 and all(runs)
+    counts = [[int(v) for v in run.groups()[1:]] for run in runs]
+    assert all(block + single == steps for steps, block, _, _, single in counts)
+    assert sum(blocks for _, _, blocks, _, _ in counts) > 0
+    assert sum(steps for steps, *_ in counts) == exc.value.trace.steps[-1].index == 3000

@@ -132,7 +132,7 @@ def _check_real_generators(model, sector, size):
             x = rng.standard_normal(sector.size)
             rho = sector.density(x)
             assert np.max(np.abs(sector.coords(rho) - x)) <= 1e-12
-            img = sector.coords(tl.generator_apply(model, unit, rho, model.include_coherent))
+            img = sector.coords(tl.generator_apply(model, unit, rho))
             assert img is not None
             assert np.linalg.norm(gen @ x - img) <= 1e-12 * np.linalg.norm(img)
 
