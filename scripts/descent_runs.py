@@ -3,9 +3,11 @@
 
 For each case, prints the steps taken, the number of runs (maximal stretches
 of steps along one jump), the run blocks tried, the share of steps evaluated
-in run blocks and the wall time of ``thermal_gradient_descent``.  The counts
-come from the one DEBUG line per run that ``thermal_landscape.descent``
-logs.  Cases:
+in run blocks, the steps taken one at a time split into those of runs
+shorter than ``RUN_WARMUP`` (which never reach a block) and the rest (the
+warm-ups of longer runs and the steps at which their blocks stop), and the
+wall time of ``thermal_gradient_descent``.  The counts come from the one
+DEBUG line per run that ``thermal_landscape.descent`` logs.  Cases:
 
 - ``clock_cool``: the benchmark workload (T = 3 clock, beta = 30,
   epsilon = 1.5e-2, B = 2.43), to termination;
@@ -14,7 +16,9 @@ logs.  Cases:
   each to termination.  A pure start is not block-diagonal by energy
   group, so it descends in the one group of all 16 levels;
 - ``criterion11``: ``configs/clock_cooling_t3.json`` (epsilon = 8e-4),
-  capped at 200,000 steps;
+  capped at 200,000 steps, all of which fall in its first run;
+- ``criterion11_full``: the same, to termination (about 11.3 M steps and
+  1.7 M runs, most of them shorter than the warm-up; minutes of wall time);
 - ``ising4_eps1e-2``: Ising ring n = 4, h = 1.5, epsilon = 1e-2, capped at
   200,000 steps;
 - ``ising4_eps0.1`` and ``ising5_eps0.1``: n = 4 and 5, h = 1,
@@ -41,6 +45,7 @@ import numpy as np
 import thermal_landscape as tl
 from thermal_landscape import cli
 from thermal_landscape.bath import BathSpec
+from thermal_landscape.descent import RUN_WARMUP
 from thermal_landscape.errors import MaxStepsExceeded
 
 from clock_cooling import load_config
@@ -68,7 +73,7 @@ def clock_pure():
     return problems
 
 
-def criterion11():
+def criterion11(max_steps=CAP):
     cfg = load_config()
     ham, clock, _ = cli._resolve_hamiltonian(cfg)
     _, model_kwargs = cli._build_model(cfg, ham)
@@ -76,7 +81,7 @@ def criterion11():
     model = tl.build_model(ham, jumps, **model_kwargs)
     descent = cfg["descent"]
     return model, tl.maximally_mixed(int(np.log2(model.dim))), tl.DescentConfig(
-        epsilon=descent["epsilon"], norm_bound=descent["B"], max_steps=CAP,
+        epsilon=descent["epsilon"], norm_bound=descent["B"], max_steps=max_steps,
         record_stride=descent["record_stride"])
 
 
@@ -108,6 +113,7 @@ CASES = {
     "clock_cool": clock_cool,
     "clock_pure": clock_pure,
     "criterion11": criterion11,
+    "criterion11_full": lambda: criterion11(None),
     "ising4_eps1e-2": lambda: ising(4, 1.5, 1e-2, CAP),
     "ising4_eps0.1": lambda: ising(4, 1.0, 0.1),
     "ising5_eps0.1": lambda: ising(5, 1.0, 0.1),
@@ -116,15 +122,26 @@ CASES = {
 
 
 class _Runs(logging.Handler):
-    """Collects the (label, steps, block steps, blocks, sweeps, one at a
-    time) of each run line."""
+    """Sums the (label, steps, block steps, blocks, sweeps, one at a time)
+    of the run lines, with the one-at-a-time steps of runs shorter than
+    ``RUN_WARMUP`` apart."""
 
     def __init__(self):
         super().__init__(logging.DEBUG)
-        self.runs = []
+        self.runs = self.steps = self.blocked = self.blocks = self.sweeps = 0
+        self.short_runs = self.short_steps = self.single = 0
 
     def emit(self, record):
-        self.runs.append(record.args)
+        _, steps, blocked, blocks, sweeps, _ = record.args
+        self.runs += 1
+        self.steps += steps
+        self.blocked += blocked
+        self.blocks += blocks
+        self.sweeps += sweeps
+        if steps < RUN_WARMUP:
+            self.short_runs += 1
+            self.short_steps += steps
+            self.single += steps == 1
 
 
 def main():
@@ -159,12 +176,12 @@ def _report(log, name, model, rho, cfg):
         end = f"capped at {cfg.max_steps}"
     wall = time.perf_counter() - start
     log.removeHandler(handler)
-    steps = sum(run[1] for run in handler.runs)
-    blocked = sum(run[2] for run in handler.runs)
-    print(f"{name}: {steps} steps ({end}), {len(handler.runs)} runs, "
-          f"{sum(run[3] for run in handler.runs)} blocks tried, "
-          f"{blocked / max(steps, 1):.1%} in blocks, "
-          f"{sum(run[4] for run in handler.runs)} Picard sweeps, {wall:.2f} s")
+    h = handler
+    print(f"{name}: {h.steps} steps ({end}), {h.runs} runs, {h.blocks} blocks tried, "
+          f"{h.blocked / max(h.steps, 1):.1%} in blocks, {h.sweeps} Picard sweeps; "
+          f"one at a time {h.short_steps} in {h.short_runs} runs shorter than "
+          f"{RUN_WARMUP} ({h.single} of one step), "
+          f"{h.steps - h.blocked - h.short_steps} in longer runs; {wall:.2f} s")
 
 
 if __name__ == "__main__":

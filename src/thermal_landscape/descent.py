@@ -39,7 +39,7 @@ from .lindblad import (
 logger = logging.getLogger(__name__)
 
 RUN_WARMUP = 32  # steps a run takes one at a time before its first block
-BLOCK_MAX = 128  # steps of one block at most
+BLOCK_MAX = 512  # steps of one block at most, read off the measured descent time per cap
 CONTOUR_POINTS = 20  # Q: contour points, and Krylov vectors, of a block
 PICARD_SWEEPS = 40  # step-size sweeps of one block at most
 DEGREE_PASSES = 3  # rule passes of one block that may correct its Taylor degrees
@@ -472,7 +472,10 @@ def thermal_gradient_descent(model: LindbladModel, rho0, cfg: DescentConfig) -> 
     has taken ``RUN_WARMUP`` steps along one jump goes on in blocks of as
     many steps as it has taken, at most ``BLOCK_MAX`` (:class:`_RunBlocks`),
     whatever the state's rank: a block checks the positivity floor of all
-    its states at once.  The step at which a block stops is taken one at a
+    its states at once.  The cap was read off the measured descent time for
+    caps of 128 to 1024: longer blocks pay a block's fixed cost less often,
+    but need more Picard sweeps, and a run's last block evaluates further
+    past the run's end.  The step at which a block stops is taken one at a
     time; after a block that keeps no step, ``RUN_WARMUP`` steps are,
     doubling with each such block in a row up to the run's length so far.
     A block's size never depends on ``cfg.max_steps`` or

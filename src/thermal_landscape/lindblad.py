@@ -593,10 +593,16 @@ def evolve(model: LindbladModel, w, rho, s):
     :func:`_finish_vec`: it is re-Hermitized and trace-renormalized; a
     Hermiticity/trace defect above ``DEFECT_TOL`` raises :class:`EvolutionDefect`
     and a minimum eigenvalue below ``FLOOR`` :class:`PositivityDefect`.
+
+    The time guard is s ||w||_1 <= ``MAX_TIME``.  On a coherent model
+    -i[H, .] enters with weight one whatever w is, so there ||w||_1 is read
+    as at least 1: s <= ``MAX_TIME`` also for w = 0, and the substeps, at
+    most s times the 1->1 bound, stay bounded by the norms of the jumps and H.
     """
     w = weight_vector(model, w)
     rho = _square(rho, model.dim)
-    if _time_guard(s, float(np.sum(w))):
+    w_norm = float(np.sum(w))
+    if _time_guard(s, max(w_norm, 1.0) if model.include_coherent else w_norm):
         return rho.copy()
 
     d, sd = model.dim, model.sd

@@ -368,6 +368,31 @@ def test_evolve_semigroup():
     assert diff < 1e-8
 
 
+def test_coherent_evolve_bounds_s_for_zero_weights(monkeypatch):
+    """-i[H, .] acts with weight one, so on a coherent model s is bounded
+    even for w = 0: s = 1e9 raises before any substep is taken."""
+    n = 3
+    ham = tl.build_ising_chain(n, 1.0, periodic=True)
+    jumps = [(f"X{j}", tl.kron_embed(tl.PAULI["X"], [j], n)) for j in range(n)]
+    bath = BathSpec(beta=5.0, tau=1.0, lambda0=4.0)
+    model = tl.build_model(ham, jumps, bath=bath, davies=True, include_coherent=True)
+    rho = tl.maximally_mixed(n)
+    zero = np.zeros(n)
+    with monkeypatch.context() as patch:
+        def refused(*args):
+            raise AssertionError("evolve took substeps past the time guard")
+        patch.setattr(L, "_taylor_substeps", refused)
+        with pytest.raises(ValueError, match="must not exceed"):
+            tl.evolve(model, zero, rho, 1e9)
+        with pytest.raises(ValueError, match="must not exceed"):
+            tl.evolve(model, [0.1] * n, rho, 11.0)
+    # within the guard the coherent part alone leaves the mixed state as it is
+    assert np.allclose(tl.evolve(model, zero, rho, 10.0), rho, atol=1e-12)
+    # without the coherent part w = 0 is the identity, at any s
+    quiet = tl.build_model(ham, jumps, bath=bath, davies=True)
+    assert np.allclose(tl.evolve(quiet, zero, rho, 1e9), rho, atol=1e-15)
+
+
 def test_evolve_qubit_rate_equation_oracle():
     model = qubit_davies_model(beta=10.0)
     spec = BathSpec(beta=10.0, tau=1.0)

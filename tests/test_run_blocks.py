@@ -67,13 +67,22 @@ def _count_sector_steps(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("name", ["clock_cool", "ising4", "ising5", "qubit", "clock_cool_reversed"])
-def test_run_blocks_match_the_one_step_loop(name, sector_step_descent, monkeypatch):
-    """Identical jumps and step indices, and every float within 1e-12.  With
-    the clock's jumps reversed, runs end when a jump declared earlier starts
-    to trigger, which the block's jump-choice rule must see."""
+SHORT_BLOCKS = 128  # a cap below BLOCK_MAX, so that short blocks stay under test
+CASES = ["clock_cool", "ising4", "ising5", "qubit", "clock_cool_reversed"]
+
+
+@pytest.mark.parametrize("name, block_max", [pytest.param(name, descent.BLOCK_MAX, id=name)
+                                             for name in CASES]
+                         + [pytest.param(name, SHORT_BLOCKS, id=f"{name}-cap{SHORT_BLOCKS}")
+                            for name in CASES])
+def test_run_blocks_match_the_one_step_loop(name, block_max, sector_step_descent, monkeypatch):
+    """Identical jumps and step indices, and every float within 1e-12, at
+    ``BLOCK_MAX`` and at a shorter cap.  With the clock's jumps reversed,
+    runs end when a jump declared earlier starts to trigger, which the
+    block's jump-choice rule must see."""
     model, rho, cfg = _case(name)
     want, want_rho = sector_step_descent(model, rho, cfg)
+    monkeypatch.setattr(descent, "BLOCK_MAX", block_max)
     calls = _count_sector_steps(monkeypatch)
     trace = _descend(model, rho, cfg)
     assert [(st.index, st.jump) for st in trace.steps] == [w[:2] for w in want]
@@ -260,16 +269,20 @@ def test_positivity_guard_raises_at_the_oracle_step(sector_step_descent, monkeyp
     assert runs["blocks"] == runs["oracle"]
 
 
-def test_finite_tau_lamb_runs_in_blocks(oracle_system, sector_step_descent, monkeypatch):
+@pytest.mark.parametrize("block_max", [SHORT_BLOCKS, descent.BLOCK_MAX])
+def test_finite_tau_lamb_runs_in_blocks(block_max, oracle_system, sector_step_descent,
+                                        monkeypatch):
     """The benchmark's finite-tau problem (generic 3-qubit chain, X and Z
     jumps, beta = 2, tau = 25, Lamb shift) from |000>: a near-pure state,
     which fails the Gershgorin screen at every step, descends at least 80%
-    of its steps in blocks, with the oracle's jumps and records."""
+    of its steps in blocks, with the oracle's jumps and records, at
+    ``BLOCK_MAX`` and at a shorter cap."""
     ham, jumps, spec = oracle_system("generic_n3")
     model = tl.build_model(ham, jumps, bath=spec)
     rho = tl.projector(tl.basis_state("000"))
     cfg = tl.DescentConfig(epsilon=5e-3, norm_bound=1.01)
     want, want_rho = sector_step_descent(model, rho, cfg)
+    monkeypatch.setattr(descent, "BLOCK_MAX", block_max)
     calls = _count_sector_steps(monkeypatch)
     trace = tl.thermal_gradient_descent(model, rho, cfg)
     assert len(want) == 24973 and trace.terminated_early
