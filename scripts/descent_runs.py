@@ -6,8 +6,9 @@ of steps along one jump), the run blocks tried, the share of steps evaluated
 in run blocks, the steps taken one at a time split into those of runs
 shorter than ``RUN_WARMUP`` (which never reach a block) and the rest (the
 warm-ups of longer runs and the steps at which their blocks stop), and the
-wall time of ``thermal_gradient_descent``.  The counts come from the one
-DEBUG line per run that ``thermal_landscape.descent`` logs.  Cases:
+wall time of ``thermal_gradient_descent`` in all and per step.  The
+counts come from the one DEBUG line per run that ``thermal_landscape.descent``
+logs.  Cases:
 
 - ``clock_cool``: the benchmark workload (T = 3 clock, beta = 30,
   epsilon = 1.5e-2, B = 2.43), to termination;
@@ -28,7 +29,19 @@ DEBUG line per run that ``thermal_landscape.descent`` logs.  Cases:
   of seed 0, scaled to ||H|| = 1, jumps X_j and Z_j, beta = 2, tau = 25,
   Lamb shift, from |000>, epsilon = 5e-3, B = 1.01), to termination.  Its
   start is not block-diagonal by energy group, so it descends in the one
-  group of all 8 levels.
+  group of all 8 levels;
+- ``ising6_off_sector``: Ising ring n = 6, h = 1, CSR X jumps, beta = 5,
+  lambda0 = 4, epsilon = 1e-2, B = max |lambda(H)|, from the maximally
+  mixed state, capped at 10,000 steps.  Its energy groups are degenerate
+  and no sector fits ``SECTOR_MAX_ENTRIES``, so it descends off-sector, on
+  the d^2 entries of the state in the eigenbasis;
+- ``generic_davies6_haar``: an open chain of n = 6 qubits with Gaussian
+  coefficients (seed 0) on X_j, Z_j, Z_j Z_{j+1} and X_j X_{j+1}, CSR X
+  jumps, a Davies bath at beta = 2, from a Haar-random pure state (a
+  normalized complex Gaussian vector drawn next from the same generator),
+  epsilon = 1e-2, B = max |lambda(H)|, capped at 2,000 steps.  Its
+  eigenbasis is no permutation, and the start lies outside every sector,
+  so it too descends off-sector.
 
 The Ising rings have X jumps on every site and a beta = 5, lambda0 = 4
 Davies bath, and start maximally mixed.  Run from the repository root with
@@ -109,6 +122,33 @@ def finite_tau_lamb():
                                                                         norm_bound=1.01)
 
 
+def ising6_off_sector():
+    n = 6
+    ham = tl.build_ising_chain(n, 1.0, periodic=True)
+    jumps = [(f"X{j}", tl.kron_embed_csr(tl.PAULI["X"], [j], n)) for j in range(n)]
+    model = tl.build_model(ham, jumps, bath=BathSpec(beta=5.0, tau=1.0, lambda0=4.0),
+                           davies=True)
+    b = float(np.max(np.abs(model.sd.eigenvalues)))
+    return model, tl.maximally_mixed(n), tl.DescentConfig(epsilon=1e-2, norm_bound=b,
+                                                          max_steps=10_000)
+
+
+def generic_davies6_haar():
+    n = 6
+    rng = np.random.default_rng(0)
+    local = [(tl.PAULI[p], (j,)) for j in range(n) for p in "XZ"]
+    local += [(np.kron(tl.PAULI[p], tl.PAULI[p]), (j, j + 1)) for j in range(n - 1) for p in "ZX"]
+    coeffs = rng.normal(size=len(local))
+    ham = tl.assemble([(c * op, sites) for c, (op, sites) in zip(coeffs, local)], n)
+    jumps = [(f"X{j}", tl.kron_embed_csr(tl.PAULI["X"], [j], n)) for j in range(n)]
+    model = tl.build_model(ham, jumps, bath=BathSpec(beta=2.0, tau=1.0), davies=True)
+    psi = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+    psi /= np.linalg.norm(psi)
+    b = float(np.max(np.abs(model.sd.eigenvalues)))
+    return model, np.outer(psi, psi.conj()), tl.DescentConfig(epsilon=1e-2, norm_bound=b,
+                                                              max_steps=2_000)
+
+
 CASES = {
     "clock_cool": clock_cool,
     "clock_pure": clock_pure,
@@ -118,6 +158,8 @@ CASES = {
     "ising4_eps0.1": lambda: ising(4, 1.0, 0.1),
     "ising5_eps0.1": lambda: ising(5, 1.0, 0.1),
     "finite_tau_lamb": finite_tau_lamb,
+    "ising6_off_sector": ising6_off_sector,
+    "generic_davies6_haar": generic_davies6_haar,
 }
 
 
@@ -181,7 +223,8 @@ def _report(log, name, model, rho, cfg):
           f"{h.blocked / max(h.steps, 1):.1%} in blocks, {h.sweeps} Picard sweeps; "
           f"one at a time {h.short_steps} in {h.short_runs} runs shorter than "
           f"{RUN_WARMUP} ({h.single} of one step), "
-          f"{h.steps - h.blocked - h.short_steps} in longer runs; {wall:.2f} s")
+          f"{h.steps - h.blocked - h.short_steps} in longer runs; {wall:.2f} s, "
+          f"{1e6 * wall / max(h.steps, 1):.1f} us per step")
 
 
 if __name__ == "__main__":

@@ -6,11 +6,11 @@ with step s = |g| / (9 B^2), repeat until no direction triggers, then
 certify the terminal state.  Defaults reproduce the step budget
 T = 42 B^3 / eps^2 and the trigger/estimation constants.
 
-States are real Hermitian coordinates in the eigenbasis
-(:class:`ZeroFrequencySector`): the omega = 0 sector for a Davies model
-started block-diagonal by energy group, one group of all d levels for any
-other start.  There a run of steps along one jump is evaluated in blocks
-once it has taken ``RUN_WARMUP`` steps (:class:`_RunBlocks`).
+States live in the eigenbasis V of H: as real Hermitian coordinates
+(:class:`ZeroFrequencySector`) by energy group or over all d levels, else
+as vec(V^dag rho V).  In a sector a run of steps along one jump is
+evaluated in blocks once it has taken ``RUN_WARMUP`` steps
+(:class:`_RunBlocks`).
 """
 
 import logging
@@ -22,7 +22,7 @@ import numpy as np
 
 from . import operators as ops
 from .errors import MaxStepsExceeded, TriggerNotMet
-from .gradient import CertificateResult, certify_local_min, gradient_operator, gradient_scan
+from .gradient import CertificateResult, certify_local_min, eigenbasis_scan
 from .lindblad import (
     DEFECT_TOL,
     FLOOR,
@@ -31,6 +31,8 @@ from .lindblad import (
     TAYLOR_STOP,
     TAYLOR_TOL,
     LindbladModel,
+    _eig_step,
+    _time_guard,
     evolve,
     weight_vector,
     zero_frequency_sector,
@@ -51,26 +53,29 @@ class DescentConfig:
     """Descent parameters; defaults follow the algorithm's constants.
 
     ``record_stride`` thins the recorded trace to step 1, every k-th step
-    and the final step; the walk itself is unaffected.  ``epsilon``,
-    ``norm_bound``, ``grad_tol`` and ``trigger`` must be finite,
-    ``max_steps`` and ``record_stride`` ints (not bools), and without
-    ``max_steps`` the budget 42 B^3 / epsilon^2 must be finite; a
-    ``ValueError`` names the field otherwise.
+    and the final step; the walk itself is unaffected.  ``epsilon`` and
+    ``norm_bound`` must be finite, ``max_steps`` and ``record_stride`` ints
+    (not bools), and without ``max_steps`` the budget 42 B^3 / epsilon^2
+    must be finite; a ``ValueError`` names the field otherwise.  The
+    trigger and the noise scale ``grad_tol`` follow epsilon.
+    ``dataclasses.replace`` keeps a resolved ``max_steps``: a copy with a
+    new epsilon or B keeps the old budget unless it is given anew.
     """
 
     epsilon: float
     norm_bound: float  # B >= ||H||
     max_steps: int | None = None
-    grad_tol: float | None = None  # scale of optional injected gradient noise
-    trigger: float | None = None
     noise: bool = False
     seed: int = 0
     record_stride: int = 1
 
+    trigger = property(lambda self: -0.99 * self.epsilon)  # a jump triggers below it
+    grad_tol = property(lambda self: 0.0099 * self.epsilon)  # scale of optional gradient noise
+
     def __post_init__(self):
-        for name in ("epsilon", "norm_bound", "grad_tol", "trigger"):
+        for name in ("epsilon", "norm_bound"):
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
+            if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
         integers = {"record_stride": self.record_stride}
         if self.max_steps is not None:
@@ -95,10 +100,6 @@ class DescentConfig:
             object.__setattr__(self, "max_steps", int(math.ceil(budget)))
         if self.max_steps < 1:
             raise ValueError("max_steps must be at least 1")
-        if self.grad_tol is None:
-            object.__setattr__(self, "grad_tol", 0.0099 * self.epsilon)
-        if self.trigger is None:
-            object.__setattr__(self, "trigger", -0.99 * self.epsilon)
 
 
 @dataclass(frozen=True)
@@ -135,37 +136,36 @@ def cool_step(model: LindbladModel, rho, a_star, g, cfg: DescentConfig):
 
 
 class _FullSpace:
-    """States as row-major vec(rho), for models without a sector (d > 32,
-    or a real-form failure): :func:`evolve` each step, the gradients and
-    energy read through the model's gradient scan."""
+    """States as the row-major vec(V^dag rho V), for models without a sector
+    (d > 32, or a real-form failure): each step is one guarded eigenbasis
+    step (:func:`lindblad._eig_step`), with no transform out of V or back."""
 
     def __init__(self, model: LindbladModel):
         self._model = model
-        self.read = gradient_scan(model).read
 
     def evolve(self, x, index, s):
+        _time_guard(s, 1.0)  # s > 0 here, below the negative trigger
         model = self._model
-        d = model.dim
-        unit = weight_vector(model, label=model.jumps[index].label)
-        return evolve(model, unit, x.reshape(d, d), s).reshape(-1)
+        return _eig_step(model, weight_vector(model, label=model.jumps[index].label), x, s)
 
     def density(self, x):
         d = self._model.dim
-        return x.reshape(d, d)
+        rho = self._model.sd.from_eig(x.reshape(d, d))
+        return 0.5 * (rho + rho.conj().T)
 
 
 def _state_space(model: LindbladModel, rho, cfg: DescentConfig):
     """The representation of ``rho`` under ``model``: the space, the
     coordinates x, the read of x's gradients along every jump followed by
-    its energy, and the run blocks (None with noise, or on vec(rho))."""
+    its energy from the model's eigenbasis scan, and the run blocks (None
+    with noise, or on vec(V^dag rho V))."""
     sector = zero_frequency_sector(model, rho)
+    scan = eigenbasis_scan(model)
     if sector is None:
-        space = _FullSpace(model)
-        return space, rho.reshape(-1).copy(), space.read, None
-    scan = np.array([sector.row(gradient_operator(model, label)) for label in model.jump_labels]
-                    + [sector.row(model.ham.dense)])
-    blocks = None if cfg.noise else _RunBlocks(sector, scan, cfg)
-    return sector, sector.coords(rho), scan.dot, blocks
+        return _FullSpace(model), model.sd.to_eig(rho).reshape(-1), scan.read, None
+    rows = sector.scan_rows(scan)
+    blocks = None if cfg.noise else _RunBlocks(sector, rows, cfg)
+    return sector, sector.coords(rho), rows.dot, blocks
 
 
 @dataclass
@@ -467,21 +467,19 @@ def thermal_gradient_descent(model: LindbladModel, rho0, cfg: DescentConfig) -> 
     state) is evolved in that sector; any other start, on any model, in the
     one group of all d levels, from the start's Hermitian part
     (:func:`zero_frequency_sector`).  Without a sector (d > 32 for one
-    group) the state is vec(rho).  Each step reads every gradient and the
-    energy from one fused matvec.  In a sector and without noise, a run that
-    has taken ``RUN_WARMUP`` steps along one jump goes on in blocks of as
-    many steps as it has taken, at most ``BLOCK_MAX`` (:class:`_RunBlocks`),
-    whatever the state's rank: a block checks the positivity floor of all
-    its states at once.  The cap was read off the measured descent time for
-    caps of 128 to 1024: longer blocks pay a block's fixed cost less often,
-    but need more Picard sweeps, and a run's last block evaluates further
-    past the run's end.  The step at which a block stops is taken one at a
-    time; after a block that keeps no step, ``RUN_WARMUP`` steps are,
-    doubling with each such block in a row up to the run's length so far.
-    A block's size never depends on ``cfg.max_steps`` or
-    ``cfg.record_stride``, so a cap only cuts what is committed.  Each run's
-    steps, block steps, blocks and Picard sweeps are logged at DEBUG level
-    when the run ends.
+    group) the state is vec(V^dag rho V), in the eigenbasis V of H like the
+    sector's coordinates, and leaves V only at the end.  Each step reads
+    every gradient and the energy from one fused matvec.  In a sector and
+    without noise, a run that has taken ``RUN_WARMUP`` steps along one jump
+    goes on in blocks of as many steps as it has taken, at most
+    ``BLOCK_MAX`` (:class:`_RunBlocks`), whatever the state's rank: a block
+    checks the positivity floor of all its states at once.  The step at
+    which a block stops is taken one at a time; after a block that keeps no
+    step, ``RUN_WARMUP`` steps are, doubling with each such block in a row
+    up to the run's length so far.  A block's size never depends on
+    ``cfg.max_steps`` or ``cfg.record_stride``, so a cap only cuts what is
+    committed.  Each run's steps, block steps, blocks and Picard sweeps are
+    logged at DEBUG level when the run ends.
 
     The trace keeps step 1 (whose ``e_before`` is the starting energy),
     every ``cfg.record_stride``-th step, and the final step.

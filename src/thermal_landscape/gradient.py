@@ -47,19 +47,14 @@ class CertificateResult:
 
 
 def gradient_operator(model: LindbladModel, label):
-    """Hermitian gradient operator L^dag_a[H] (cached on the model).
-
-    It is gathered in the eigenbasis (:meth:`LindbladModel._gradient_eig`),
-    rotated once by V and Hermitized last, so it is exactly Hermitian; it
-    equals :func:`lindblad.lindblad_adjoint` of H, the adjoint of a general
-    observable.
-    """
-    if label not in model._gradient_ops:
-        op = model.sd.from_eig(model._gradient_eig(label))
-        op += op.conj().T
-        op *= 0.5
-        model._gradient_ops[label] = op
-    return model._gradient_ops[label]
+    """Hermitian gradient operator L^dag_a[H], a new array on each read: the
+    model's cached eigenbasis entries (:meth:`LindbladModel._gradient_entries`)
+    rotated out by V and Hermitized last, so it is exactly Hermitian.  It
+    equals :func:`lindblad.lindblad_adjoint` of H, a general observable's adjoint."""
+    op = model.sd.from_eig(ops.from_entries(model._gradient_entries(label), model.dim))
+    op += op.conj().T
+    op *= 0.5
+    return op
 
 
 def _transposed_parts(op):
@@ -89,33 +84,26 @@ def _indexed_layout(g, p):
 
 
 class GradientScan:
-    """Re Tr(X rho) for the gradient operators X = L^dag_a[H] of a model, in
-    jump order, then for X = H, as one real matvec.
+    """Re Tr(X rho) for d x d operators X, as one real matvec.
 
     Re Tr(X rho) = sum_ij Re(X_ij rho_ji) is the dot product of conj(X^T)
     and rho, both row-major and viewed as float64, for any complex rho.
-    ``rows`` keeps ``support``, the union of the rows' nonzero columns: d of
-    the 2 d^2 for the diagonal operators of the Ising chain under X jumps,
-    where a basis-state certificate is one column.  Each row is read from
-    the entries of its cached operator or, with a permutation eigenbasis,
-    where no operator is formed, found by index from those of its eigenbasis
-    form.  Obtain one with :func:`gradient_scan`.
+    Each of ``layouts`` is one X as those float positions and values
+    (:func:`_transposed_parts`).  ``rows`` keeps ``support``, the union of
+    the rows' nonzero columns: d of the 2 d^2 for the diagonal operators of
+    the Ising chain under X jumps, where a basis-state certificate is one
+    column.  Obtain a model's with :func:`gradient_scan`, or with
+    :func:`eigenbasis_scan` in its eigenbasis.
     """
 
-    def __init__(self, model: LindbladModel):
-        self.dim = d = model.dim
-        labels, p = model.jump_labels, model.sd.permutation
-        if p is None:
-            entries = [_transposed_parts(gradient_operator(model, label)) for label in labels]
-        else:
-            entries = [_indexed_layout(model._gradient_entries(label), p) for label in labels]
-        entries.append(_transposed_parts(model.ham.dense))
+    def __init__(self, layouts, dim):
+        self.dim = d = dim
         nonzero = np.zeros(2 * d * d, dtype=bool)
-        for pos, vals in entries:
+        for pos, vals in layouts:
             nonzero[pos[vals != 0]] = True
         self.support = np.flatnonzero(nonzero)
-        self.rows = np.tile(np.where(self.support % 2, -0.0, 0.0), (len(entries), 1))
-        for row, (pos, vals) in zip(self.rows, entries):
+        self.rows = np.tile(np.where(self.support % 2, -0.0, 0.0), (len(layouts), 1))
+        for row, (pos, vals) in zip(self.rows, layouts):
             hit = nonzero[pos]
             row[np.searchsorted(self.support, pos[hit])] = vals[hit]
 
@@ -142,10 +130,27 @@ class GradientScan:
 
 
 def gradient_scan(model: LindbladModel) -> GradientScan:
-    """The model's :class:`GradientScan`, built on first use and cached."""
+    """The model's :class:`GradientScan` of X = L^dag_a[H] in jump order,
+    then X = H, built on first use and cached: each row read from the bits
+    of its operator or, with a permutation eigenbasis, found by index from
+    its eigenbasis entries, with no operator formed."""
     if model._scan is None:
-        model._scan = GradientScan(model)
+        p = model.sd.permutation
+        layouts = [_transposed_parts(gradient_operator(model, label)) if p is None
+                   else _indexed_layout(model._gradient_entries(label), p)
+                   for label in model.jump_labels]
+        model._scan = GradientScan(layouts + [_transposed_parts(model.ham.dense)], model.dim)
     return model._scan
+
+
+def eigenbasis_scan(model: LindbladModel) -> GradientScan:
+    """The rows of :func:`gradient_scan` in the eigenbasis V, which read
+    vec(V^dag rho V): gradient rows found by index from the Hermitized
+    eigenbasis entries, the energy row the eigenvalues on the diagonal, with
+    no d x d array.  Built on each call."""
+    d, same = model.dim, np.arange(model.dim)
+    layouts = [_indexed_layout(model._gradient_entries(label), same) for label in model.jump_labels]
+    return GradientScan(layouts + [(2 * (d + 1) * same, model.sd.eigenvalues)], d)
 
 
 def gradient_vector(model: LindbladModel, rho, labels=None) -> GradientReport:

@@ -6,17 +6,18 @@ weights C(nu', nu); the operator structure is exact and only the kernel
 values carry quadrature error.  The Davies (tau -> infinity) limit keeps
 the diagonal weights gamma(nu) only.
 
-Everything is gathered in the eigenbasis V of H: from the nonzero entries
-of A~ = V^dag A V, masked to the jump's kept Bohr blocks as set-up stores
-them, their Bohr indices F and the kernel table indexed by F, one
-expression per operator covers every pair of Bohr blocks at once.  A
-Davies model takes diag(gamma(nu)) as its table, so both share that code.  Each jump has one
-sparse eigenbasis dissipator D~_a (:meth:`LindbladModel._dissipator_eig`), read by one
-apply (:func:`_eig_apply`) with the commutator of M~ = -i sum_a w_a H~_LS,a - i Lambda,
-and by the sector generators' column gather.  Descent runs in real Hermitian
-coordinates in the eigenbasis (:class:`ZeroFrequencySector`): by energy
-group for a Davies model started block-diagonal, else as one group of all
-d levels.
+The eigenbasis V of H is a model's one frame.  From the nonzero entries
+of A~ = V^dag A V, masked to the jump's kept Bohr blocks, their Bohr
+indices F and the kernel table indexed by F (diag(gamma(nu)) for a Davies
+model), one expression per operator covers every pair of Bohr blocks.  Each
+jump's sparse dissipator D~_a, Lamb shift H~_LS,a and gradient entries are
+cached there.  One apply (:func:`_eig_apply`) reads D~_a with the
+commutator of M~ = -i sum_a w_a H~_LS,a - i Lambda, and one guarded step
+(:func:`_eig_step`) evolves a state there.  The computational basis is
+reached only at the public boundary: :func:`evolve`'s input and output,
+:func:`lamb_shift_operator` and the gradient operators.  Descent runs in
+V, in real Hermitian coordinates (:class:`ZeroFrequencySector`) by energy
+group or as one group of all d levels, or else on vec(V^dag rho V).
 """
 
 import logging
@@ -93,9 +94,8 @@ class LindbladModel:
     include_lamb_shift: bool
     include_coherent: bool
     _dissipators: dict = field(default_factory=dict, repr=False)
-    _lamb_ops: dict = field(default_factory=dict, repr=False)
     _lamb_eigs: dict = field(default_factory=dict, repr=False)
-    _gradient_ops: dict = field(default_factory=dict, repr=False)
+    _gradient_eigs: dict = field(default_factory=dict, repr=False)
     _sectors: dict = field(default_factory=dict, repr=False)
     _scan: object = field(default=None, repr=False)
 
@@ -163,14 +163,34 @@ class LindbladModel:
         return _gather(*_adjoint(a, f), a, f, self._pair_weight, self.dim)
 
     def _lamb_eig(self, label):
-        """V^dag H_LS,a V: the Lamb shift of jump ``label`` in the eigenbasis,
-        cached per jump."""
+        """H~_LS,a = V^dag H_LS,a V: the Lamb shift of jump ``label`` in the
+        eigenbasis, Hermitized after a defect check and cached per jump.
+
+        With A~ the masked V^dag A V whose entries set-up stores, F the
+        Bohr-index map and K' the Lamb kernel without its entries of modulus
+        <= ``PAIR_DROP``,
+
+            H~[a, b] = sum_i A~[a, i] A~[i, b] K'[F[a, i], F[i, b]].
+
+        The spectral norm is unitarily invariant, so the Hermiticity defect
+        of H~ is that of H_LS,a, checked against 1e-6 ||A^dag A||.
+        """
         if label not in self._lamb_eigs:
-            self._lamb_eigs[label] = self.sd.to_eig(lamb_shift_operator(self, label))
+            jump = self.jump(label)
+            a, f = jump.blocks.entries, jump.blocks.entry_bohr
+            raw = ops.from_entries(_gather(a, f, a, f, self._lamb_weight, self.dim), self.dim)
+            defect = ops.hermiticity_defect(raw)
+            bound = 1e-6 * max(jump.aa_norm, 1e-300)
+            if defect > bound:
+                raise LambHermiticityDefect(f"Lamb shift of jump {label!r} has Hermiticity "
+                                            f"defect {defect:.3e} > {bound:.3e}")
+            self._lamb_eigs[label] = 0.5 * (raw + raw.conj().T)
         return self._lamb_eigs[label]
 
-    def _gradient_eig(self, label):
-        """L^dag_a[H] in the eigenbasis, before Hermitization.
+    def _gradient_entries(self, label):
+        """L^dag_a[H] in the eigenbasis, before Hermitization, as its nonzero
+        entries (rows, cols, values), row-major; cached per jump, the model's
+        one store of gradients.
 
         With lambda the eigenvalues of H (not the group energies), A~ the
         masked V^dag A V (``BohrBlocks.eig``), F the Bohr-index map and C'
@@ -181,25 +201,23 @@ class LindbladModel:
                        + i H~_LS[a, b] (lambda_b - lambda_a),
 
         which is sum C(nu', nu) A_nu'^dag H A_nu - {G, H}/2 + i [H_LS, H]
-        there, G~ being the same sum without the lambda factor.  It is
-        :meth:`_gradient_entries` densified.
+        there, G~ being the same sum without the lambda factor.  No d x d
+        array is formed unless the Lamb shift adds its dense term.
         """
-        return ops.from_entries(self._gradient_entries(label), self.dim)
-
-    def _gradient_entries(self, label):
-        """The nonzero entries (rows, cols, values), row-major, of
-        :meth:`_gradient_eig`, gathered from the jump's entries with no d x d
-        array formed, unless the Lamb shift adds its dense term."""
-        blocks = self.jump(label).blocks
-        a, f = blocks.entries, blocks.entry_bohr
-        lam = self.sd.eigenvalues
-        rows, cols, vals = _gather(*_adjoint(a, f), a, f, self._pair_weight, self.dim, lam)
-        if self.include_lamb_shift:
-            out = ops.from_entries((rows, cols, vals), self.dim)
-            out += 1j * (lam - lam[:, None]) * self._lamb_eig(label)
-            return ops.entries(out)
-        hit = vals != 0
-        return rows[hit], cols[hit], vals[hit]
+        if label not in self._gradient_eigs:
+            blocks = self.jump(label).blocks
+            a, f = blocks.entries, blocks.entry_bohr
+            lam = self.sd.eigenvalues
+            rows, cols, vals = _gather(*_adjoint(a, f), a, f, self._pair_weight, self.dim, lam)
+            if self.include_lamb_shift:
+                out = ops.from_entries((rows, cols, vals), self.dim)
+                out += 1j * (lam - lam[:, None]) * self._lamb_eig(label)
+                entries = ops.entries(out)
+            else:
+                hit = vals != 0
+                entries = rows[hit], cols[hit], vals[hit]
+            self._gradient_eigs[label] = entries
+        return self._gradient_eigs[label]
 
     def _dissipator_eig(self, label):
         """D~_a: the dissipator of jump ``label`` in the eigenbasis, CSR over
@@ -520,34 +538,13 @@ def dissipative_adjoint(model: LindbladModel, label, obs):
 
 
 def lamb_shift_operator(model: LindbladModel, label):
-    """H_LS,a = sum K(nu2, nu1) A_nu2 A_nu1, Hermitized after a defect check.
-
-    It is gathered in the eigenbasis: with A~ the masked V^dag A V whose
-    entries set-up stores, F the Bohr-index map and K' the Lamb
-    kernel without its entries of modulus <= ``PAIR_DROP``,
-
-        H~[a, b] = sum_i A~[a, i] A~[i, b] K'[F[a, i], F[i, b]],
-
-    and H_LS,a = V H~ V^dag.  The spectral norm is unitarily invariant, so
-    the Hermiticity defect is checked on H~, against the same bound
-    1e-6 ||A^dag A||.
-    """
+    """H_LS,a = sum K(nu2, nu1) A_nu2 A_nu1: V H~_LS,a V^dag of the cached
+    eigenbasis form (:meth:`LindbladModel._lamb_eig`), rotated out on each
+    read and Hermitized exactly."""
     if not model.include_lamb_shift:
         raise ValueError("model was built with include_lamb_shift=False")
-    if label not in model._lamb_ops:
-        jump = model.jump(label)
-        a, f = jump.blocks.entries, jump.blocks.entry_bohr
-        raw = ops.from_entries(_gather(a, f, a, f, model._lamb_weight, model.dim), model.dim)
-        defect = ops.hermiticity_defect(raw)
-        bound = 1e-6 * max(jump.aa_norm, 1e-300)
-        if defect > bound:
-            raise LambHermiticityDefect(
-                f"Lamb shift of jump {label!r} has Hermiticity defect "
-                f"{defect:.3e} > {bound:.3e}"
-            )
-        h_ls = model.sd.from_eig(raw)
-        model._lamb_ops[label] = 0.5 * (h_ls + h_ls.conj().T)
-    return model._lamb_ops[label]
+    h_ls = model.sd.from_eig(model._lamb_eig(label))
+    return 0.5 * (h_ls + h_ls.conj().T)
 
 
 def lindblad_adjoint(model: LindbladModel, label, obs):
@@ -575,7 +572,7 @@ def _generator_norm_bound(model: LindbladModel, w, include_coherent):
 
 
 def _time_guard(s, w_norm):
-    """Both evolve paths' guards s >= 0 and s ``w_norm`` <= ``MAX_TIME`` (plus 1e-12
+    """The evolve paths' guards s >= 0 and s ``w_norm`` <= ``MAX_TIME`` (plus 1e-12
     for the rounding of ||w||_1).  True when s = 0, where the state is returned as a copy."""
     if s < 0:
         raise NegativeTime(f"evolution time must be nonnegative, got {s}")
@@ -588,11 +585,8 @@ def evolve(model: LindbladModel, w, rho, s):
     """rho(s) = exp(s sum_a w_a L_a)[rho] by substepped truncated Taylor,
     -i[H, .] in L_a on a coherent model.
 
-    Substeps keep ||h L||_{1-1} <= 1 per step.  They run on vec(V^dag rho V)
-    under :func:`_eig_apply`, and the result leaves the eigenbasis before
-    :func:`_finish_vec`: it is re-Hermitized and trace-renormalized; a
-    Hermiticity/trace defect above ``DEFECT_TOL`` raises :class:`EvolutionDefect`
-    and a minimum eigenvalue below ``FLOOR`` :class:`PositivityDefect`.
+    One guarded :func:`_eig_step` on vec(V^dag rho V) between one transform
+    into the eigenbasis and one out, after which the result is Hermitized.
 
     The time guard is s ||w||_1 <= ``MAX_TIME``.  On a coherent model
     -i[H, .] enters with weight one whatever w is, so there ||w||_1 is read
@@ -606,38 +600,34 @@ def evolve(model: LindbladModel, w, rho, s):
         return rho.copy()
 
     d, sd = model.dim, model.sd
+    x = _eig_step(model, w, sd.to_eig(rho).reshape(-1), s)
+    out = sd.from_eig(x.reshape(d, d))
+    return 0.5 * (out + out.conj().T)
+
+
+def _eig_step(model: LindbladModel, w, x, s):
+    """exp(s sum_a w_a L~_a) on the row-major vec ``x`` of an eigenbasis
+    state X~, by substeps of ||h L||_{1-1} <= 1 under :func:`_eig_apply`.
+
+    A Hermiticity defect (Frobenius norm of X~ - X~^dag, which bounds the
+    spectral one) or trace defect above ``DEFECT_TOL`` raises
+    :class:`EvolutionDefect`; X~ is then Hermitized, trace-renormalized and
+    checked against the positivity ``FLOOR``.  A unitary leaves each
+    checked quantity unchanged.  Time guards are the caller's.
+    """
+    d = model.dim
     bound = _generator_norm_bound(model, w, model.include_coherent)
     nsub = max(1, int(math.ceil(s * bound)))
     apply = partial(_eig_apply, _eig_terms(model, w, True, model.include_coherent),
                     adjoint=False)
-    x = _taylor_substeps(apply, sd.to_eig(rho).reshape(-1), s / nsub, nsub, bound, d)
-    return _finish_vec(sd.from_eig(x.reshape(d, d)).reshape(-1), d).reshape(d, d)
-
-
-def _finish_vec(x, d):
-    """Guard, Hermitize and trace-renormalize an evolved row-major vec(rho).
-
-    A Hermiticity defect (Frobenius norm of rho - rho^dag, which bounds the
-    spectral one) or trace defect above ``DEFECT_TOL`` raises
-    :class:`EvolutionDefect`; the result is then checked against the
-    positivity ``FLOOR``.
-    """
-    transpose, identity = _vec_layout(d)
-    adj = x[transpose].conj()  # vec(rho^dag)
-    skew = x - adj
-    trace = identity.dot(x)
-    _check_defect(math.sqrt(np.vdot(skew, skew).real), abs(trace - 1.0))
+    x = _taylor_substeps(apply, x, s / nsub, nsub, bound, d).reshape(d, d)
+    adj = x.conj().T
+    trace = np.trace(x)
+    _check_defect(float(np.linalg.norm(x - adj)), abs(trace - 1.0))
     # Hermitizing keeps the real part of the diagonal, hence of the trace
     out = (0.5 / trace.real) * (x + adj)
-    _check_floor(out.reshape(1, d, d))
-    return out
-
-
-@lru_cache(maxsize=None)
-def _vec_layout(d):
-    """The positions of vec(rho^T) in a row-major vec(rho), and vec(I)."""
-    return (np.arange(d * d).reshape(d, d).T.ravel(),
-            np.eye(d, dtype=complex).reshape(-1))
+    _check_floor(out[None])
+    return out.reshape(-1)
 
 
 def _taylor_substeps(apply, state, h, nsub, bound, d):
@@ -881,10 +871,15 @@ class ZeroFrequencySector:
         rho = self._sd.from_eig(t)
         return 0.5 * (rho + rho.conj().T)
 
-    def row(self, op):
-        """Row vector r with r @ x = Re Tr(op rho) for states in the sector."""
-        c = self._sd.to_eig(np.asarray(op, dtype=complex))[self._cols, self._rows]
-        return self._right_q(c).real
+    def scan_rows(self, scan):
+        """The rows r with r @ x = ``scan.read`` (vec(V^dag rho V)) for states
+        in the sector, ``scan`` an eigenbasis :class:`gradient.GradientScan`:
+        its row of conj(X~^T), viewed as complex, at entry (i, j) reads
+        Re(X~[j, i] c), with c = Q x."""
+        layout = np.zeros((len(scan.rows), 2 * self.dim**2))
+        layout[:, scan.support] = scan.rows
+        at = self._rows * self.dim + self._cols
+        return self._right_q(layout.view(complex)[:, at].conj()).real
 
     def evolve(self, x, index, s):
         """Sector form of ``evolve(model, w, rho, s)`` with w the unit vector

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import thermal_landscape as tl
-from thermal_landscape import bath, hamiltonian, lindblad
+from thermal_landscape import bath, gradient, hamiltonian, lindblad
 from thermal_landscape import operators as ops
 from thermal_landscape.bath import BathSpec
 from thermal_landscape.lindblad import PAIR_DROP
@@ -458,7 +458,7 @@ def _sector_step_descent(model, rho, cfg, records=None):
     """The omega = 0 sector descent one step at a time, as it ran before run
     blocks: the first jump, in declared order, whose gradient lies below the
     trigger, then ``ZeroFrequencySector.evolve`` with s = |g| / (9 B^2), then
-    one matvec of the gradient and energy rows.  Appends every step as
+    one matvec of the sector's rows of the model's eigenbasis scan.  Appends every step as
     (index, label, g, s, e_before, e_after) to ``records`` (so that a caller
     keeps the steps before a raising one) and returns them with the terminal
     density; stops when no jump triggers or after ``cfg.max_steps`` steps.
@@ -466,8 +466,7 @@ def _sector_step_descent(model, rho, cfg, records=None):
     sector = lindblad.zero_frequency_sector(model, rho)
     x = sector.coords(rho)
     labels = model.jump_labels
-    scan = np.array([sector.row(tl.gradient_operator(model, label)) for label in labels]
-                    + [sector.row(model.ham.dense)])
+    scan = sector.scan_rows(gradient.eigenbasis_scan(model))
     records = [] if records is None else records
     m = len(labels)
     values = scan.dot(x).tolist()

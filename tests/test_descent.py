@@ -38,6 +38,17 @@ def test_config_defaults_match_constants():
     assert cfg.trigger == pytest.approx(-0.99 * 0.01)
 
 
+def test_replace_derives_the_trigger_from_the_new_epsilon():
+    """The trigger and noise scale follow epsilon through ``replace``; the
+    resolved step budget is kept."""
+    cfg = dataclasses.replace(tl.DescentConfig(epsilon=1e-2, norm_bound=1.0), epsilon=1e-3)
+    assert cfg.trigger == -0.99 * 1e-3 and cfg.grad_tol == 0.0099 * 1e-3
+    assert cfg.max_steps == 420_000
+    assert tl.DescentConfig(epsilon=1e-3, norm_bound=1.0).max_steps == 42_000_000
+    assert [f.name for f in dataclasses.fields(cfg)] == [
+        "epsilon", "norm_bound", "max_steps", "noise", "seed", "record_stride"]
+
+
 def test_qubit_descent_reaches_ground():
     model = qubit_model()
     cfg = tl.DescentConfig(epsilon=1e-3, norm_bound=1.0)
@@ -318,19 +329,19 @@ def test_sector_evolve_keeps_the_guards():
         sector.evolve(sector.coords(state([[0.6, 0.0], [0.0, 0.5]])), 0, 1e-6)
 
 
+# each case keeps a fixed id, so that its name survives cases added or removed
 @pytest.mark.parametrize("fields, name", [
-    ({"epsilon": float("nan")}, "epsilon"),
-    ({"norm_bound": float("nan")}, "norm_bound"),
-    ({"norm_bound": float("inf")}, "norm_bound"),
-    ({"grad_tol": float("inf")}, "grad_tol"),
-    ({"trigger": float("-inf")}, "trigger"),
-    ({"norm_bound": 1e200}, "max_steps"),  # the budget 42 B^3 / eps^2 overflows
-    ({"epsilon": 1e-200}, "max_steps"),
-    ({"max_steps": True}, "max_steps"),
-    ({"max_steps": 10.0}, "max_steps"),
-    ({"record_stride": 2.5}, "record_stride"),
-    ({"record_stride": False}, "record_stride"),
-    ({"record_stride": None}, "record_stride"),
+    pytest.param({"epsilon": float("nan")}, "epsilon", id="fields0-epsilon"),
+    pytest.param({"norm_bound": float("nan")}, "norm_bound", id="fields1-norm_bound"),
+    pytest.param({"norm_bound": float("inf")}, "norm_bound", id="fields2-norm_bound"),
+    # the budget 42 B^3 / eps^2 overflows
+    pytest.param({"norm_bound": 1e200}, "max_steps", id="fields5-max_steps"),
+    pytest.param({"epsilon": 1e-200}, "max_steps", id="fields6-max_steps"),
+    pytest.param({"max_steps": True}, "max_steps", id="fields7-max_steps"),
+    pytest.param({"max_steps": 10.0}, "max_steps", id="fields8-max_steps"),
+    pytest.param({"record_stride": 2.5}, "record_stride", id="fields9-record_stride"),
+    pytest.param({"record_stride": False}, "record_stride", id="fields10-record_stride"),
+    pytest.param({"record_stride": None}, "record_stride", id="fields11-record_stride"),
 ])
 def test_config_rejects_non_finite_and_non_int_fields(fields, name):
     with pytest.raises(ValueError, match=name):

@@ -7,7 +7,8 @@ import pytest
 import thermal_landscape as tl
 from thermal_landscape.bath import BathSpec
 from thermal_landscape.errors import DimensionMismatch
-from thermal_landscape.gradient import gradient_scan
+from thermal_landscape.gradient import eigenbasis_scan, gradient_scan
+from thermal_landscape.lindblad import zero_frequency_sector
 
 
 def _cluster_system():
@@ -86,6 +87,35 @@ def test_gradient_scan_matches_traces(name, davies, oracle_system):
         assert np.max(np.abs(part.g - want[index])) <= 1e-12 * scale
         energy = np.trace(model.ham.dense @ rho).real
         assert abs(model.energy(rho) - energy) <= 1e-12 * max(abs(energy), 1.0)
+
+
+@pytest.mark.parametrize("name, davies", [("generic_n3", False), ("ising_n4_h0", True),
+                                         ("cluster", True)])
+def test_eigenbasis_scan_and_sector_rows_match_the_scan(name, davies, oracle_system):
+    """The eigenbasis scan, which descent reads, on vec(V^dag rho V), and a
+    sector's rows of it on the sector's coordinates, against the scan of
+    the gradient operators and H on rho: a dense V with the Lamb shift, a
+    permutation V with energy groups, and a degenerate group in a dense V."""
+    model = _model(name, davies, oracle_system)
+    scan, eig_scan = gradient_scan(model), eigenbasis_scan(model)
+    d = model.dim
+    sectors = [zero_frequency_sector(model, np.full((d, d), 1.0 / d, dtype=complex))]
+    if davies:
+        sectors.append(zero_frequency_sector(model))
+    assert all(sector is not None for sector in sectors)
+    rng = np.random.default_rng(4)
+    for rho in _states(rng, d):
+        want = scan(rho)
+        scale = max(np.max(np.abs(want)), 1.0)
+        got = eig_scan.read(model.sd.to_eig(rho).reshape(-1))
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale
+    for sector in sectors:
+        rows = sector.scan_rows(eig_scan)
+        for _ in range(3):
+            rho = sector.density(rng.standard_normal(sector.size))
+            want = scan(rho)
+            got = rows @ sector.coords(rho)
+            assert np.max(np.abs(got - want)) <= 1e-13 * max(np.max(np.abs(want)), 1.0)
 
 
 def test_gradient_scan_support_of_a_diagonal_model(oracle_system):

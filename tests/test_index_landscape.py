@@ -159,26 +159,29 @@ def test_scan_rows_match_the_dense_operator_build(name, oracle_system, dense_ora
     make = dict(_scan_models(oracle_system))[name]
     model = make()
     scan = gradient_scan(model)
-    # a permutation eigenbasis keeps no operator; other models cache them, as before
-    assert (model._gradient_ops == {}) == (model.sd.permutation is not None)
+    # the model caches every jump's gradient as eigenbasis entries, and no operator
+    assert set(model._gradient_eigs) == set(model.jump_labels)
+    assert all(isinstance(e, tuple) for e in model._gradient_eigs.values())
     support, rows = dense_oracles[2](make())
     assert scan.support.dtype == support.dtype and scan.support.tobytes() == support.tobytes()
     assert scan.rows.dtype == rows.dtype and scan.rows.shape == rows.shape
     assert scan.rows.tobytes() == rows.tobytes()
     assert (model.sd.permutation is not None) == name.startswith("ising")
-    # an operator cached before the scan changes nothing
+    # an operator read before the scan changes nothing
     cached = make()
     tl.gradient_operator(cached, cached.jump_labels[-1])
-    assert GradientScan(cached).rows.tobytes() == rows.tobytes()
+    assert gradient_scan(cached).rows.tobytes() == rows.tobytes()
 
 
 def test_scan_only_landscape_keeps_no_operator():
     model = _ising(4, 1.0)
     result, _ = cli._scenario_ising({"epsilon": 1e-3}, model, None, {}, 0)
     assert result["certified"] == ["0000", "1111"]
-    assert model._gradient_ops == {}
-    op = tl.gradient_operator(model, "X0")  # still served, and cached, on request
-    assert model._gradient_ops["X0"] is op
+    # the gradients are kept as eigenbasis entries: d per diagonal operator
+    assert all(len(vals) <= model.dim for _, _, vals in model._gradient_eigs.values())
+    op = tl.gradient_operator(model, "X0")  # still served on request, a new array each read
+    again = tl.gradient_operator(model, "X0")
+    assert again is not op and again.tobytes() == op.tobytes()
     assert np.array_equal(op, op.conj().T)
 
 

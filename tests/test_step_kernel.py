@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import thermal_landscape as tl
-from thermal_landscape import lindblad
+from thermal_landscape import descent, lindblad
 from thermal_landscape.bath import BathSpec
 from thermal_landscape.errors import JumpNotNormalized, MaxStepsExceeded
 from thermal_landscape.lindblad import zero_frequency_sector
@@ -16,10 +16,32 @@ from test_descent import _reference_descent
 REPO = Path(__file__).resolve().parents[1]
 
 
-def qubit_model():
-    ham = tl.assemble([(0.5 * (np.eye(2) - tl.PAULI["Z"]), (0,))], 1)
-    return tl.build_model(ham, [("X0", tl.PAULI["X"].copy())],
+def qubit_model(field="Z", jump="X"):
+    ham = tl.assemble([(0.5 * (np.eye(2) - tl.PAULI[field]), (0,))], 1)
+    return tl.build_model(ham, [(f"{jump}0", tl.PAULI[jump].copy())],
                           bath=BathSpec(beta=10.0, tau=1.0), davies=True)
+
+
+def generic_davies6():
+    """An open chain of 6 qubits with Gaussian coefficients (seed 0) on X_j,
+    Z_j, Z_j Z_{j+1} and X_j X_{j+1}, CSR X jumps and a Davies bath at
+    beta = 2, a Haar-random pure start (drawn next from the same generator),
+    epsilon = 1e-2 and B = max |lambda|: ``scripts/descent_runs.py
+    generic_davies6_haar``, capped at 200 steps.  Its eigenbasis is no
+    permutation."""
+    n = 6
+    rng = np.random.default_rng(0)
+    local = [(tl.PAULI[p], (j,)) for j in range(n) for p in "XZ"]
+    local += [(np.kron(tl.PAULI[p], tl.PAULI[p]), (j, j + 1)) for j in range(n - 1) for p in "ZX"]
+    coeffs = rng.normal(size=len(local))
+    ham = tl.assemble([(c * op, sites) for c, (op, sites) in zip(coeffs, local)], n)
+    jumps = [(f"X{j}", tl.kron_embed_csr(tl.PAULI["X"], [j], n)) for j in range(n)]
+    model = tl.build_model(ham, jumps, bath=BathSpec(beta=2.0, tau=1.0), davies=True)
+    psi = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+    psi /= np.linalg.norm(psi)
+    b = float(np.max(np.abs(model.sd.eigenvalues)))
+    return model, np.outer(psi, psi.conj()), tl.DescentConfig(epsilon=1e-2, norm_bound=b,
+                                                              max_steps=200)
 
 
 def ising_model(include_coherent=False):
@@ -42,7 +64,10 @@ def _off_sector_case(name, oracle_system):
     sector: ``generic_n3`` (finite tau) and ``qubit_plus`` (a Davies model
     started off its sector) run in the one-group sector; ``ising_n6``, the
     d = 64 Davies Ising ring, has no sector within ``SECTOR_MAX_ENTRIES``
-    and runs on vec(rho), capped at 100 steps."""
+    and runs on vec(V^dag rho V), capped at 100 steps, as does
+    ``generic_davies6`` (:func:`generic_davies6`), whose V is no permutation."""
+    if name == "generic_davies6":
+        return generic_davies6()
     if name == "ising_n6":
         n = 6
         ham = tl.build_ising_chain(n, 1.0, periodic=True)
@@ -60,15 +85,16 @@ def _off_sector_case(name, oracle_system):
     return qubit_model(), plus, tl.DescentConfig(epsilon=1e-2, norm_bound=1.0)
 
 
-@pytest.mark.parametrize("case", ["generic_n3", "qubit_plus", "ising_n6"])
+@pytest.mark.parametrize("case", ["generic_n3", "qubit_plus", "ising_n6", "generic_davies6"])
 def test_vec_kernel_descent_matches_parent_evolve(case, oracle_system, parent_vec_path):
     _, _, parent_descent = parent_vec_path
     model, rho, cfg = _off_sector_case(case, oracle_system)
     assert zero_frequency_sector(model) is None or zero_frequency_sector(model).coords(rho) is None
     trace = _descend(model, rho, cfg)
-    if case == "ising_n6":
+    if case in ("ising_n6", "generic_davies6"):
         # d^2 x d^2 dense superoperators would take 1.6 GB: the oracle steps with evolve()
         assert zero_frequency_sector(model, rho) is None
+        assert (model.sd.permutation is None) == (case == "generic_davies6")
         ref_steps, ref_rho = _reference_descent(model, rho, cfg)
         assert len(trace.steps) == len(ref_steps) == cfg.max_steps
     else:
@@ -98,23 +124,40 @@ def test_vec_kernel_step_matches_parent_evolve(oracle_system, parent_vec_path, p
             assert np.max(np.abs(got - parent_evolve(model, label, rho, s, gen))) <= 1e-12
 
 
-def test_vec_kernel_keeps_the_floor(parent_vec_path):
-    post_step, _, _ = parent_vec_path
-    cases = (([[0.2, 0.4], [0.4, 0.8]], False), ([[0.5, 0.6], [0.6, 0.5]], True),
-             ([[0.3 + 5e-8, 0.1j], [-0.1j, 0.7]], False))  # trace defect 5e-8 < 1e-7
-    for block, raises in cases:
-        x = np.asarray(block, dtype=complex).reshape(-1)
-        if raises:
-            with pytest.raises(tl.errors.PositivityDefect):
-                lindblad._finish_vec(x, 2)
-            with pytest.raises(tl.errors.PositivityDefect):
-                post_step(x.reshape(2, 2))
-        else:
-            got = lindblad._finish_vec(x, 2).reshape(2, 2)
-            assert np.max(np.abs(got - post_step(x.reshape(2, 2)))) <= 1e-15
-            assert abs(np.trace(got) - 1.0) <= 1e-15
-    with pytest.raises(tl.errors.EvolutionDefect):
-        lindblad._finish_vec(np.array([0.6, 0.1, 0.0, 0.5], dtype=complex), 2)
+@pytest.mark.parametrize("frame", ["diagonal", "rotated"])
+@pytest.mark.parametrize("block, error", [
+    pytest.param([[0.2, 0.4], [0.4, 0.8]], None, id="rank_one"),
+    pytest.param([[0.5, 0.6], [0.6, 0.5]], tl.errors.PositivityDefect, id="below_floor"),
+    pytest.param([[0.3 + 5e-8, 0.1j], [-0.1j, 0.7]], None, id="trace_defect_5e-8"),
+    pytest.param([[0.5, 0.1], [0.0, 0.5]], tl.errors.EvolutionDefect, id="hermiticity_defect"),
+    pytest.param([[0.6, 0.0], [0.0, 0.5]], tl.errors.EvolutionDefect, id="trace_defect_0.1"),
+])
+def test_eigenbasis_step_guards_through_evolve_and_descent(block, error, frame, parent_vec_path):
+    """The one guarded eigenbasis step, through evolve() and through an
+    off-sector descent step, over s = 1e-30, which leaves the state as it
+    is: it keeps the pre-kernel post-step's result, or raises as that does.
+    The qubit's eigenbasis is the identity (H = (1 - Z)/2) or a rotation
+    (H = (1 - X)/2), where every guard reads the rotated state."""
+    post_step = parent_vec_path[0]
+    model = qubit_model() if frame == "diagonal" else qubit_model("X", "Z")
+    assert (model.sd.permutation is None) == (frame == "rotated")
+    rho = np.asarray(block, dtype=complex)
+    space = descent._FullSpace(model)
+    steps = (lambda: tl.evolve(model, [1.0], rho, 1e-30),
+             lambda: space.density(space.evolve(model.sd.to_eig(rho).reshape(-1), 0, 1e-30)))
+    if error is not None:
+        with pytest.raises(error):
+            post_step(rho)
+        for step in steps:
+            with pytest.raises(error):
+                step()
+        return
+    want = post_step(rho)
+    for step in steps:
+        got = step()
+        assert np.array_equal(got, got.conj().T)
+        assert np.max(np.abs(got - want)) <= 1e-15
+        assert abs(np.trace(got) - 1.0) <= 1e-15
 
 
 def _check_real_generators(model, sector, size):
