@@ -1,8 +1,9 @@
 """Scalar bath functions and kernel integrals.
 
-Glauber transition weight, square window and its Fourier transform, bath
-correlation function, the frequency-overlap kernel C(nu', nu) and the
-Lamb-shift kernel K(nu2, nu1).
+One transition-weight family, the Glauber (KMS) weight gamma_beta; the
+square window and its Fourier transform, the bath correlation function,
+the frequency-overlap kernel C(nu', nu) and the Lamb-shift kernel
+K(nu2, nu1).
 
 Quadrature strategy: composite Gauss-Legendre panels whose width is tied
 to the fastest oscillation of the integrand, with the error estimated by
@@ -35,16 +36,15 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
 class BathSpec:
     """Bath parameters: inverse temperature, time scale and Gaussian cutoff.
 
-    Infinite beta or tau are never represented here: the Davies limit reads
+    The transition weight is the Glauber weight of :func:`gamma`.  Infinite
+    beta or tau are never represented here: the Davies limit reads
     :func:`gamma` (no tau) or :func:`gamma_zero_temperature` at the Bohr
-    frequencies.  ``weight`` selects the transition-weight family; "flat"
-    (gamma = 1) exists as a test surrogate only.
+    frequencies.
     """
 
     beta: float
     tau: float
     lambda0: float = 1.0
-    weight: str = "glauber"
 
     def __post_init__(self):
         if not (math.isfinite(self.beta) and self.beta >= 0):
@@ -53,8 +53,6 @@ class BathSpec:
             raise ValueError(f"tau must be finite and > 0, got {self.tau}")
         if not (math.isfinite(self.lambda0) and self.lambda0 > 0):
             raise ValueError(f"lambda0 must be finite and > 0, got {self.lambda0}")
-        if self.weight not in ("glauber", "flat"):
-            raise ValueError(f"unknown weight selector {self.weight!r}")
 
 
 @dataclass(frozen=True)
@@ -82,15 +80,10 @@ def glauber_prefactor(beta, lambda0):
 
 
 def gamma(omega, spec: BathSpec):
-    """Transition weight gamma_beta(omega); vectorized over omega."""
+    """Glauber transition weight gamma_beta(omega); vectorized over omega."""
     omega = np.asarray(omega, dtype=float)
-    if spec.weight == "flat":
-        out = np.ones_like(omega)
-    else:
-        pref = glauber_prefactor(spec.beta, spec.lambda0)
-        out = pref * np.exp(-(omega**2) / (2.0 * spec.lambda0**2)) * expit(
-            -spec.beta * omega
-        )
+    pref = glauber_prefactor(spec.beta, spec.lambda0)
+    out = pref * np.exp(-(omega**2) / (2.0 * spec.lambda0**2)) * expit(-spec.beta * omega)
     return out if out.ndim else float(out)
 
 
@@ -176,10 +169,7 @@ def _gamma_support_radius(spec: BathSpec, tiny):
 
 def _freq_panel_width(spec: BathSpec, rate):
     """Panel width resolving the oscillation ``rate`` and gamma's features."""
-    h = 4.0 * math.pi / max(rate, 1e-12)
-    if spec.weight == "glauber":
-        h = min(h, 0.35 / max(spec.beta, 1.0), spec.lambda0 / 3.0)
-    return h
+    return min(4.0 * math.pi / max(rate, 1e-12), 0.35 / max(spec.beta, 1.0), spec.lambda0 / 3.0)
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +244,6 @@ def _c_beta_direct(t_values, spec: BathSpec, abs_tol, panels=None):
     ``panels`` = (w_rad, n_panels) reuses the quadrature of an earlier
     batch; by default :func:`_c_beta_panels` chooses it for this one.
     """
-    if spec.weight != "glauber":
-        raise ValueError("c_beta is defined for the glauber weight")
     t_values = np.atleast_1d(np.asarray(t_values, dtype=float))
     t_abs, inverse = np.unique(np.abs(t_values), return_inverse=True)
     if panels is None:
@@ -304,55 +292,32 @@ class BathCorrelation:
 # ---------------------------------------------------------------------------
 
 
-KERNEL_ABS_TOL = 1e-10  # quadrature tolerance of a kernel table's C, and overlap_kernel's default
-FLAT_MAX_PANELS = 2**16  # panels of a flat-weight overlap's first pass at most (its last has 4x)
-
-
-def _overlap_interval(freqs, spec: BathSpec, abs_tol):
-    """The overlap kernel's integration range [a, b].  For the flat weight
-    only the 1/omega^2 window tails decay: the range reaches max(50,
-    8 / (pi tau abs_tol)) beyond the frequencies, where the tail left is
-    below abs_tol / 2, and takes (b - a) tau / (4 pi) panels, some
-    0.4 / abs_tol at any tau when the second term is the larger.  More than
-    ``FLAT_MAX_PANELS`` (abs_tol < 6e-6) raise :class:`QuadratureFailure`
-    before any node is allocated."""
-    if spec.weight == "glauber":
-        # gamma's Gaussian envelope bounds the integrand; pick the radius so
-        # the truncated tail stays far below abs_tol.
-        peak = spec.tau / (2.0 * math.pi)
-        tiny = abs_tol / (100.0 * max(peak, 1.0))
-        w_rad = _gamma_support_radius(spec, tiny)
-        return -w_rad, w_rad
-    radius = max(50.0, 8.0 / (math.pi * spec.tau * abs_tol))
-    a, b = float(np.min(freqs) - radius), float(np.max(freqs) + radius)
-    panels = (b - a) / _freq_panel_width(spec, spec.tau)
-    if panels > FLAT_MAX_PANELS:
-        raise QuadratureFailure(
-            f"flat-weight overlap kernel at abs_tol {abs_tol:.1e} needs {panels:.3g} "
-            f"panels, more than {FLAT_MAX_PANELS}; loosen abs_tol"
-        )
-    return a, b
+KERNEL_ABS_TOL = 1e-10  # quadrature tolerance of the overlap kernel C
 
 
 def _overlap_matrix(freqs, spec: BathSpec, abs_tol):
     freqs = np.asarray(freqs, dtype=float)
-    a, b = _overlap_interval(freqs, spec, abs_tol)
-    h = min(_freq_panel_width(spec, spec.tau), (b - a) / 8)
+    # gamma's Gaussian envelope bounds the integrand; pick the radius so the
+    # truncated tail stays far below abs_tol
+    tiny = abs_tol / (100.0 * max(spec.tau / (2.0 * math.pi), 1.0))
+    w_rad = _gamma_support_radius(spec, tiny)
+    h = min(_freq_panel_width(spec, spec.tau), w_rad / 4)
 
     def one_pass(edges):
         nodes, wts = _panel_nodes(edges)
         f_mat = window_hat(nodes[:, None] - freqs[None, :], spec.tau)
         return f_mat.T @ (f_mat * (gamma(nodes, spec) * wts)[:, None])
 
-    c_mat, err = _refined_pass(one_pass, _make_edges(a, b, h), abs_tol, "overlap kernel")
+    c_mat, err = _refined_pass(one_pass, _make_edges(-w_rad, w_rad, h), abs_tol, "overlap kernel")
     return c_mat.astype(complex), err
 
 
-def overlap_kernel(nu_prime, nu, spec: BathSpec, abs_tol=KERNEL_ABS_TOL):
-    """C(nu', nu) = integral gamma(w) fhat*(w - nu') fhat(w - nu) dw."""
+def overlap_kernel(nu_prime, nu, spec: BathSpec):
+    """C(nu', nu) = integral gamma(w) fhat*(w - nu') fhat(w - nu) dw, within
+    ``KERNEL_ABS_TOL``."""
     freqs = np.array([float(nu_prime), float(nu)])
     distinct = int(freqs[0] != freqs[1])  # equal frequencies: a 1 x 1 table
-    mat, _ = _overlap_matrix(freqs[: 1 + distinct], spec, abs_tol)
+    mat, _ = _overlap_matrix(freqs[: 1 + distinct], spec, KERNEL_ABS_TOL)
     return complex(mat[0, distinct])
 
 
@@ -361,7 +326,7 @@ def overlap_kernel(nu_prime, nu, spec: BathSpec, abs_tol=KERNEL_ABS_TOL):
 # ---------------------------------------------------------------------------
 
 
-LAMB_ABS_TOL = 1e-8  # quadrature tolerance of a kernel table's K, and lamb_kernel's default
+LAMB_ABS_TOL = 1e-8  # quadrature tolerance of the Lamb kernel K
 LAMB_BLOCK = 2**17  # entries of one node-by-frequency temporary in _lamb_once
 LAMB_SERIES_TERMS = 14  # terms of the small-sigma series in _lamb_once
 
@@ -467,9 +432,8 @@ def _lamb_matrix(freqs, spec: BathSpec, corr: BathCorrelation, abs_tol):
                          _make_edges(-u_max, u_max, h, forced=(0.0,)), abs_tol, "Lamb kernel")
 
 
-def lamb_kernel(nu2, nu1, spec: BathSpec, cache: BathCorrelation | None = None,
-                abs_tol=LAMB_ABS_TOL):
-    """Lamb-shift kernel K(nu2, nu1).
+def lamb_kernel(nu2, nu1, spec: BathSpec, cache: BathCorrelation | None = None):
+    """Lamb-shift kernel K(nu2, nu1), within ``LAMB_ABS_TOL``.
 
     Defined by the double time integral of sgn(t1 - t2) c_beta(t2 - t1)
     e^{i nu2 t2 + i nu1 t1} over the window square, reduced to one
@@ -478,7 +442,7 @@ def lamb_kernel(nu2, nu1, spec: BathSpec, cache: BathCorrelation | None = None,
     corr = cache if cache is not None else BathCorrelation(spec)
     freqs = np.array([float(nu2), float(nu1)])
     distinct = int(freqs[0] != freqs[1])  # equal frequencies: a 1 x 1 table
-    mat, _ = _lamb_matrix(freqs[: 1 + distinct], spec, corr, abs_tol)
+    mat, _ = _lamb_matrix(freqs[: 1 + distinct], spec, corr, LAMB_ABS_TOL)
     return complex(mat[0, distinct])
 
 

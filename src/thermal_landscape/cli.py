@@ -295,8 +295,8 @@ def _resolve_hamiltonian(cfg):
         ham = assemble(terms, n)
         return ham, None, {"n": n, "terms": entries}
     path = raw["circuit_file"]
-    j_in = _optional(raw, "j_in", float, "hamiltonian.", 1e-3)
-    j_prop = _optional(raw, "j_prop", float, "hamiltonian.", 1e-2)
+    j_in = _positive(raw, "j_in", float, "hamiltonian.", 1e-3)
+    j_prop = _positive(raw, "j_prop", float, "hamiltonian.", 1e-2)
     try:
         cs = circ.load_circuit(path)
     except (OSError, json.JSONDecodeError, ValueError, KeyError) as exc:

@@ -69,6 +69,10 @@ class UnknownJump(ThermalLandscapeError):
     pass
 
 
+class DuplicateJumpLabel(ThermalLandscapeError):
+    """Two jumps of one model share a label, by which every jump is read."""
+
+
 class JumpSetNotClosed(ThermalLandscapeError):
     """Jump operator set is not closed under Hermitian conjugation."""
 

@@ -23,7 +23,7 @@ group or as one group of all d levels, or else on vec(V^dag rho V).
 import logging
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -35,6 +35,7 @@ from . import operators as ops
 from .bath import BathCorrelation, BathSpec, KernelTable, build_kernel_table
 from .errors import (
     DimensionMismatch,
+    DuplicateJumpLabel,
     EvolutionDefect,
     JumpNotNormalized,
     JumpSetNotClosed,
@@ -48,7 +49,6 @@ from .hamiltonian import LocalHamiltonian, SpectralData, bohr_decompose, spectra
 
 logger = logging.getLogger(__name__)
 
-PAIR_DROP = 1e-14
 TAYLOR_TOL = 1e-9  # trace-norm budget of one evolve() call
 TAYLOR_STOP = 0.1  # a series stops once its next-term bound is below this share of the budget
 MAX_TAYLOR_TERMS = 60
@@ -127,33 +127,21 @@ class LindbladModel:
 
         return float(gradient_scan(self)(rho)[-1])
 
-    @cached_property
-    def _overlap_cutoff(self):
-        """``PAIR_DROP`` max |C|: overlap weights up to it are dropped."""
-        return PAIR_DROP * max(float(np.max(np.abs(self.kernels.C))), 1e-300)
-
     def _pair_weight(self, left, right):
         """C'[left, right] for arrays of Bohr indices: the weight of the pair
-        (A_nu', A_nu) with nu' at ``left`` and nu at ``right``, zero where
-        the dissipator drops the pair.
-
-        At finite tau it is the overlap kernel C(nu', nu) where
-        |C| > ``PAIR_DROP`` max |C|; in the Davies limit it is gamma(nu) on
-        the diagonal nu' = nu where |gamma| > ``PAIR_DROP``.  Entries are
-        looked up as needed, so no m x m table is formed for it.
+        (A_nu', A_nu) with nu' at ``left`` and nu at ``right``, looked up
+        as computed: the overlap kernel C(nu', nu) at finite tau, and in the
+        Davies limit gamma(nu) on the diagonal nu' = nu and zero off it.
+        Exact zeros (gamma at beta = infinity above zero frequency) are
+        skipped by the callers; no m x m table is formed for a Davies model.
         """
         if self.davies:
-            w = self.davies_weights[left]
-            keep = (left == right) & (np.abs(w) > PAIR_DROP)
-        else:
-            w = self.kernels.C[left, right]
-            keep = np.abs(w) > self._overlap_cutoff
-        return np.where(keep, w, 0.0)
+            return np.where(left == right, self.davies_weights[left], 0.0)
+        return self.kernels.C[left, right]
 
     def _lamb_weight(self, left, right):
-        """K'[left, right]: the Lamb kernel where |K| > ``PAIR_DROP``."""
-        k = self.kernels.K[left, right]
-        return np.where(np.abs(k) > PAIR_DROP, k, 0.0)
+        """K[left, right]: the Lamb kernel for arrays of Bohr indices."""
+        return self.kernels.K[left, right]
 
     def _decay_entries(self, blocks):
         """G in the eigenbasis, as entries: G~[a, b] = sum_i conj(A~[i, a])
@@ -167,10 +155,9 @@ class LindbladModel:
         eigenbasis, Hermitized after a defect check and cached per jump.
 
         With A~ the masked V^dag A V whose entries set-up stores, F the
-        Bohr-index map and K' the Lamb kernel without its entries of modulus
-        <= ``PAIR_DROP``,
+        Bohr-index map and K the Lamb kernel,
 
-            H~[a, b] = sum_i A~[a, i] A~[i, b] K'[F[a, i], F[i, b]].
+            H~[a, b] = sum_i A~[a, i] A~[i, b] K[F[a, i], F[i, b]].
 
         The spectral norm is unitarily invariant, so the Hermiticity defect
         of H~ is that of H_LS,a, checked against 1e-6 ||A^dag A||.
@@ -453,12 +440,12 @@ def build_model(
     beta_cap: float = 1e6,
     include_lamb_shift: bool | None = None,
     include_coherent: bool = False,
-    group_tol: float | None = None,
 ) -> LindbladModel:
     """Assemble a :class:`LindbladModel` from a Hamiltonian and jumps.
 
-    ``jumps`` is a list of ``(label, matrix)`` pairs, each matrix dense or
-    ``scipy.sparse`` (kept as its entries); the set must be closed under
+    ``jumps`` is a list of ``(label, matrix)`` pairs with distinct labels,
+    each matrix dense or ``scipy.sparse`` (kept as its entries); a repeated
+    label raises :class:`DuplicateJumpLabel`.  The set must be closed under
     Hermitian conjugation and each jump must satisfy ``||A^dag A|| <= 1``.
     With ``davies=True`` (or ``beta_infinite``) the exact Bohr-frequency
     limit is used: no kernel table is built, and gamma of ``bath`` (at
@@ -470,11 +457,15 @@ def build_model(
     if not davies and bath is None:
         raise ValueError("a BathSpec is required unless davies=True")
     jump_list = _as_jump_list(jumps)
+    labels = [label for label, _ in jump_list]
+    for i, label in enumerate(labels):
+        if label in labels[:i]:
+            raise DuplicateJumpLabel(f"jump label {label!r} is used more than once")
     dim = ham.dense.shape[0]
     entries = [_jump_entries(label, mat, dim) for label, mat in jump_list]
     norms = _check_jump_set(jump_list, dim, entries)
 
-    sd = spectral_data(ham, group_tol)
+    sd = spectral_data(ham)
     jump_objs = [
         Jump(label=label, given=mat, aa_norm=aa,
              blocks=bohr_decompose(mat, sd, label=label, norm=norm, entries=ent))
@@ -492,10 +483,6 @@ def build_model(
             raise ValueError("finite-beta Davies mode needs a BathSpec for beta")
         weights = bath_mod.gamma(sd.bohr_freqs, bath)
     else:
-        if bath.weight == "flat":
-            raise ValueError("the flat weight has no finite-tau kernel table: its overlap "
-                             "quadrature needs about 0.4 / KERNEL_ABS_TOL panels and its "
-                             "c_beta is a delta function; use it with davies=True")
         corr = BathCorrelation(bath) if include_lamb_shift else None
         kernels = build_kernel_table(sd.bohr_freqs, bath, include_lamb=include_lamb_shift,
                                      corr=corr)
@@ -523,8 +510,8 @@ def weight_vector(model: LindbladModel, values=None, label=None) -> np.ndarray:
     w = np.asarray(values, dtype=float)
     if w.shape != (m,):
         raise DimensionMismatch(f"expected {m} weights, got shape {w.shape}")
-    if np.any(w < 0):
-        raise NegativeWeight("jump weights must be nonnegative (irreversibility)")
+    if not np.all(np.isfinite(w) & (w >= 0)):
+        raise NegativeWeight("jump weights must be finite and nonnegative (irreversibility)")
     return w
 
 

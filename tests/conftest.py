@@ -10,7 +10,6 @@ import thermal_landscape as tl
 from thermal_landscape import bath, gradient, hamiltonian, lindblad
 from thermal_landscape import operators as ops
 from thermal_landscape.bath import BathSpec
-from thermal_landscape.lindblad import PAIR_DROP
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -185,26 +184,23 @@ def outer_c_beta():
 
 def _pair_lists(model, label):
     """The dissipator's pairs (coeffs, rights A_nu, lefts_dag A_nu'^dag),
-    as loops over the jump's Bohr blocks.  The Davies limit keeps (A_nu,
-    A_nu) with |gamma(nu)| > PAIR_DROP; finite tau keeps (A_nu', A_nu) with
-    |C(nu', nu)| > PAIR_DROP max |C|."""
+    as loops over the jump's Bohr blocks, every pair kept: (A_nu, A_nu)
+    with gamma(nu) in the Davies limit, (A_nu', A_nu) with C(nu', nu) at
+    finite tau."""
     blocks = model.jump(label).blocks
     coeffs, rights, lefts_dag = [], [], []
     if model.davies:
         for w, mat in zip(model.davies_weights[blocks.freq_indices], blocks.mats):
-            if abs(w) > PAIR_DROP:
-                coeffs.append(w)
-                rights.append(mat)
-                lefts_dag.append(mat.conj().T)
+            coeffs.append(w)
+            rights.append(mat)
+            lefts_dag.append(mat.conj().T)
     else:
         c_mat = model.kernels.C
-        cutoff = PAIR_DROP * max(float(np.max(np.abs(c_mat))), 1e-300)
         for p, kp in enumerate(blocks.freq_indices):
             for q, kq in enumerate(blocks.freq_indices):
-                if abs(c_mat[kp, kq]) > cutoff:
-                    coeffs.append(c_mat[kp, kq])
-                    rights.append(blocks.mats[q])
-                    lefts_dag.append(blocks.mats[p].conj().T)
+                coeffs.append(c_mat[kp, kq])
+                rights.append(blocks.mats[q])
+                lefts_dag.append(blocks.mats[p].conj().T)
     return np.array(coeffs, dtype=complex), rights, lefts_dag
 
 
@@ -228,15 +224,12 @@ def _pair_apply(model, label, rho, adjoint=False):
 
 
 def _pair_sum_lamb_shift(model, label):
-    """H_LS = sum K(nu2, nu1) A_nu2 A_nu1 over the block pairs with
-    |K| > PAIR_DROP, Hermitized."""
+    """H_LS = sum K(nu2, nu1) A_nu2 A_nu1 over every block pair, Hermitized."""
     blocks = model.jump(label).blocks
     raw = np.zeros((model.dim, model.dim), dtype=complex)
     for p, kp in enumerate(blocks.freq_indices):
         for q, kq in enumerate(blocks.freq_indices):
-            k = model.kernels.K[kp, kq]
-            if abs(k) > PAIR_DROP:
-                raw += k * (blocks.mats[p] @ blocks.mats[q])
+            raw += model.kernels.K[kp, kq] * (blocks.mats[p] @ blocks.mats[q])
     return 0.5 * (raw + raw.conj().T)
 
 

@@ -538,3 +538,50 @@ def test_emit_trace_template_edge_cases(tmp_path, case):
     cli.emit_trace(trace, str(path), config_echo=echo, terminal_extra=extra)
     assert path.read_bytes() == _old_trace_bytes(trace, echo, extra)
     assert len(json.loads(path.read_text())["steps"]) == len(steps)
+
+
+def _two_qubit_grad_config(tmp_path, second_label):
+    """grad on H = Z0 + 0.5 X0X1, Davies at beta = 1, from |10>, with the
+    jumps X and Y on site 0, labelled "J" and ``second_label``."""
+    return {
+        "schema_version": 1,
+        "scenario": "grad",
+        "hamiltonian": {"n": 2, "terms": [
+            {"pauli": "Z", "sites": [0]},
+            {"pauli": "XX", "sites": [0, 1], "coeff": 0.5},
+        ]},
+        "bath": {"beta": 1.0, "tau": 1.0, "davies": True},
+        "jumps": {"explicit": [{"pauli": "X", "sites": [0], "label": "J"},
+                               {"pauli": "Y", "sites": [0], "label": second_label}]},
+        "state": {"kind": "basis", "bits": "10"},
+        "output": str(tmp_path / "grad.json"),
+    }
+
+
+def test_repeated_jump_label_exits_2_on_jumps(tmp_path, capsys):
+    cfg = _two_qubit_grad_config(tmp_path, "K")
+    code, result = cli.run("grad", write_config(tmp_path, cfg))
+    assert code == 0
+    g = result["result"]["g"]
+    assert g == pytest.approx([0.0023866, 0.0029832], abs=1e-7)
+    (tmp_path / "grad.json").unlink()
+    cfg = _two_qubit_grad_config(tmp_path, "J")
+    code, result = cli.run("grad", write_config(tmp_path, cfg))
+    assert (code, result) == (2, None)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    record = json.loads(err.strip())["error"]
+    assert record["field"] == "jumps" and "DuplicateJumpLabel" in record["message"]
+    assert not (tmp_path / "grad.json").exists()
+
+
+@pytest.mark.parametrize("field", ["j_in", "j_prop"])
+@pytest.mark.parametrize("value", [0.0, -0.3])
+def test_nonpositive_clock_coupling_exits_2_with_field_path(tmp_path, capsys, field, value):
+    cfg = json.loads((REPO / "scripts/configs/clock_spectrum_t3.json").read_text())
+    cfg["hamiltonian"]["circuit_file"] = str(REPO / "scripts/configs/circuit_identity_t3.json")
+    cfg["hamiltonian"][field] = value
+    cfg["output"] = str(tmp_path / "clock.json")
+    code, result = cli.run("clockham", write_config(tmp_path, cfg))
+    _assert_config_error(code, result, capsys, f"hamiltonian.{field}")
+    assert not (tmp_path / "clock.json").exists()

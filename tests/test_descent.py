@@ -342,6 +342,11 @@ def test_sector_evolve_keeps_the_guards():
     pytest.param({"record_stride": 2.5}, "record_stride", id="fields9-record_stride"),
     pytest.param({"record_stride": False}, "record_stride", id="fields10-record_stride"),
     pytest.param({"record_stride": None}, "record_stride", id="fields11-record_stride"),
+    pytest.param({"epsilon": 0.0}, "epsilon must be positive", id="fields12-epsilon"),
+    pytest.param({"norm_bound": -1.0}, "norm_bound must be positive", id="fields13-norm_bound"),
+    pytest.param({"record_stride": 0}, "record_stride must be at least 1",
+                 id="fields14-record_stride"),
+    pytest.param({"max_steps": 0}, "max_steps must be at least 1", id="fields15-max_steps"),
 ])
 def test_config_rejects_non_finite_and_non_int_fields(fields, name):
     with pytest.raises(ValueError, match=name):

@@ -127,6 +127,12 @@ def test_negative_gradient_condition_rejects_a_negative_or_nan_parameter(r, epsi
         tl.negative_gradient_condition(model, [1.0], p_g, r=r, epsilon=epsilon)
 
 
+def test_negative_gradient_condition_rejects_a_non_idempotent_projector():
+    model = qubit_davies(beta=10.0)
+    with pytest.raises(ValueError, match="ground_projector is not idempotent"):
+        tl.negative_gradient_condition(model, [1.0], np.diag([0.5, 0.0]), r=0.1, epsilon=0.1)
+
+
 def test_ngc_params_mapping():
     r, shift = tl.ngc_params(0.02, 0.1)
     assert r == pytest.approx(0.4)

@@ -133,6 +133,19 @@ def test_gradient_scan_support_of_a_diagonal_model(oracle_system):
     assert gradient_scan(generic).rows.shape == (len(generic.jumps) + 1, 2 * d * d - d)
 
 
+def test_bit_string_outside_the_scan_support_reads_zero():
+    # Z0 commutes with the diagonal H, so its gradient is zero, and |11> has
+    # zero energy: no row of the scan has an entry on its diagonal
+    model = tl.build_model(tl.build_ising_chain(2, 1.0),
+                           [("Z0", tl.kron_embed(tl.PAULI["Z"], [0], 2))],
+                           bath=BathSpec(beta=1.0, tau=1.0), davies=True)
+    scan = gradient_scan(model)
+    assert 2 * 3 * (model.dim + 1) not in scan.support
+    got = scan("11")
+    assert got.tobytes() == scan(tl.basis_density("11")).tobytes() == np.zeros(2).tobytes()
+    assert scan("00").tobytes() == scan(tl.basis_density("00")).tobytes()
+
+
 def test_gradient_scan_rejects_a_state_of_the_wrong_shape():
     ham = tl.build_ising_chain(2, 0.5)
     jumps = [(f"X{j}", tl.kron_embed(tl.PAULI["X"], [j], 2)) for j in range(2)]

@@ -10,10 +10,12 @@ from thermal_landscape import operators as ops
 from thermal_landscape.bath import BathSpec
 from thermal_landscape.errors import (
     DimensionMismatch,
+    DuplicateJumpLabel,
     JumpNotNormalized,
     JumpSetNotClosed,
     LambHermiticityDefect,
     NegativeTime,
+    NegativeWeight,
     UnknownJump,
 )
 
@@ -180,38 +182,12 @@ def test_davies_adjoint_identity_observable():
     assert np.linalg.norm(out, 2) < 1e-12
 
 
-@pytest.mark.parametrize("weight", ["glauber", "flat"])
-def test_davies_weights_are_gamma_at_the_bohr_frequencies(weight):
-    # a flat Davies model weighs every jump block by 1, as the finite-tau path does
-    spec = BathSpec(beta=10.0, tau=1.0, weight=weight)
+def test_davies_weights_are_gamma_at_the_bohr_frequencies():
+    spec = BathSpec(beta=10.0, tau=1.0)
     model = tl.build_model(qubit_ham(), [("X0", tl.PAULI["X"].copy())], bath=spec, davies=True)
     want = tl.gamma(model.sd.bohr_freqs, spec)
     assert model.davies and model.kernels is None
     assert model.davies_weights.tobytes() == want.tobytes()
-    if weight == "flat":
-        assert np.all(model.davies_weights == 1.0)
-        assert np.allclose(tl.gradient_operator(model, "X0"), np.diag([1.0, -1.0]), atol=1e-12)
-
-
-@pytest.mark.parametrize("lamb", [None, True])
-def test_flat_weight_with_the_lamb_shift_is_rejected_up_front(lamb):
-    # the flat surrogate's c_beta is a delta function: build_model names the way out
-    spec = BathSpec(beta=1.0, tau=2.0, weight="flat")
-    with pytest.raises(ValueError, match="use it with davies=True"):
-        tl.build_model(qubit_ham(), [("X0", tl.PAULI["X"].copy())], bath=spec,
-                       include_lamb_shift=lamb)
-
-
-@pytest.mark.parametrize("tau", [2.0, 25.0, 100.0, 1e4])
-@pytest.mark.parametrize("lamb", [None, False, True])
-def test_flat_weight_at_finite_tau_is_rejected_up_front(tau, lamb):
-    # no finite-tau flat model can be built (its overlap quadrature would need
-    # some 4e9 panels at KERNEL_ABS_TOL): one ValueError, with or without the
-    # Lamb shift, before any kernel is computed
-    spec = BathSpec(beta=1.0, tau=tau, weight="flat")
-    with pytest.raises(ValueError, match="no finite-tau kernel table"):
-        tl.build_model(qubit_ham(), [("X0", tl.PAULI["X"].copy())], bath=spec,
-                       include_lamb_shift=lamb)
 
 
 def test_davies_beta_infinite_no_heating():
@@ -713,3 +689,52 @@ def test_lamb_shift_with_a_hermiticity_defect_raises(shift):
         return
     with pytest.raises(LambHermiticityDefect, match="Lamb shift of jump 'J0' has Hermiticity"):
         tl.lamb_shift_operator(model, "J0")
+
+
+def test_repeated_jump_labels_are_rejected():
+    # every per-jump cache and model.jump(label) read a jump by its label, so
+    # a second jump labelled "J" would be served the first one's data
+    xx = np.kron(tl.PAULI["X"], tl.PAULI["X"])
+    ham = tl.assemble([(tl.PAULI["Z"], (0,)), (0.5 * xx, (0, 1))], 2)
+    x0, y0 = (tl.kron_embed(tl.PAULI[p], [0], 2) for p in "XY")
+    spec = BathSpec(beta=1.0, tau=1.0)
+    with pytest.raises(DuplicateJumpLabel, match="jump label 'J' is used more than once"):
+        tl.build_model(ham, [("J", x0), ("J", y0)], bath=spec, davies=True)
+    model = tl.build_model(ham, [("J", x0), ("K", y0)], bath=spec, davies=True)
+    assert model.jump_labels == ["J", "K"]
+
+
+def test_build_model_needs_a_bath_unless_beta_is_infinite():
+    jumps = [("X0", tl.PAULI["X"].copy())]
+    with pytest.raises(ValueError, match="a BathSpec is required unless davies=True"):
+        tl.build_model(qubit_ham(), jumps)
+    with pytest.raises(ValueError, match="finite-beta Davies mode needs a BathSpec"):
+        tl.build_model(qubit_ham(), jumps, davies=True)
+    assert tl.build_model(qubit_ham(), jumps, beta_infinite=True).davies
+
+
+def test_lamb_shift_operator_needs_the_lamb_shift():
+    model = qubit_davies_model()
+    assert not model.include_lamb_shift
+    with pytest.raises(ValueError, match="built with include_lamb_shift=False"):
+        tl.lamb_shift_operator(model, "X0")
+
+
+@pytest.mark.parametrize("w, error", [
+    ([1.0, 1.0], DimensionMismatch),
+    ([-0.5], NegativeWeight),
+    ([float("nan")], NegativeWeight),
+    ([float("inf")], NegativeWeight),
+], ids=["shape", "negative", "nan", "inf"])
+def test_jump_weights_must_be_finite_and_nonnegative(w, error):
+    # one weight per jump, each finite and >= 0: checked before any apply or
+    # step; no weights at all means weight 1 on every jump
+    model = qubit_davies_model()
+    assert tl.weight_vector(model).tolist() == [1.0]
+    rho = np.diag([0.5, 0.5]).astype(complex)
+    with pytest.raises(error):
+        tl.weight_vector(model, w)
+    with pytest.raises(error):
+        tl.generator_apply(model, w, rho)
+    with pytest.raises(error):
+        tl.evolve(model, w, rho, 0.1)

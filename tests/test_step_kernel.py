@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import thermal_landscape as tl
-from thermal_landscape import descent, lindblad
+from thermal_landscape import descent, hamiltonian, lindblad
 from thermal_landscape.bath import BathSpec
 from thermal_landscape.errors import JumpNotNormalized, MaxStepsExceeded
 from thermal_landscape.lindblad import zero_frequency_sector
@@ -247,7 +247,7 @@ def test_real_form_check_rejects_anti_hermitian_images():
     assert sector._real_generator(np.eye(n) + 1e-10 * skew) is None
 
 
-def test_sector_leak_check_rejects_a_chained_bohr_cluster():
+def test_sector_leak_check_rejects_a_chained_bohr_cluster(monkeypatch):
     # the differences 1, 1 + t, ..., 1 + 4t (t = group_tol) chain into one
     # Bohr frequency, so the Davies block of |1><0| + |1 + 4t><0| maps
     # |0><0| onto a coherence between the groups at 1 and 1 + 4t
@@ -257,9 +257,12 @@ def test_sector_leak_check_rejects_a_chained_bohr_cluster():
     ham = tl.assemble([(np.diag(levels), (0, 1, 2, 3))], 4)
     a = np.zeros((16, 16), dtype=complex)
     a[1, 0] = a[2, 0] = np.sqrt(0.5)
+    # group_tol is the factor times max |level| = 700
+    monkeypatch.setattr(hamiltonian, "DEFAULT_GROUP_TOL_FACTOR", t / 700.0)
     model = tl.build_model(ham, [("A", a), ("Adag", a.conj().T)],
-                           bath=BathSpec(beta=1.0, tau=1.0), davies=True, group_tol=t)
+                           bath=BathSpec(beta=1.0, tau=1.0), davies=True)
     sd = model.sd
+    assert sd.group_tol == t
     assert len(sd.energies) == 16 and sd.bohr_map[1, 0] == sd.bohr_map[2, 0]
     assert zero_frequency_sector(model) is None
 
