@@ -195,7 +195,7 @@ def _require(cfg, field, typ, path):
         return float(val)
     if typ is int and isinstance(val, int) and not isinstance(val, bool):
         return val
-    if not isinstance(val, typ):
+    if not isinstance(val, typ) or typ is int:  # a bool is no int here
         raise ConfigError(f"{path}{field}", f"expected {typ.__name__}")
     return val
 
@@ -215,36 +215,45 @@ def _positive(cfg, field, typ, path, default):
     return val
 
 
+def _nonnegative(cfg, field, path, default):
+    """``cfg[field]`` as a nonnegative, finite float; ``default`` if absent."""
+    val = _optional(cfg, field, float, path, default)
+    if val < 0:
+        raise ConfigError(f"{path}{field}", "must be nonnegative")
+    return val
+
+
+def _section(cfg, name, default):
+    """The config section ``name``, ``default`` if absent, as a JSON object."""
+    raw = cfg.get(name, default)
+    if not isinstance(raw, dict):
+        raise ConfigError(name, "expected an object")
+    return raw
+
+
 @contextlib.contextmanager
 def _config_field(path):
-    """Report a package error raised while ``path`` is resolved as a
-    :class:`ConfigError` on that field; guards and budgets pass through."""
+    """Report a package error raised while ``path`` is resolved, or an
+    ``OSError`` while its artifact is written, as a :class:`ConfigError` on
+    that field; guards and budgets pass through."""
     try:
         yield
     except (ConfigError, NumericalGuard, NonRealExpectation, MaxStepsExceeded):
         raise
-    except ThermalLandscapeError as exc:
+    except (ThermalLandscapeError, OSError) as exc:
         raise ConfigError(path, f"{type(exc).__name__}: {exc}") from exc
 
 
 def _resolve_bath(cfg):
-    raw = cfg.get("bath", {})
-    if not isinstance(raw, dict):
-        raise ConfigError("bath", "expected an object")
+    raw = _section(cfg, "bath", {})
     out = {
-        "beta": _optional(raw, "beta", float, "bath.", 1.0),
-        "tau": _optional(raw, "tau", float, "bath.", 100.0),
-        "lambda0": _optional(raw, "lambda0", float, "bath.", 1.0),
+        "beta": _nonnegative(raw, "beta", "bath.", 1.0),
+        "tau": _positive(raw, "tau", float, "bath.", 100.0),
+        "lambda0": _positive(raw, "lambda0", float, "bath.", 1.0),
         "davies": _optional(raw, "davies", bool, "bath.", False),
         "beta_infinite": _optional(raw, "beta_infinite", bool, "bath.", False),
-        "beta_cap": _optional(raw, "beta_cap", float, "bath.", 1e6),
+        "beta_cap": _positive(raw, "beta_cap", float, "bath.", 1e6),
     }
-    if out["beta"] < 0:
-        raise ConfigError("bath.beta", "must be nonnegative")
-    if out["tau"] <= 0:
-        raise ConfigError("bath.tau", "must be positive")
-    if out["lambda0"] <= 0:
-        raise ConfigError("bath.lambda0", "must be positive")
     if not math.isfinite(out["lambda0"] * out["lambda0"]):  # gamma divides by lambda0^2
         raise ConfigError("bath.lambda0", "its square must be finite")
     return out
@@ -264,9 +273,7 @@ def _pauli_term_matrix(entry, path):
 
 def _resolve_hamiltonian(cfg):
     """Returns (LocalHamiltonian, clock_or_none, resolved_echo)."""
-    raw = cfg.get("hamiltonian")
-    if not isinstance(raw, dict):
-        raise ConfigError("hamiltonian", "expected an object")
+    raw = _section(cfg, "hamiltonian", None)
     sources = [k for k in ("ising", "terms", "circuit_file") if k in raw]
     if len(sources) != 1:
         raise ConfigError(
@@ -308,9 +315,7 @@ def _resolve_hamiltonian(cfg):
 
 
 def _resolve_jumps(cfg, ham, clock):
-    raw = cfg.get("jumps", {"preset": "pauli_x_all"})
-    if not isinstance(raw, dict):
-        raise ConfigError("jumps", "expected an object")
+    raw = _section(cfg, "jumps", {"preset": "pauli_x_all"})
     if "preset" in raw:
         preset = raw["preset"]
         if preset == "pauli_x_all":
@@ -342,9 +347,7 @@ def _resolve_jumps(cfg, ham, clock):
 
 
 def _resolve_state(cfg, model, clock):
-    raw = cfg.get("state", {"kind": "maximally_mixed"})
-    if not isinstance(raw, dict):
-        raise ConfigError("state", "expected an object")
+    raw = _section(cfg, "state", {"kind": "maximally_mixed"})
     kind = raw.get("kind")
     n = int(np.log2(model.dim))
     if kind == "maximally_mixed":
@@ -415,15 +418,15 @@ def _scenario_certify(cfg, model, clock, echo, seed):
 
 
 def _scenario_ngc(cfg, model, clock, echo, seed):
-    raw = cfg.get("ngc", {})
-    if not isinstance(raw, dict):
-        raise ConfigError("ngc", "expected an object")
+    raw = _section(cfg, "ngc", {})
     if "r" in raw:
-        r = _require(raw, "r", float, "ngc.")
-        shift = _optional(raw, "epsilon", float, "ngc.", 0.0)
+        r = _nonnegative(raw, "r", "ngc.", None)
+        shift = _nonnegative(raw, "epsilon", "ngc.", 0.0)
     elif "epsilon" in raw and "delta" in raw:
-        r, shift = ngc_params(_require(raw, "epsilon", float, "ngc."),
-                              _require(raw, "delta", float, "ngc."))
+        r, shift = ngc_params(_nonnegative(raw, "epsilon", "ngc.", None),
+                              _positive(raw, "delta", float, "ngc.", None))
+        if not math.isfinite(r):
+            raise ConfigError("ngc.delta", "2 epsilon / delta overflows")
     else:
         raise ConfigError("ngc", "expected r (+epsilon) or epsilon+delta")
     if raw.get("alpha_hat") is None:
@@ -456,9 +459,7 @@ def _check_step_budget(epsilon, norm_bound, epsilon_path):
 
 def _scenario_descend(cfg, model, clock, echo, seed):
     rho, state_echo = _resolve_state(cfg, model, clock)
-    raw = cfg.get("descent", {})
-    if not isinstance(raw, dict):
-        raise ConfigError("descent", "expected an object")
+    raw = _section(cfg, "descent", {})
     epsilon = _positive(raw, "epsilon", float, "descent.",
                         _positive(cfg, "epsilon", float, "", 1e-3))
     norm_bound = _positive(raw, "B", float, "descent.", model.ham.norm_bound)
@@ -548,7 +549,7 @@ def _scenario_clockham(cfg, model, clock, echo, seed):
 
 
 def _scenario_plateau(cfg, model_unused, clock, echo, seed):
-    raw = cfg.get("plateau", {})
+    raw = _section(cfg, "plateau", {})
     n = _require(raw, "n", int, "plateau.")
     num_samples = _positive(raw, "num_samples", int, "plateau.", 100)
     ham_entries = raw.get("hamiltonian_terms")
@@ -664,15 +665,9 @@ def _run_validated(scenario, cfg, seed_override, output_override):
         raise ConfigError(
             "scenario", f"config declares {declared!r}, invoked as {scenario!r}"
         )
-    seed = seed_override if seed_override is not None else cfg.get("seed", 0)
-    if not isinstance(seed, int):
-        raise ConfigError("seed", "expected an integer")
-    output = output_override or cfg.get("output")
-    if output is None:
-        raise ConfigError("output", "missing output path")
-    if not isinstance(output, str):
-        raise ConfigError("output", "expected a path")
-    csv_output = cfg.get("csv_output")
+    seed = seed_override if seed_override is not None else _optional(cfg, "seed", int, "", 0)
+    output = output_override or _require(cfg, "output", str, "")
+    csv_output = _optional(cfg, "csv_output", str, "", None)
 
     echo = {
         "schema_version": SCHEMA_VERSION,
@@ -699,7 +694,8 @@ def _run_validated(scenario, cfg, seed_override, output_override):
 
     if isinstance(payload, tuple) and payload[0] == "trace":
         _, trace, extra, exhausted = payload
-        result = emit_trace(trace, output, config_echo=echo, terminal_extra=extra)
+        with _config_field("output"):
+            result = emit_trace(trace, output, config_echo=echo, terminal_extra=extra)
         if exhausted is not None:
             raise exhausted
     else:
@@ -708,10 +704,11 @@ def _run_validated(scenario, cfg, seed_override, output_override):
             "config_echo": echo,
             "result": payload,
         }
-        write_json(output, result)
+        with _config_field("output"):
+            write_json(output, result)
     if csv_payload is not None and csv_output:
-        header, rows = csv_payload
-        write_csv(csv_output, header, rows)
+        with _config_field("csv_output"):
+            write_csv(csv_output, *csv_payload)
     return result
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import operators as ops
 from .errors import MaxStepsExceeded, TriggerNotMet
-from .gradient import CertificateResult, certify_local_min, eigenbasis_scan
+from .gradient import CertificateResult, certify_local_min, gradient_scan
 from .lindblad import (
     DEFECT_TOL,
     FLOOR,
@@ -157,10 +157,10 @@ class _FullSpace:
 def _state_space(model: LindbladModel, rho, cfg: DescentConfig):
     """The representation of ``rho`` under ``model``: the space, the
     coordinates x, the read of x's gradients along every jump followed by
-    its energy from the model's eigenbasis scan, and the run blocks (None
+    its energy from the model's gradient scan, and the run blocks (None
     with noise, or on vec(V^dag rho V))."""
     sector = zero_frequency_sector(model, rho)
-    scan = eigenbasis_scan(model)
+    scan = gradient_scan(model)
     if sector is None:
         return _FullSpace(model), model.sd.to_eig(rho).reshape(-1), scan.read, None
     rows = sector.scan_rows(scan)
@@ -469,9 +469,10 @@ def thermal_gradient_descent(model: LindbladModel, rho0, cfg: DescentConfig) -> 
     (:func:`zero_frequency_sector`).  Without a sector (d > 32 for one
     group) the state is vec(V^dag rho V), in the eigenbasis V of H like the
     sector's coordinates, and leaves V only at the end.  Each step reads
-    every gradient and the energy from one fused matvec.  In a sector and
-    without noise, a run that has taken ``RUN_WARMUP`` steps along one jump
-    goes on in blocks of as many steps as it has taken, at most
+    every gradient and the energy from one fused matvec of the model's
+    gradient scan, which the terminal certificate reads too.  In a sector
+    and without noise, a run that has taken ``RUN_WARMUP`` steps along one
+    jump goes on in blocks of as many steps as it has taken, at most
     ``BLOCK_MAX`` (:class:`_RunBlocks`), whatever the state's rank: a block
     checks the positivity floor of all its states at once.  The step at
     which a block stops is taken one at a time; after a block that keeps no

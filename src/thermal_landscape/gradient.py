@@ -4,7 +4,8 @@ condition.
 The per-jump gradient operator is L^dag_a[H]; its expectation on a state
 is the rate of energy change along jump a.  A state is certified an
 epsilon-approximate local minimum when the negative part of the gradient
-vector is uniformly below epsilon.
+vector is uniformly below epsilon.  Every gradient and energy is read
+through the model's one :class:`GradientScan`, in the eigenbasis V of H.
 """
 
 from dataclasses import dataclass
@@ -57,21 +58,10 @@ def gradient_operator(model: LindbladModel, label):
     return op
 
 
-def _transposed_parts(op):
-    """Float positions and values of the entries of the layout of ``op``: conj(op^T),
-    row-major, viewed as float64.  Read from the bits of op itself, with no d x d copy:
-    conj(op^T)[a, b] is op[b, a] with its imaginary part negated."""
-    d = len(op)
-    floats = np.ascontiguousarray(op).view(np.float64).reshape(d, d, 2)
-    b, a, part = np.nonzero(floats.view(np.uint64))
-    vals = floats[b, a, part]
-    return 2 * (a * d + b) + part, np.where(part == 1, -vals, vals)
-
-
-def _indexed_layout(g, p):
-    """:func:`_transposed_parts` of X = P g P^T Hermitized, P of ``p``, from the nonzero
-    entries ``g`` = (rows, cols, values) of g, with no d x d array."""
-    d = len(p)
+def _indexed_layout(g, d):
+    """The float positions and values of the nonzero bits of conj(X^T),
+    row-major and viewed as float64, for X = g Hermitized as
+    :func:`gradient_operator` does it, from the entries ``g`` = (rows, cols, values)."""
     a, b, vals = g
     u = np.union1d(a * d + b, b * d + a)  # closed under transposition
     ua, ub = divmod(u, d)
@@ -80,24 +70,33 @@ def _indexed_layout(g, p):
     herm = 0.5 * (x + x[np.searchsorted(u, ub * d + ua)].conj())  # as gradient_operator does
     parts = herm.conj().view(np.float64).reshape(-1, 2)  # a zero of conj(X^T) is (+0.0, -0.0)
     at, part = np.nonzero(parts.view(np.uint64) != np.array([0.0, -0.0]).view(np.uint64))
-    return 2 * (p[ub] * d + p[ua])[at] + part, parts[at, part]
+    return 2 * (ub * d + ua)[at] + part, parts[at, part]
 
 
 class GradientScan:
-    """Re Tr(X rho) for d x d operators X, as one real matvec.
+    """Re Tr(X rho) for the model's X = L^dag_a[H] in jump order, then
+    X = H, as one real matvec in the eigenbasis V of H.
 
-    Re Tr(X rho) = sum_ij Re(X_ij rho_ji) is the dot product of conj(X^T)
-    and rho, both row-major and viewed as float64, for any complex rho.
-    Each of ``layouts`` is one X as those float positions and values
-    (:func:`_transposed_parts`).  ``rows`` keeps ``support``, the union of
-    the rows' nonzero columns: d of the 2 d^2 for the diagonal operators of
-    the Ising chain under X jumps, where a basis-state certificate is one
-    column.  Obtain a model's with :func:`gradient_scan`, or with
-    :func:`eigenbasis_scan` in its eigenbasis.
+    Re Tr(X rho) = Re Tr(X~ rho~), with X~ = V^dag X V and rho~ = V^dag rho V,
+    is the dot product of conj(X~^T) and rho~, both row-major and viewed as
+    float64, for any complex rho.  ``rows`` holds each X~ so, from its
+    Hermitized eigenbasis entries (:meth:`LindbladModel._gradient_entries`),
+    or the eigenvalues on the diagonal for H, at ``support``, the union of
+    the rows' nonzero columns: d of the 2 d^2 for the Ising chain under X
+    jumps.  :meth:`read` takes vec(rho~), as descent holds it.  A state in
+    the computational basis enters through the model's :class:`SpectralData`:
+    for a permutation V by index, the support mapped through p at build, so
+    a read gathers |support| entries and a bit string is one column; else by
+    one ``to_eig``, a bit string b as the rank-one rho~ of conj(V[b, :]), at
+    O(m d^2): every bit-string caller reads an Ising chain, whose V is a permutation.
     """
 
-    def __init__(self, layouts, dim):
-        self.dim = d = dim
+    def __init__(self, model: LindbladModel):
+        sd = self._sd = model.sd
+        d = self.dim = sd.dim
+        layouts = [_indexed_layout(model._gradient_entries(label), d)
+                   for label in model.jump_labels]
+        layouts.append((2 * (d + 1) * np.arange(d), sd.eigenvalues))
         nonzero = np.zeros(2 * d * d, dtype=bool)
         for pos, vals in layouts:
             nonzero[pos[vals != 0]] = True
@@ -106,19 +105,29 @@ class GradientScan:
         for row, (pos, vals) in zip(self.rows, layouts):
             hit = nonzero[pos]
             row[np.searchsorted(self.support, pos[hit])] = vals[hit]
+        p = sd.permutation
+        if p is not None:  # rho~[i, j] = rho[p[i], p[j]]; eigen index p^-1[b] of |b>
+            i, j = divmod(self.support // 2, d)
+            self._at = 2 * (p[i] * d + p[j]) + self.support % 2
+            self._index = np.argsort(p)
 
     def read(self, x):
         """The gradients along every jump, then the energy, of the state
-        whose row-major vec(rho) is the contiguous complex ``x``."""
+        whose row-major vec(V^dag rho V) is the contiguous complex ``x``."""
         return self.rows.dot(x.view(np.float64)[self.support])
 
     def __call__(self, rho):
-        """:meth:`read` of the d x d state ``rho``; for a bit string, of |bits><bits| with no
-        density formed: the column of ``rows`` at its diagonal entry, plus +0.0 as in the matvec."""
+        """:meth:`read` of the d x d state ``rho``, or of |bits><bits| for a
+        bit string, with no density formed: with a permutation V the column
+        of ``rows`` at its diagonal entry, plus +0.0 as in the matvec."""
         if isinstance(rho, str):
             if 2 ** len(rho) != self.dim:
                 raise DimensionMismatch(f"{len(rho)} bits do not match dimension {self.dim}")
-            at = 2 * ops.basis_index(rho) * (self.dim + 1)
+            b = ops.basis_index(rho)
+            if self._sd.permutation is None:
+                u = self._sd.eigenvectors[b].conj()
+                return self.read(np.outer(u, u.conj()).reshape(-1))
+            at = 2 * self._index[b] * (self.dim + 1)
             col = np.searchsorted(self.support, at)
             if col < len(self.support) and self.support[col] == at:
                 return self.rows[:, col] + 0.0
@@ -126,31 +135,18 @@ class GradientScan:
         rho = np.ascontiguousarray(rho, dtype=complex)
         if rho.shape != (self.dim, self.dim):
             raise DimensionMismatch(f"state shape {rho.shape} does not match dimension {self.dim}")
-        return self.read(rho.reshape(-1))
+        if self._sd.permutation is None:
+            return self.read(self._sd.to_eig(rho).reshape(-1))
+        return self.rows.dot(rho.reshape(-1).view(np.float64)[self._at])
 
 
 def gradient_scan(model: LindbladModel) -> GradientScan:
-    """The model's :class:`GradientScan` of X = L^dag_a[H] in jump order,
-    then X = H, built on first use and cached: each row read from the bits
-    of its operator or, with a permutation eigenbasis, found by index from
-    its eigenbasis entries, with no operator formed."""
+    """The model's one :class:`GradientScan`, built on first use and cached
+    on ``model._scan``; descent, certificates, :func:`gradient_vector` and
+    :meth:`LindbladModel.energy` all read it."""
     if model._scan is None:
-        p = model.sd.permutation
-        layouts = [_transposed_parts(gradient_operator(model, label)) if p is None
-                   else _indexed_layout(model._gradient_entries(label), p)
-                   for label in model.jump_labels]
-        model._scan = GradientScan(layouts + [_transposed_parts(model.ham.dense)], model.dim)
+        model._scan = GradientScan(model)
     return model._scan
-
-
-def eigenbasis_scan(model: LindbladModel) -> GradientScan:
-    """The rows of :func:`gradient_scan` in the eigenbasis V, which read
-    vec(V^dag rho V): gradient rows found by index from the Hermitized
-    eigenbasis entries, the energy row the eigenvalues on the diagonal, with
-    no d x d array.  Built on each call."""
-    d, same = model.dim, np.arange(model.dim)
-    layouts = [_indexed_layout(model._gradient_entries(label), same) for label in model.jump_labels]
-    return GradientScan(layouts + [(2 * (d + 1) * same, model.sd.eigenvalues)], d)
 
 
 def gradient_vector(model: LindbladModel, rho, labels=None) -> GradientReport:
@@ -203,8 +199,10 @@ def ngc_params(epsilon, delta):
 
     The no-suboptimal-minima condition reads
     -sum alpha_a L^dag_a[H] >= (2 eps / delta)(I - P_G) - eps I,
-    i.e. r = 2 eps / delta with shift eps.
+    i.e. r = 2 eps / delta with shift eps; delta must be positive (ValueError).
     """
+    if not delta > 0:  # NaN too
+        raise ValueError("delta must be positive")
     return 2.0 * epsilon / delta, epsilon
 
 
@@ -228,21 +226,21 @@ def negative_gradient_condition(model: LindbladModel, alpha_hat, ground_projecto
 
     Returns ``(holds, slack)`` where slack is the minimum eigenvalue of
     M = -sum alpha_a L^dag_a[H] - r (I - P_G) + epsilon I and the
-    condition holds iff slack >= -1e-9.
+    condition holds iff slack >= -1e-9.  M is formed in the eigenbasis, from
+    the cached gradient entries and the projector rotated in once.
     """
     alpha_hat = ngc_weights(model, alpha_hat)
     if not (r >= 0 and epsilon >= 0):  # NaN too
         raise ValueError("r and epsilon must be nonnegative")
-    p_g = np.asarray(ground_projector, dtype=complex)
+    p_g, dim = np.asarray(ground_projector, dtype=complex), model.dim
+    if p_g.shape != (dim, dim):
+        raise DimensionMismatch(f"ground_projector shape {p_g.shape} does not match dimension {dim}")
     if ops.operator_norm(p_g @ p_g - p_g) > 1e-9:
         raise ValueError("ground_projector is not idempotent")
-    dim = model.dim
-    m = np.zeros((dim, dim), dtype=complex)
-    for a, jump in zip(alpha_hat, model.jumps):
+    m = r * model.sd.to_eig(p_g) + (epsilon - r) * np.eye(dim)
+    for a, label in zip(alpha_hat, model.jump_labels):
         if a:
-            m -= a * gradient_operator(model, jump.label)
-    m -= r * (np.eye(dim) - p_g)
-    m += epsilon * np.eye(dim)
+            m -= a * ops.from_entries(model._gradient_entries(label), dim)
     slack = float(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0])
     return slack >= -1e-9, slack
 

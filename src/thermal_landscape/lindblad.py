@@ -15,7 +15,8 @@ cached there.  One apply (:func:`_eig_apply`) reads D~_a with the
 commutator of M~ = -i sum_a w_a H~_LS,a - i Lambda, and one guarded step
 (:func:`_eig_step`) evolves a state there.  The computational basis is
 reached only at the public boundary: :func:`evolve`'s input and output,
-:func:`lamb_shift_operator` and the gradient operators.  Descent runs in
+:func:`lamb_shift_operator`, the gradient operators and the states that the
+gradient scan reads (by index for a permutation V).  Descent runs in
 V, in real Hermitian coordinates (:class:`ZeroFrequencySector`) by energy
 group or as one group of all d levels, or else on vec(V^dag rho V).
 """
@@ -860,7 +861,7 @@ class ZeroFrequencySector:
 
     def scan_rows(self, scan):
         """The rows r with r @ x = ``scan.read`` (vec(V^dag rho V)) for states
-        in the sector, ``scan`` an eigenbasis :class:`gradient.GradientScan`:
+        in the sector, ``scan`` the model's :class:`gradient.GradientScan`:
         its row of conj(X~^T), viewed as complex, at entry (i, j) reads
         Re(X~[j, i] c), with c = Q x."""
         layout = np.zeros((len(scan.rows), 2 * self.dim**2))

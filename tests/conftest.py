@@ -101,13 +101,21 @@ def _lapack_herm_eig(m):
     return w, v / (phases / np.abs(phases))[np.newaxis, :]
 
 
-def _dense_operator_scan(model):
-    """(support, rows) of the gradient scan built from dense operators:
-    every ``gradient_operator`` (cached on ``model``) and H laid out as
-    conj(X^T) in float64, ``support`` the union of their nonzero entries."""
-    mats = [tl.gradient_operator(model, label) for label in model.jump_labels]
-    layouts = [np.ascontiguousarray(op.T.conj()).reshape(-1).view(np.float64)
-               for op in mats + [model.ham.dense]]
+def _dense_eigenbasis_scan(model):
+    """(support, rows) of the gradient scan built from dense eigenbasis
+    operators: each jump's cached eigenbasis entries as a d x d array
+    (``from_entries``), Hermitized as ``gradient_operator`` does, and
+    diag(eigenvalues) for H, each laid out as conj(X^T) in float64 and read
+    bit for bit at ``support``, the union of their nonzero entries."""
+    d = model.dim
+    mats = []
+    for label in model.jump_labels:
+        op = ops.from_entries(model._gradient_entries(label), d)
+        op += op.conj().T
+        op *= 0.5
+        mats.append(op)
+    mats.append(np.diag(model.sd.eigenvalues).astype(complex))
+    layouts = [np.ascontiguousarray(op.T.conj()).reshape(-1).view(np.float64) for op in mats]
     support = np.flatnonzero(np.any([lay != 0.0 for lay in layouts], axis=0))
     return support, np.array([lay[support] for lay in layouts])
 
@@ -115,8 +123,8 @@ def _dense_operator_scan(model):
 @pytest.fixture
 def dense_oracles():
     """The dense routes the index paths replace: ``(kron_transpose_embed,
-    lapack_herm_eig, dense_operator_scan)``."""
-    return _kron_transpose_embed, _lapack_herm_eig, _dense_operator_scan
+    lapack_herm_eig, dense_eigenbasis_scan)``."""
+    return _kron_transpose_embed, _lapack_herm_eig, _dense_eigenbasis_scan
 
 
 def _loop_lamb_once(freqs, spec, corr, edges):
@@ -451,7 +459,7 @@ def _sector_step_descent(model, rho, cfg, records=None):
     """The omega = 0 sector descent one step at a time, as it ran before run
     blocks: the first jump, in declared order, whose gradient lies below the
     trigger, then ``ZeroFrequencySector.evolve`` with s = |g| / (9 B^2), then
-    one matvec of the sector's rows of the model's eigenbasis scan.  Appends every step as
+    one matvec of the sector's rows of the model's gradient scan.  Appends every step as
     (index, label, g, s, e_before, e_after) to ``records`` (so that a caller
     keeps the steps before a raising one) and returns them with the terminal
     density; stops when no jump triggers or after ``cfg.max_steps`` steps.
@@ -459,7 +467,7 @@ def _sector_step_descent(model, rho, cfg, records=None):
     sector = lindblad.zero_frequency_sector(model, rho)
     x = sector.coords(rho)
     labels = model.jump_labels
-    scan = sector.scan_rows(gradient.eigenbasis_scan(model))
+    scan = sector.scan_rows(gradient.gradient_scan(model))
     records = [] if records is None else records
     m = len(labels)
     values = scan.dot(x).tolist()

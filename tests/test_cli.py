@@ -460,13 +460,6 @@ def test_ngc_bad_alpha_hat_exits_2_with_field_path(tmp_path, capsys, alpha_hat):
     assert not (tmp_path / "ngc.json").exists()
 
 
-def test_ngc_section_not_an_object_exits_2(tmp_path, capsys):
-    cfg = certify_config(tmp_path, out="ngc.json")
-    cfg.update(scenario="ngc", ngc=3)
-    code, result = cli.run("ngc", write_config(tmp_path, cfg))
-    _assert_config_error(code, result, capsys, "ngc")
-
-
 def test_ngc_integer_alpha_hat_is_accepted(tmp_path):
     cfg = certify_config(tmp_path, out="ngc.json")
     cfg.update(scenario="ngc", ngc={"r": 0.13, "epsilon": 1e-5, "alpha_hat": [1]})
@@ -585,3 +578,109 @@ def test_nonpositive_clock_coupling_exits_2_with_field_path(tmp_path, capsys, fi
     code, result = cli.run("clockham", write_config(tmp_path, cfg))
     _assert_config_error(code, result, capsys, f"hamiltonian.{field}")
     assert not (tmp_path / "clock.json").exists()
+
+
+@pytest.mark.parametrize("ngc, field", [
+    ({"r": -1.0}, "ngc.r"),
+    ({"r": 0.1, "epsilon": -1.0}, "ngc.epsilon"),
+    ({"epsilon": 0.1, "delta": 0.0}, "ngc.delta"),
+    ({"epsilon": 0.1, "delta": -1.0}, "ngc.delta"),
+    ({"epsilon": 1e300, "delta": 1e-300}, "ngc.delta"),
+])
+def test_ngc_parameter_out_of_range_exits_2_with_field_path(tmp_path, capsys, ngc, field):
+    cfg = certify_config(tmp_path, out="ngc.json")
+    cfg.update(scenario="ngc", ngc=ngc)
+    code, result = cli.run("ngc", write_config(tmp_path, cfg))
+    _assert_config_error(code, result, capsys, field)
+    assert not (tmp_path / "ngc.json").exists()
+
+
+@pytest.mark.parametrize("beta_cap", [-2.0, -1.0, -0.5, 0.0])
+def test_nonpositive_beta_cap_exits_2_with_field_path(tmp_path, capsys, beta_cap):
+    cfg = certify_config(tmp_path)
+    cfg["bath"].update(beta_infinite=True, beta_cap=beta_cap)
+    code, result = cli.run("certify", write_config(tmp_path, cfg))
+    _assert_config_error(code, result, capsys, "bath.beta_cap")
+    assert not (tmp_path / "result.json").exists()
+
+
+@pytest.mark.parametrize("field, where", [
+    ("csv_output", 5),
+    ("csv_output", "."),
+    ("csv_output", "missing/rows.csv"),
+    ("output", "."),
+    ("output", "missing/ising.json"),
+])
+def test_unwritable_artifact_exits_2_naming_it(tmp_path, capsys, field, where):
+    cfg = _ising_config(tmp_path, 1.0)
+    cfg["csv_output"] = str(tmp_path / "rows.csv")
+    cfg[field] = str(tmp_path / where) if isinstance(where, str) else where
+    code, result = cli.run("ising", write_config(tmp_path, cfg))
+    _assert_config_error(code, result, capsys, field)
+    assert not (tmp_path / "rows.csv").exists()
+
+
+def test_boolean_seed_exits_2(tmp_path, capsys):
+    cfg = certify_config(tmp_path)
+    cfg["seed"] = True
+    code, result = cli.run("certify", write_config(tmp_path, cfg))
+    _assert_config_error(code, result, capsys, "seed")
+
+
+@pytest.mark.parametrize("scenario, section, value", [
+    ("certify", "bath", []), ("certify", "hamiltonian", "x"), ("certify", "jumps", 1.5),
+    ("certify", "state", None), ("ngc", "ngc", 3), ("descend", "descent", ["B"]),
+    ("plateau", "plateau", "x"),
+])
+def test_section_not_an_object_exits_2(tmp_path, capsys, scenario, section, value):
+    cfg = certify_config(tmp_path)
+    cfg.update(scenario=scenario, **{section: value})
+    code, result = cli.run(scenario, write_config(tmp_path, cfg))
+    _assert_config_error(code, result, capsys, section)
+    assert not (tmp_path / "result.json").exists()
+
+
+def _clock_grad_config(tmp_path):
+    """grad on the T = 3 clock of the X circuit with its preset jumps."""
+    return {
+        "schema_version": 1,
+        "scenario": "grad",
+        "hamiltonian": {"circuit_file": str(REPO / "scripts/configs/circuit_x_t3.json"),
+                        "j_in": 0.6, "j_prop": 0.3},
+        "bath": {"beta": 30.0, "tau": 1.0, "davies": True},
+        "jumps": {"preset": "pauli_xz_clock_plus_flip"},
+        "output": str(tmp_path / "grad.json"),
+    }
+
+
+@pytest.mark.parametrize("section, value, field", [
+    ("hamiltonian", {"circuit_file": "no/such/circuit.json"}, "hamiltonian.circuit_file"),
+    ("jumps", {"preset": "pauli_xz_clock_plus_flip"}, "jumps.preset"),
+    ("jumps", {"explicit": []}, "jumps.explicit"),
+    ("state", {"kind": "history"}, "state.kind"),
+])
+def test_bad_source_exits_2_with_field_path(tmp_path, capsys, section, value, field):
+    cfg = certify_config(tmp_path)  # a qubit given by its terms, no circuit
+    cfg[section] = value
+    code, result = cli.run("certify", write_config(tmp_path, cfg))
+    _assert_config_error(code, result, capsys, field)
+
+
+def test_state_kinds_read_their_densities(tmp_path):
+    cfg = _clock_grad_config(tmp_path)
+    clock = tl.build_clock_hamiltonian(tl.load_circuit(cfg["hamiltonian"]["circuit_file"]),
+                                       j_in=0.6, j_prop=0.3)
+    h = clock.local.dense
+    eta = tl.history_state(clock.circuit)
+    w = np.linalg.eigvalsh(h)
+    want = {"maximally_mixed": np.trace(h).real / len(h), "ground": w[0],
+            "history": (eta.conj() @ h @ eta).real}
+    for kind, energy in want.items():
+        cfg["state"] = {"kind": kind}
+        code, result = cli.run("grad", write_config(tmp_path, cfg))
+        assert code == 0
+        assert result["config_echo"]["state"] == {"kind": kind}
+        assert result["result"]["energy"] == pytest.approx(energy, abs=1e-12)
+    del cfg["state"]  # the default is the maximally mixed state
+    code, result = cli.run("grad", write_config(tmp_path, cfg))
+    assert code == 0 and result["config_echo"]["state"] == {"kind": "maximally_mixed"}

@@ -131,12 +131,20 @@ def test_negative_gradient_condition_rejects_a_non_idempotent_projector():
     model = qubit_davies(beta=10.0)
     with pytest.raises(ValueError, match="ground_projector is not idempotent"):
         tl.negative_gradient_condition(model, [1.0], np.diag([0.5, 0.0]), r=0.1, epsilon=0.1)
+    with pytest.raises(tl.errors.DimensionMismatch):  # a projector, but of 4 levels
+        tl.negative_gradient_condition(model, [1.0], np.diag([1.0, 0, 0, 0]), r=0.1, epsilon=0.1)
 
 
 def test_ngc_params_mapping():
     r, shift = tl.ngc_params(0.02, 0.1)
     assert r == pytest.approx(0.4)
     assert shift == pytest.approx(0.02)
+
+
+@pytest.mark.parametrize("delta", [0.0, -1.0, float("nan")])
+def test_ngc_params_rejects_a_delta_that_is_not_positive(delta):
+    with pytest.raises(ValueError, match="delta must be positive"):
+        tl.ngc_params(0.1, delta)
 
 
 def test_negative_gradient_condition_qubit_holds():

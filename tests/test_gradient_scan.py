@@ -1,13 +1,15 @@
-"""The eigenbasis gather of the gradient operators and the gradient scan
-that certificates, energies and descent read them through."""
+"""The eigenbasis gather of the gradient operators and the one gradient
+scan, in the eigenbasis, that certificates, energies and descent read them
+through."""
 
 import numpy as np
 import pytest
 
 import thermal_landscape as tl
+from thermal_landscape import descent, gradient
 from thermal_landscape.bath import BathSpec
 from thermal_landscape.errors import DimensionMismatch
-from thermal_landscape.gradient import eigenbasis_scan, gradient_scan
+from thermal_landscape.gradient import gradient_scan
 from thermal_landscape.lindblad import zero_frequency_sector
 
 
@@ -89,15 +91,21 @@ def test_gradient_scan_matches_traces(name, davies, oracle_system):
         assert abs(model.energy(rho) - energy) <= 1e-12 * max(abs(energy), 1.0)
 
 
+def _dense_reads(model, rho):
+    """Re Tr(X rho) of every gradient operator, then of H, by dense traces."""
+    ops = [tl.gradient_operator(model, label) for label in model.jump_labels]
+    return np.array([np.trace(op @ rho).real for op in ops + [model.ham.dense]])
+
+
 @pytest.mark.parametrize("name, davies", [("generic_n3", False), ("ising_n4_h0", True),
                                          ("cluster", True)])
 def test_eigenbasis_scan_and_sector_rows_match_the_scan(name, davies, oracle_system):
-    """The eigenbasis scan, which descent reads, on vec(V^dag rho V), and a
-    sector's rows of it on the sector's coordinates, against the scan of
-    the gradient operators and H on rho: a dense V with the Lamb shift, a
+    """The scan, on rho and on vec(V^dag rho V) as descent reads it, and a
+    sector's rows of it on the sector's coordinates, against dense traces of
+    the gradient operators and H: a dense V with the Lamb shift, a
     permutation V with energy groups, and a degenerate group in a dense V."""
     model = _model(name, davies, oracle_system)
-    scan, eig_scan = gradient_scan(model), eigenbasis_scan(model)
+    scan = gradient_scan(model)
     d = model.dim
     sectors = [zero_frequency_sector(model, np.full((d, d), 1.0 / d, dtype=complex))]
     if davies:
@@ -105,17 +113,57 @@ def test_eigenbasis_scan_and_sector_rows_match_the_scan(name, davies, oracle_sys
     assert all(sector is not None for sector in sectors)
     rng = np.random.default_rng(4)
     for rho in _states(rng, d):
-        want = scan(rho)
+        want = _dense_reads(model, rho)
         scale = max(np.max(np.abs(want)), 1.0)
-        got = eig_scan.read(model.sd.to_eig(rho).reshape(-1))
+        assert np.max(np.abs(scan(rho) - want)) <= 1e-13 * scale
+        got = scan.read(model.sd.to_eig(rho).reshape(-1))
         assert np.max(np.abs(got - want)) <= 1e-13 * scale
     for sector in sectors:
-        rows = sector.scan_rows(eig_scan)
+        rows = sector.scan_rows(scan)
         for _ in range(3):
             rho = sector.density(rng.standard_normal(sector.size))
-            want = scan(rho)
+            want = _dense_reads(model, rho)
             got = rows @ sector.coords(rho)
             assert np.max(np.abs(got - want)) <= 1e-13 * max(np.max(np.abs(want)), 1.0)
+
+
+@pytest.mark.parametrize("name", ["generic_n3", "clock_x_t3"])
+def test_bit_strings_of_a_dense_eigenbasis_match_the_density(name, oracle_system):
+    # a dense V reads a bit string as the rank-one V^dag |b><b| V
+    model = _model(name, True, oracle_system)
+    assert model.sd.permutation is None
+    n = model.ham.n
+    for k in range(model.dim):
+        bits = format(k, f"0{n}b")
+        got, want = gradient_scan(model)(bits), _dense_reads(model, tl.basis_density(bits))
+        assert np.max(np.abs(got - want)) <= 1e-14 * max(np.max(np.abs(want)), 1e-300)
+        for epsilon in (1e-3, 1e-1):
+            assert (tl.certify_local_min(model, bits, epsilon).kind
+                    == tl.certify_local_min(model, tl.basis_density(bits), epsilon).kind)
+
+
+def test_descent_and_its_certificate_read_one_scan(monkeypatch):
+    # one descent followed by a certificate builds the model's scan once
+    built = []
+
+    class Counted(gradient.GradientScan):
+        def __init__(self, model):
+            built.append(model)
+            super().__init__(model)
+
+    monkeypatch.setattr(gradient, "GradientScan", Counted)
+    jumps = [(f"X{j}", tl.kron_embed(tl.PAULI["X"], [j], 3)) for j in range(3)]
+    model = tl.build_model(tl.build_ising_chain(3, 0.5), jumps,
+                           bath=BathSpec(beta=2.0, tau=1.0), davies=True)
+    assert model._scan is None
+    trace = descent.thermal_gradient_descent(
+        model, tl.maximally_mixed(3), descent.DescentConfig(epsilon=0.01, norm_bound=4.0))
+    scan = model._scan
+    assert isinstance(scan, Counted) and trace.steps
+    cert = tl.certify_local_min(model, trace.terminal_state, 0.01)
+    assert cert == trace.terminal_certificate
+    assert model._scan is scan and gradient.gradient_scan(model) is scan
+    assert built == [model]
 
 
 def test_gradient_scan_support_of_a_diagonal_model(oracle_system):
@@ -135,12 +183,14 @@ def test_gradient_scan_support_of_a_diagonal_model(oracle_system):
 
 def test_bit_string_outside_the_scan_support_reads_zero():
     # Z0 commutes with the diagonal H, so its gradient is zero, and |11> has
-    # zero energy: no row of the scan has an entry on its diagonal
+    # zero energy: no row of the scan has an entry on its diagonal, which
+    # the permutation V files at its eigen index
     model = tl.build_model(tl.build_ising_chain(2, 1.0),
                            [("Z0", tl.kron_embed(tl.PAULI["Z"], [0], 2))],
                            bath=BathSpec(beta=1.0, tau=1.0), davies=True)
     scan = gradient_scan(model)
-    assert 2 * 3 * (model.dim + 1) not in scan.support
+    index = int(np.flatnonzero(model.sd.permutation == 3)[0])
+    assert 2 * index * (model.dim + 1) not in scan.support
     got = scan("11")
     assert got.tobytes() == scan(tl.basis_density("11")).tobytes() == np.zeros(2).tobytes()
     assert scan("00").tobytes() == scan(tl.basis_density("00")).tobytes()
